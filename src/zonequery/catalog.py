@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import csv
 import math
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -53,7 +55,13 @@ __all__ = [
 # stay separated by a gap in key space
 KEY_BAND = 512.0
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+
+# v2 column members and their required dtypes; v2 also stores zone_starts
+_V2_COLUMNS = {"ids": np.uint64, "ra": np.float64, "dec": np.float64, "mags": np.float64}
+_V2_MEMBERS = frozenset(
+    {"version", "name", "height_deg", "bands", "zone_starts", *_V2_COLUMNS}
+)
 
 # fraction of rejected rows above which ingestion fails outright
 MAX_REJECT_FRACTION = 0.01
@@ -201,12 +209,13 @@ def build_index(
 ) -> ZoneIndex:
     """Build a ZoneIndex from raw column arrays.
 
-    ra is normalized into [0, 360); dec must already be within [-90, +90].
+    ra must be finite and is normalized into [0, 360); dec must already be
+    within [-90, +90].
     Rows are ordered by (zone, ra, id); the id tie-break makes rebuilds
     byte-deterministic.
     """
     ids = np.ascontiguousarray(ids, dtype=np.uint64)
-    ra = normalize_ra_array(np.ascontiguousarray(ra, dtype=np.float64))
+    ra = np.ascontiguousarray(ra, dtype=np.float64)
     dec = np.ascontiguousarray(dec, dtype=np.float64)
     bands = tuple(bands)
     if mags is None:
@@ -214,9 +223,13 @@ def build_index(
     mags = np.ascontiguousarray(mags, dtype=np.float64).reshape(len(ids), len(bands))
     if len(ids) != len(ra) or len(ids) != len(dec):
         raise ValueError("id/ra/dec arrays must have equal length")
-    if len(ids) and (dec.min() < -90.0 or dec.max() > 90.0):
-        raise ValueError("dec outside [-90, +90]")
-    if len(np.unique(ids)) != len(ids):
+    # written so that NaN fails too; a snapshot with NaN would not load
+    if not np.all((dec >= -90.0) & (dec <= 90.0)):
+        raise ValueError("dec not finite within [-90, +90]")
+    if not np.all(np.isfinite(ra)):
+        raise ValueError("ra not finite")
+    ra = normalize_ra_array(ra)
+    if _has_duplicates(ids):
         raise ValueError(f"duplicate object ids in catalog {name!r}")
 
     zone = zone_of_array(dec, cfg)
@@ -224,6 +237,20 @@ def build_index(
     ids, ra, dec, zone, mags = ids[order], ra[order], dec[order], zone[order], mags[order]
     zone_starts = np.searchsorted(zone, np.arange(cfg.zone_count + 1))
     return ZoneIndex(name, cfg, bands, ids, ra, dec, mags, zone, zone_starts)
+
+
+def _has_duplicates(ids: np.ndarray) -> bool:
+    """True when some id occurs more than once: one sort, then adjacent equality."""
+    s = np.sort(ids)
+    return bool(np.any(s[1:] == s[:-1]))
+
+
+def _rows_ordered(zone: np.ndarray, ra: np.ndarray, ids: np.ndarray) -> bool:
+    """True when rows strictly increase by (zone, ra, id)."""
+    z0, z1 = zone[:-1], zone[1:]
+    r0, r1 = ra[:-1], ra[1:]
+    later = (z1 > z0) | ((z1 == z0) & ((r1 > r0) | ((r1 == r0) & (ids[1:] > ids[:-1]))))
+    return bool(np.all(later))
 
 
 def _parse_header(row: list[str], bands: Sequence[str] | None) -> tuple[str, ...]:
@@ -273,7 +300,9 @@ def ingest_csv(
     mag_rows: list[list[float]] = []
     seen: set[int] = set()
 
-    with path.open(newline="", encoding="utf-8") as fh:
+    # utf-8-sig: a byte-order mark, as some spreadsheet tools write, is not
+    # part of the first header name
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [c.strip() for c in next(reader)]
@@ -401,7 +430,11 @@ def histogram(index: ZoneIndex) -> ZoneHistogram:
 
 
 def save_index(index: ZoneIndex, path: str | Path) -> None:
-    """Write a single-file binary snapshot of the index."""
+    """Write a single-file binary snapshot of the built index.
+
+    The columns are stored in (zone, ra, id) order together with
+    ``zone_starts``, so loading checks the index instead of rebuilding it.
+    """
     # write through a handle so the exact path is honored (np.savez would
     # append .npz to a bare filename)
     with Path(path).open("wb") as fh:
@@ -415,11 +448,17 @@ def save_index(index: ZoneIndex, path: str | Path) -> None:
             ra=index.ra,
             dec=index.dec,
             mags=index.mags,
+            zone_starts=index.zone_starts,
         )
 
 
 def load_index(path: str | Path) -> ZoneIndex:
-    """Load a snapshot and rebuild the index structures from the raw columns."""
+    """Load a snapshot.
+
+    A v2 snapshot is checked in O(n), plus one sort of the ids, and used as
+    stored; a v1 snapshot holds raw columns and is rebuilt with build_index.
+    Any unreadable, corrupt or inconsistent file raises SnapshotFormatError.
+    """
     path = Path(path)
     if not path.exists():
         raise SnapshotFormatError(f"no such file: {path}")
@@ -428,23 +467,72 @@ def load_index(path: str | Path) -> ZoneIndex:
             if "version" not in data:
                 raise SnapshotFormatError(f"{path}: not a zonequery index snapshot")
             version = int(data["version"])
-            if version != SNAPSHOT_VERSION:
+            if version not in (1, SNAPSHOT_VERSION):
                 raise SnapshotFormatError(
-                    f"{path}: snapshot version {version}, expected {SNAPSHOT_VERSION}"
+                    f"{path}: snapshot version {version}, expected 1 or {SNAPSHOT_VERSION}"
                 )
-            return build_index(
-                str(data["name"]),
-                ZoneConfig(float(data["height_deg"])),
-                data["ids"],
-                data["ra"],
-                data["dec"],
-                data["mags"],
-                tuple(data["bands"]),
-            )
-    except (OSError, ValueError, KeyError) as exc:
-        if isinstance(exc, SnapshotFormatError):
-            raise
+            name = str(data["name"])
+            cfg = ZoneConfig(float(data["height_deg"]))
+            bands = tuple(str(b) for b in data["bands"])
+            if version == 1:
+                return build_index(
+                    name, cfg, data["ids"], data["ra"], data["dec"], data["mags"], bands
+                )
+            return _checked_v2(path, data, name, cfg, bands)
+    except SnapshotFormatError:
+        raise
+    # a damaged archive surfaces as BadZipFile (also a bad member CRC-32),
+    # EOFError (empty file) or zlib.error (a damaged compressed member); a
+    # scalar member of the wrong shape as TypeError
+    except (
+        OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile, zlib.error
+    ) as exc:
         raise SnapshotFormatError(f"{path}: unreadable snapshot ({exc})") from exc
+
+
+def _checked_v2(
+    path: Path, data, name: str, cfg: ZoneConfig, bands: tuple[str, ...]
+) -> ZoneIndex:
+    """Wrap a v2 snapshot's stored index after checking every invariant
+    build_index establishes; the first broken one raises SnapshotFormatError."""
+
+    def bad(reason: str) -> SnapshotFormatError:
+        return SnapshotFormatError(f"{path}: corrupt snapshot: {reason}")
+
+    members = set(data.files)
+    if members != _V2_MEMBERS:
+        raise bad(
+            f"missing members {sorted(_V2_MEMBERS - members)}, "
+            f"unexpected members {sorted(members - _V2_MEMBERS)}"
+        )
+    columns = {key: data[key] for key in _V2_COLUMNS}
+    for key, dtype in _V2_COLUMNS.items():
+        if columns[key].dtype != dtype:
+            raise bad(f"{key} has dtype {columns[key].dtype}, expected {np.dtype(dtype)}")
+    ids, ra, dec, mags = columns.values()
+    if ids.ndim != 1 or ra.shape != ids.shape or dec.shape != ids.shape:
+        raise bad(f"ids, ra, dec shapes {ids.shape}, {ra.shape}, {dec.shape} differ")
+    n = len(ids)
+    if mags.shape != (n, len(bands)):
+        raise bad(f"mags has shape {mags.shape}, expected {(n, len(bands))}")
+    stored_starts = data["zone_starts"]
+    if stored_starts.dtype.kind not in "iu" or stored_starts.shape != (cfg.zone_count + 1,):
+        raise bad(f"zone_starts must be {cfg.zone_count + 1} integers")
+    if stored_starts[0] != 0 or stored_starts[-1] != n:
+        raise bad(f"zone_starts must run from 0 to {n}")
+    if not np.all((dec >= -90.0) & (dec <= 90.0)):
+        raise bad("dec not finite within [-90, 90]")
+    if not np.all((ra >= 0.0) & (ra < 360.0)):
+        raise bad("ra not finite within [0, 360)")
+    zone = zone_of_array(dec, cfg)
+    if not _rows_ordered(zone, ra, ids):
+        raise bad("rows not in strictly increasing (zone, ra, id) order")
+    zone_starts = np.searchsorted(zone, np.arange(cfg.zone_count + 1))
+    if not np.array_equal(zone_starts, stored_starts):
+        raise bad("zone_starts disagree with the zones of dec")
+    if _has_duplicates(ids):
+        raise bad("duplicate object ids")
+    return ZoneIndex(name, cfg, bands, ids, ra, dec, mags, zone, zone_starts)
 
 
 def zone_of_object(obj: CatalogObject, cfg: ZoneConfig) -> ZoneId:

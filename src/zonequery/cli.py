@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import sys
@@ -142,6 +143,16 @@ def _open_out(path: str | None):
 
 def _load(path: str) -> ZoneIndex:
     return load_index(path)
+
+
+def _load_pair(leading: str, other: str) -> tuple[ZoneIndex, ZoneIndex]:
+    """Load the two indexes of a cross-match; a self-match loads its file once."""
+    lead = _load(leading)
+    try:
+        same = os.path.samefile(leading, other)
+    except OSError:  # other is missing; its own load reports that
+        same = False
+    return lead, (lead if same else _load(other))
 
 
 def _plan_for(index: ZoneIndex, strategy: str, workers: int):
@@ -290,8 +301,7 @@ def _cmd_cone(args) -> int:
 
 
 def _cmd_xmatch(args) -> int:
-    leading = _load(args.leading)
-    other = _load(args.other)
+    leading, other = _load_pair(args.leading, args.other)
     strategy = _normalize_strategy(args.strategy)
     plan = _plan_for(leading, strategy, args.workers)
     try:
@@ -314,8 +324,7 @@ def _cmd_xmatch(args) -> int:
 
 
 def _cmd_bench_xmatch(args) -> int:
-    leading = _load(args.leading)
-    other = _load(args.other)
+    leading, other = _load_pair(args.leading, args.other)
     strategy = _normalize_strategy(args.strategy)
     radius = parse_angle(args.radius)
     worker_counts = parse_worker_list(args.workers)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import math
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from zonequery import (
     slice_range,
     zone_of,
 )
+from zonequery import catalog
 from zonequery.catalog import ra_scan_indices
 from zonequery.sphere import ra_window
 
@@ -64,6 +67,13 @@ class TestIngestBasics:
         index = ingest_csv(f, bands=["g"], cfg=CFG)
         assert index.bands == ("g",)
         assert index.band_column("g")[0] == 10.0
+
+    def test_utf8_bom_accepted(self, tmp_path):
+        f = tmp_path / "bom.csv"
+        f.write_bytes("\ufeffid,ra,dec,r\n1,10.0,20.0,5.5\n".encode("utf-8"))
+        index = ingest_csv(f)
+        assert index.bands == ("r",)
+        assert index.ids.tolist() == [1]
 
     def test_crlf_accepted(self, tmp_path):
         f = tmp_path / "crlf.csv"
@@ -204,6 +214,19 @@ class TestIndexStructure:
                 np.array([0.0, 1.0]), np.array([0.0, 1.0]),
             )
 
+    @pytest.mark.parametrize("ra, dec, reason", [
+        (0.0, np.nan, "dec not finite"),
+        (0.0, 90.5, "dec not finite"),
+        (np.inf, 0.0, "ra not finite"),
+        (np.nan, 0.0, "ra not finite"),
+    ])
+    def test_non_finite_coordinates_rejected_by_build(self, ra, dec, reason):
+        with pytest.raises(ValueError, match=reason):
+            build_index(
+                "t", CFG, np.array([1, 2], dtype=np.uint64),
+                np.array([ra, 1.0]), np.array([dec, 1.0]),
+            )
+
     def test_total_count_equals_slice_sizes(self, tmp_path):
         rng = np.random.default_rng(24)
         ra, dec = random_sky(rng, 4000)
@@ -326,3 +349,178 @@ class TestSnapshot:
             np.savez(fh, version=np.array(99), name=np.array("x"))
         with pytest.raises(SnapshotFormatError, match="version"):
             load_index(f)
+
+
+def _members(path) -> dict:
+    with np.load(path) as data:
+        return {k: data[k] for k in data.files}
+
+
+def _write_members(path, members: dict) -> None:
+    with path.open("wb") as fh:
+        np.savez(fh, **members)
+
+
+def _swap_rows(m):
+    for k in ("ids", "ra", "dec", "mags"):
+        m[k][[10, 11]] = m[k][[11, 10]]
+
+
+def _tied_ra_ids_reversed(m):
+    m["ra"][11], m["dec"][11] = m["ra"][10], m["dec"][10]
+    lo, hi = sorted(m["ids"][10:12])
+    m["ids"][10:12] = hi, lo
+
+
+def _shift_zone_start(m):
+    zone = int(np.nonzero(np.diff(m["zone_starts"]))[0][5])
+    m["zone_starts"][zone + 1] += 1
+
+
+def _duplicate_id(m):
+    m["ids"][-1] = m["ids"][0]
+
+
+def _dec_out_of_range(m):
+    m["dec"][0] = -90.5
+
+
+def _dec_nan(m):
+    m["dec"][0] = np.nan
+
+
+def _ra_is_360(m):
+    m["ra"][-1] = 360.0
+
+
+def _ids_int64(m):
+    m["ids"] = m["ids"].astype(np.int64)
+
+
+def _drop_zone_starts(m):
+    del m["zone_starts"]
+
+
+def _mags_one_band_short(m):
+    m["mags"] = m["mags"][:, :1]
+
+
+class TestSnapshotV2:
+    @pytest.fixture()
+    def built(self):
+        rng = np.random.default_rng(27)
+        ra, dec = random_sky(rng, 800)
+        mags = rng.uniform(5, 15, (800, 2))
+        ids = rng.permutation(10_000)[:800].astype(np.uint64)
+        return build_index("v2", CFG, ids, ra, dec, mags, ("r", "g"))
+
+    def test_stores_built_index_and_loads_without_rebuild(self, built, tmp_path, monkeypatch):
+        path = tmp_path / "v2.idx"
+        save_index(built, path)
+        members = _members(path)
+        assert int(members["version"]) == 2
+        assert set(members) == {
+            "version", "name", "height_deg", "bands", "ids", "ra", "dec", "mags",
+            "zone_starts",
+        }
+        assert np.array_equal(members["ids"], built.ids)
+        assert np.array_equal(members["zone_starts"], built.zone_starts)
+
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("a v2 load must not rebuild")
+
+        monkeypatch.setattr(catalog, "build_index", no_rebuild)
+        loaded = load_index(path)
+        for attr in ("ids", "ra", "dec", "mags", "zone", "zone_starts", "ra_key"):
+            assert np.array_equal(getattr(loaded, attr), getattr(built, attr))
+        assert (loaded.name, loaded.cfg, loaded.bands) == ("v2", CFG, ("r", "g"))
+
+    def test_empty_index_round_trip(self, tmp_path):
+        empty = build_index("e", CFG, np.empty(0, dtype=np.uint64), np.empty(0), np.empty(0))
+        path = tmp_path / "empty.idx"
+        save_index(empty, path)
+        loaded = load_index(path)
+        assert loaded.total_count == 0
+        assert loaded.bands == ()
+        assert loaded.mags.shape == (0, 0)
+        assert np.array_equal(loaded.zone_starts, np.zeros(CFG.zone_count + 1))
+
+    def test_v1_snapshot_is_rebuilt(self, tmp_path):
+        rng = np.random.default_rng(28)
+        ra, dec = random_sky(rng, 600)
+        ra[:5] -= 360.0  # raw, not yet normalized
+        ids = rng.permutation(600).astype(np.uint64)
+        mags = rng.uniform(5, 15, (600, 1))
+        path = tmp_path / "v1.idx"
+        _write_members(path, dict(
+            version=np.array(1, dtype=np.int64), name=np.array("old"),
+            height_deg=np.array(CFG.height_deg), bands=np.array(["r"]),
+            ids=ids, ra=ra, dec=dec, mags=mags,
+        ))
+        loaded = load_index(path)
+        expected = build_index("old", CFG, ids, ra, dec, mags, ("r",))
+        assert (loaded.name, loaded.cfg, loaded.bands) == ("old", CFG, ("r",))
+        for attr in ("ids", "ra", "dec", "mags", "zone", "zone_starts", "ra_key"):
+            assert np.array_equal(getattr(loaded, attr), getattr(expected, attr))
+
+    @pytest.mark.parametrize("breaker, reason", [
+        (_swap_rows, "order"),
+        (_tied_ra_ids_reversed, "order"),
+        (_shift_zone_start, "zone_starts disagree"),
+        (_duplicate_id, "duplicate"),
+        (_dec_out_of_range, "dec not finite"),
+        (_dec_nan, "dec not finite"),
+        (_ra_is_360, "ra not finite"),
+        (_ids_int64, "dtype"),
+        (_drop_zone_starts, "missing members \\['zone_starts'\\]"),
+        (_mags_one_band_short, "mags has shape"),
+    ])
+    def test_each_check_rejects_a_broken_file(self, built, tmp_path, breaker, reason):
+        path = tmp_path / "broken.idx"
+        save_index(built, path)
+        members = _members(path)
+        breaker(members)
+        _write_members(path, members)
+        with pytest.raises(SnapshotFormatError, match=f"corrupt snapshot: .*{reason}"):
+            load_index(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.idx"
+        path.write_bytes(b"")
+        with pytest.raises(SnapshotFormatError, match="unreadable"):
+            load_index(path)
+
+    def test_truncated_file(self, built, tmp_path):
+        path = tmp_path / "cut.idx"
+        save_index(built, path)
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(SnapshotFormatError, match="unreadable"):
+            load_index(path)
+
+    def test_flipped_byte_fails_member_crc(self, built, tmp_path):
+        path = tmp_path / "flip.idx"
+        save_index(built, path)
+        raw = bytearray(path.read_bytes())
+        at = raw.find(built.ra.tobytes()) + 8 * 100 + 3
+        raw[at] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotFormatError, match="CRC"):
+            load_index(path)
+
+    def test_damaged_compressed_member(self, built, tmp_path):
+        path = tmp_path / "z.idx"
+        save_index(built, path)
+        members = _members(path)
+        with path.open("wb") as fh:
+            np.savez_compressed(fh, **members)
+        assert load_index(path).total_count == built.total_count
+        raw = bytearray(path.read_bytes())
+        with zipfile.ZipFile(path) as zf:
+            info = zf.getinfo("ra.npy")
+        # a local file header is 30 bytes, then the name and the extra field
+        name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+        data_at = info.header_offset + 30 + name_len + extra_len
+        raw[data_at + info.compress_size // 2] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotFormatError, match="unreadable"):
+            load_index(path)

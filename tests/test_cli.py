@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+from zonequery import cli
 from zonequery.cli import main, parse_angle, parse_footprint, parse_worker_list
 from zonequery.cli import UsageError
 from zonequery.synth import Clustered, DecBand, FullSky
@@ -137,6 +139,47 @@ class TestExitCodes:
             "--radius", "10arcsec", "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2
+
+
+def _corrupt(path, kind: str) -> None:
+    raw = bytearray(path.read_bytes())
+    if kind == "empty":
+        raw = bytearray()
+    elif kind == "truncated":
+        raw = raw[: len(raw) // 2]
+    else:  # one flipped byte in the middle of the column data
+        raw[len(raw) // 2] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+def _query_commands(idx, tmp_path):
+    return {
+        "plan": ["plan", "--index", idx, "--workers", "2"],
+        "scan": ["scan", "--index", idx, "--out", str(tmp_path / "s.csv")],
+        "cone": ["cone", "--index", idx, "--ra", "10deg", "--dec", "5deg",
+                 "--radius", "1deg", "--out", str(tmp_path / "c.csv")],
+        "xmatch": ["xmatch", "--leading", idx, "--other", idx, "--radius", "1arcmin",
+                   "--out", str(tmp_path / "x.csv")],
+        "bench": ["bench", "xmatch", "--leading", idx, "--other", idx,
+                  "--radius", "1arcmin", "--workers", "1", "--repeat", "1",
+                  "--out", str(tmp_path / "b.json")],
+    }
+
+
+class TestCorruptSnapshot:
+    @pytest.mark.parametrize("kind", ["empty", "truncated", "crc"])
+    @pytest.mark.parametrize("command", ["plan", "scan", "cone", "xmatch", "bench"])
+    def test_query_exits_2_with_one_line(self, small_setup, tmp_path, capsys,
+                                         command, kind):
+        _, _, a_idx, _ = small_setup
+        bad = tmp_path / "bad.npz"
+        shutil.copyfile(a_idx, bad)
+        _corrupt(bad, kind)
+        capsys.readouterr()
+        assert run_cli(*_query_commands(str(bad), tmp_path)[command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("zonequery: data error: ")
+        assert err.count("\n") == 1
 
 
 class TestGenIngestScan:
@@ -297,6 +340,36 @@ class TestXmatchCommand:
             assert len(digits.split("e")[0]) <= 12
             # stable under parse/format cycle
             assert f"{float(sep):.12g}" == sep
+
+    @pytest.mark.parametrize("command", ["xmatch", "bench"])
+    def test_self_match_loads_file_once(self, small_setup, tmp_path, monkeypatch,
+                                        command):
+        _, _, a_idx, _ = small_setup
+        twin = tmp_path / "twin.npz"
+        shutil.copyfile(a_idx, twin)
+        loads = []
+        real_load = cli.load_index
+
+        def counting_load(path):
+            loads.append(path)
+            return real_load(path)
+
+        monkeypatch.setattr(cli, "load_index", counting_load)
+        outs = []
+        for other in (a_idx, twin):
+            loads.clear()
+            out = tmp_path / f"{command}.out"
+            argv = ["--leading", str(a_idx), "--other", str(other),
+                    "--radius", "30arcmin", "--out", str(out)]
+            if command == "bench":
+                argv = ["bench", "xmatch", *argv, "--workers", "1", "--repeat", "1"]
+            else:
+                argv = ["xmatch", *argv]
+            assert run_cli(*argv) == 0
+            outs.append((len(loads), out.read_bytes()))
+        assert [n for n, _ in outs] == [1, 2]
+        if command == "xmatch":
+            assert outs[0][1] == outs[1][1]
 
 
 class TestConeCommand:
