@@ -9,18 +9,13 @@ single-threaded and brute-force execution.
 
 from .sphere import (
     DEFAULT_ZONE_HEIGHT_DEG,
-    RaWindow,
     SkyPoint,
     ZoneConfig,
     angular_separation,
-    ra_halfwidth,
-    ra_window,
     zone_dec_range,
     zone_of,
-    zones_overlapping,
 )
 from .catalog import (
-    CatalogObject,
     IngestError,
     SnapshotFormatError,
     ZoneHistogram,
@@ -30,9 +25,7 @@ from .catalog import (
     histogram,
     ingest_csv,
     load_index,
-    ra_scan,
     save_index,
-    slice_range,
 )
 from .partition import (
     PartitionPlan,

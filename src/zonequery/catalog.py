@@ -3,7 +3,7 @@
 A catalog is a flat CSV with header ``id,ra,dec,<band1>,<band2>,...``. The
 index reorganizes it into declination zones, each zone's objects sorted by
 (ra, id); that ordering is what lets every query replace full scans with a
-zone range plus per-zone binary searches on ra.
+zone range plus binary searches on ra.
 
 The in-memory layout is struct-of-arrays: one contiguous array per column,
 ordered by (zone, ra, id), plus a zone offset table. A ZoneSlice is a cheap
@@ -25,18 +25,9 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .sphere import (
-    RaWindow,
-    SkyPoint,
-    ZoneConfig,
-    ZoneId,
-    normalize_ra_array,
-    zone_of,
-    zone_of_array,
-)
+from .sphere import ZoneConfig, ZoneId, normalize_ra_array, zone_of_array
 
 __all__ = [
-    "CatalogObject",
     "ZoneSlice",
     "ZoneIndex",
     "ZoneHistogram",
@@ -44,8 +35,6 @@ __all__ = [
     "SnapshotFormatError",
     "ingest_csv",
     "build_index",
-    "slice_range",
-    "ra_scan",
     "histogram",
     "save_index",
     "load_index",
@@ -76,15 +65,6 @@ class SnapshotFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class CatalogObject:
-    """One catalog row: id, position, and per-band magnitudes (None = missing)."""
-
-    id: int
-    pos: SkyPoint
-    mags: dict[str, float | None]
-
-
-@dataclass(frozen=True)
 class ZoneSlice:
     """All objects of one zone, sorted ascending by (ra, id). Array fields are
     views into the parent index; do not mutate."""
@@ -99,20 +79,6 @@ class ZoneSlice:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    @property
-    def objects(self) -> tuple[CatalogObject, ...]:
-        return tuple(
-            CatalogObject(
-                int(self.ids[i]),
-                SkyPoint(float(self.ra[i]), float(self.dec[i])),
-                {
-                    b: (None if math.isnan(v) else float(v))
-                    for b, v in zip(self.bands, self.mags[i])
-                },
-            )
-            for i in range(len(self.ids))
-        )
 
 
 class ZoneIndex:
@@ -160,10 +126,6 @@ class ZoneIndex:
 
     def zone_extent(self, zone: ZoneId) -> tuple[int, int]:
         return int(self.zone_starts[zone]), int(self.zone_starts[zone + 1])
-
-    def zone_size(self, zone: ZoneId) -> int:
-        a, b = self.zone_extent(zone)
-        return b - a
 
     def slice(self, zone: ZoneId) -> ZoneSlice:
         a, b = self.zone_extent(zone)
@@ -391,39 +353,6 @@ def ingest_csv(
     )
 
 
-def slice_range(index: ZoneIndex, zones: range) -> list[ZoneSlice]:
-    """The non-empty slices whose zone falls in ``zones``, in zone order."""
-    lo = max(zones.start, 0)
-    hi = min(zones.stop, index.cfg.zone_count)
-    out = []
-    for zone in range(lo, hi):
-        if index.zone_size(zone):
-            out.append(index.slice(zone))
-    return out
-
-
-def ra_scan_indices(zone_slice: ZoneSlice, window: RaWindow) -> np.ndarray:
-    """Positions (into the slice) of objects whose ra lies in the window.
-
-    Binary search per interval; never a linear pass over the slice.
-    """
-    parts = []
-    for lo, hi in window.intervals:
-        i0, i1 = np.searchsorted(zone_slice.ra, (lo, hi), side="left")
-        if i1 > i0:
-            parts.append(np.arange(i0, i1))
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)
-
-
-def ra_scan(zone_slice: ZoneSlice, window: RaWindow) -> tuple[CatalogObject, ...]:
-    """The subsequence of a slice's objects whose ra lies in the window."""
-    idx = ra_scan_indices(zone_slice, window)
-    objects = zone_slice.objects
-    return tuple(objects[i] for i in idx)
-
-
 def histogram(index: ZoneIndex) -> ZoneHistogram:
     """Per-zone object counts for the whole index."""
     return ZoneHistogram(np.diff(index.zone_starts).astype(np.int64))
@@ -533,8 +462,3 @@ def _checked_v2(
     if _has_duplicates(ids):
         raise bad("duplicate object ids")
     return ZoneIndex(name, cfg, bands, ids, ra, dec, mags, zone, zone_starts)
-
-
-def zone_of_object(obj: CatalogObject, cfg: ZoneConfig) -> ZoneId:
-    """Zone an object belongs to; convenience for verification code."""
-    return zone_of(obj.pos.dec, cfg)

@@ -189,7 +189,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    cfg = ZoneConfig(parse_angle(args.zone_height))
+    try:
+        cfg = ZoneConfig(parse_angle(args.zone_height))
+    except ValueError as exc:  # a bad --zone-height is a usage error
+        raise UsageError(f"--zone-height: {exc}") from None
     bands = args.bands.split(",") if args.bands else None
     index = ingest_csv(
         args.infile,

@@ -2,11 +2,13 @@
 
 Workers are in-process threads over immutable shared indexes; the heavy
 lifting inside each worker is vectorized array work that releases the GIL,
-which is what makes threads worth having here. Each worker owns a disjoint
-zone subset of the leading catalog (the other catalog, for cross-matches, is
-shared read-only by everyone), workers never talk to each other, and the
-coordinator merges by concatenate-then-sort so the result is bit-identical
-for any worker count or strategy.
+which is what makes threads worth having here. A worker owns the row ranges
+of its plan's zone runs within the zones the query can touch (the other
+catalog, for cross-matches, is shared read-only by everyone); workers never
+talk to each other, and the coordinator merges by concatenate-then-sort so
+the result is bit-identical for any worker count or strategy. All three
+queries run through one executor, ``_execute``, and one join kernel: a cone
+is a cross-match whose leading catalog is its one centre.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ from .queries import (
     MatchPair,
     MatchSpec,
     ScanFilter,
-    _cone_arrays,
+    _by_id,
+    _cone_join,
     _crossmatch_arrays,
+    _mag_filter,
     _pairs_from_arrays,
-    _scan_slice,
 )
+from .sphere import zone_of_array
 
 __all__ = [
     "WorkerStats",
@@ -46,7 +50,14 @@ __all__ = [
 @dataclass(frozen=True)
 class WorkerStats:
     """What one worker did: wall clock, CPU if the platform provides it,
-    and row/byte counters standing in for the storage engine's I/O numbers."""
+    and row/byte counters standing in for the storage engine's I/O numbers.
+
+    ``rows_scanned`` counts the rows a scan visits, and the candidates a cone
+    or cross-match examines before the exact separation filter.
+    ``bytes_read`` is modelled, not measured I/O: rows_scanned x 8 * (3 +
+    bands), the width of a stored row of the scanned index. A worker whose
+    share holds no rows reports an all-zero row.
+    """
 
     worker: int
     elapsed_s: float
@@ -151,13 +162,41 @@ def _check_plan(index: ZoneIndex, plan: PartitionPlan) -> None:
 
 # wall clock is mandatory; per-thread CPU only where the platform has it
 _HAS_THREAD_CPU = hasattr(time, "thread_time")
+_IDLE_CPU = 0.0 if _HAS_THREAD_CPU else None
+
+# a worker's share: [start, stop) row ranges in zone order
+Ranges = Sequence[tuple[int, int]]
+# work(ranges) -> (result columns, rows_scanned, rows_returned)
+Work = Callable[[Ranges], tuple]
 
 
-def _timed(worker: int, row_bytes: int, work: Callable[[], tuple]):
+def _take(col: np.ndarray, ranges: Ranges) -> np.ndarray:
+    """The rows of ``col`` in ``ranges``, in order; a view for one range."""
+    if len(ranges) == 1:
+        a, b = ranges[0]
+        return col[a:b]
+    return np.concatenate([col[a:b] for a, b in ranges])
+
+
+def _shares(
+    plan: PartitionPlan, zone_starts: np.ndarray, z_lo: int, z_hi: int
+) -> list[list[tuple[int, int]]]:
+    """Per worker, the non-empty row ranges of its runs clipped to zones
+    [z_lo, z_hi]. Runs come in zone order, so each share is key-sorted."""
+    runs = plan.runs(z_lo, z_hi + 1)
+    bounds = zone_starts[[a for a, _, _ in runs] + [z_hi + 1]].tolist()
+    shares: list[list[tuple[int, int]]] = [[] for _ in range(plan.worker_count)]
+    for (_, _, worker), start, stop in zip(runs, bounds, bounds[1:]):
+        if stop > start:
+            shares[worker].append((start, stop))
+    return shares
+
+
+def _timed(worker: int, row_bytes: int, work: Work, ranges: Ranges):
     """Run one worker's share and wrap the counters it reports."""
     t0 = time.perf_counter()
     c0 = time.thread_time() if _HAS_THREAD_CPU else None
-    result, scanned, returned = work()
+    result, scanned, returned = work(ranges)
     elapsed = time.perf_counter() - t0
     cpu = time.thread_time() - c0 if c0 is not None else None
     stats = WorkerStats(
@@ -171,29 +210,40 @@ def _timed(worker: int, row_bytes: int, work: Callable[[], tuple]):
     return result, stats
 
 
-def _run_workers(jobs: Sequence[Callable[[], tuple]], row_bytes: int):
+def _execute(
+    plan: PartitionPlan,
+    zone_starts: np.ndarray,
+    band: tuple[int, int],
+    row_bytes: int,
+    work: Work,
+    merge: Callable,
+):
+    """Run ``work`` over each worker's share of the zone band, one thread per
+    worker with rows; a worker without rows gets an all-zero stats row and no
+    thread. The workers' result columns are concatenated, then ``merge``d."""
+    t0 = time.perf_counter()
+    shares = _shares(plan, zone_starts, *band)
+    busy = [w for w, ranges in enumerate(shares) if ranges]
+    stats = [WorkerStats(w, 0.0, _IDLE_CPU, 0, 0, 0) for w in range(plan.worker_count)]
     results = []
-    all_stats = []
-    with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-        futures = [
-            pool.submit(_timed, w, row_bytes, job) for w, job in enumerate(jobs)
-        ]
-        for fut in futures:
-            result, stats = fut.result()
-            results.append(result)
-            all_stats.append(stats)
-    return results, all_stats
-
-
-def _report(stats: list[WorkerStats], worker_count: int, t0: float) -> ExecutionReport:
+    if busy:
+        with ThreadPoolExecutor(max_workers=len(busy)) as pool:
+            futures = [pool.submit(_timed, w, row_bytes, work, shares[w]) for w in busy]
+            for w, fut in zip(busy, futures):
+                result, stats[w] = fut.result()
+                results.append(result)
+    else:  # typed empty columns for the merge
+        results.append(work([(0, 0)])[0])
+    merged = merge(*(np.concatenate(parts) for parts in zip(*results)))
     max_row, avg_row = aggregate(stats)
-    return ExecutionReport(
-        worker_count=worker_count,
+    report = ExecutionReport(
+        worker_count=plan.worker_count,
         workers=tuple(stats),
         max_row=max_row,
         avg_row=avg_row,
         total_elapsed_s=time.perf_counter() - t0,
     )
+    return merged, report
 
 
 def run_scan(
@@ -202,68 +252,38 @@ def run_scan(
     """Parallel magnitude scan; results identical to a single-threaded
     scan_filter after the canonical ascending-id sort."""
     _check_plan(index, plan)
-    index.band_column(f.band)  # validate band before dispatching
+    col = index.band_column(f.band)  # validates the band before dispatching
 
-    def job_for(worker: int) -> Callable[[], tuple]:
-        zones = plan.zones_of(worker)
+    def work(ranges: Ranges) -> tuple:
+        ids, mags = _mag_filter(_take(index.ids, ranges), _take(col, ranges), f)
+        return (ids, mags), sum(b - a for a, b in ranges), len(ids)
 
-        def job() -> tuple:
-            ids_parts, mag_parts = [], []
-            scanned = 0
-            for zone in zones:
-                zone_slice = index.slice(int(zone))
-                if not len(zone_slice):
-                    continue
-                scanned += len(zone_slice)
-                ids, mags = _scan_slice(zone_slice, f)
-                ids_parts.append(ids)
-                mag_parts.append(mags)
-            if ids_parts:
-                ids = np.concatenate(ids_parts)
-                mags = np.concatenate(mag_parts)
-            else:
-                ids = np.empty(0, dtype=np.uint64)
-                mags = np.empty(0)
-            return (ids, mags), scanned, int(len(ids))
-
-        return job
-
-    t0 = time.perf_counter()
-    results, stats = _run_workers(
-        [job_for(w) for w in range(plan.worker_count)], index.row_bytes
-    )
-    ids = np.concatenate([r[0] for r in results])
-    mags = np.concatenate([r[1] for r in results])
-    order = np.argsort(ids)
-    merged = [(int(i), float(m)) for i, m in zip(ids[order], mags[order])]
-    return merged, _report(stats, plan.worker_count, t0)
+    everything = (0, plan.zone_count - 1)
+    return _execute(plan, index.zone_starts, everything, index.row_bytes, work, _by_id)
 
 
 def run_cone(
     index: ZoneIndex, q: ConeQuery, plan: PartitionPlan
 ) -> tuple[list[tuple[int, float]], ExecutionReport]:
-    """Parallel cone search; zone subsets are disjoint so the merged union
-    needs no dedup."""
+    """Parallel cone search over the zones of dec +- radius; row ranges are
+    disjoint so the merged union needs no dedup."""
     _check_plan(index, plan)
+    dec = q.center.dec
+    band = zone_of_array(np.array([dec - q.radius, dec + q.radius]), index.cfg)
 
-    def job_for(worker: int) -> Callable[[], tuple]:
-        zones = plan.zones_of(worker)
+    def work(ranges: Ranges) -> tuple:
+        rows, sep, candidates = _cone_join(
+            q,
+            _take(index.ra_key, ranges),
+            _take(index.ra, ranges),
+            _take(index.dec, ranges),
+            index.cfg,
+        )
+        return (_take(index.ids, ranges)[rows], sep), candidates, len(rows)
 
-        def job() -> tuple:
-            ids, sep, examined = _cone_arrays(index, q, zones)
-            return (ids, sep), examined, int(len(ids))
-
-        return job
-
-    t0 = time.perf_counter()
-    results, stats = _run_workers(
-        [job_for(w) for w in range(plan.worker_count)], index.row_bytes
+    return _execute(
+        plan, index.zone_starts, tuple(band.tolist()), index.row_bytes, work, _by_id
     )
-    ids = np.concatenate([r[0] for r in results])
-    sep = np.concatenate([r[1] for r in results])
-    order = np.argsort(ids)
-    merged = [(int(i), float(s)) for i, s in zip(ids[order], sep[order])]
-    return merged, _report(stats, plan.worker_count, t0)
 
 
 def run_xmatch(
@@ -272,9 +292,9 @@ def run_xmatch(
     spec: MatchSpec,
     plan: PartitionPlan,
 ) -> tuple[list[MatchPair], ExecutionReport]:
-    """Parallel cross-match. Each worker joins its leading-zone slices
-    against the full (replicated, read-only) other index; a leading object is
-    owned by exactly one worker, so each pair is produced exactly once."""
+    """Parallel cross-match. Each worker joins its leading rows against the
+    full (replicated, read-only) other index; a leading object is owned by
+    exactly one worker, so each pair is produced exactly once."""
     if leading.cfg != other.cfg:
         raise ValueError(
             f"catalogs indexed with different zone configurations: "
@@ -286,36 +306,17 @@ def run_xmatch(
             f"spec names leading catalog {spec.leading!r} but got {leading.name!r}"
         )
 
-    def job_for(worker: int) -> Callable[[], tuple]:
-        zones = plan.zones_of(worker)
+    def work(ranges: Ranges) -> tuple:
+        a, b, sep, candidates = _crossmatch_arrays(
+            _take(leading.ids, ranges),
+            _take(leading.ra, ranges),
+            _take(leading.dec, ranges),
+            other,
+            spec.radius,
+        )
+        return (a, b, sep), candidates, len(a)
 
-        def job() -> tuple:
-            parts = [
-                (leading.ids[a:b], leading.ra[a:b], leading.dec[a:b])
-                for a, b in (leading.zone_extent(int(z)) for z in zones)
-                if b > a
-            ]
-            if parts:
-                lead_ids = np.concatenate([p[0] for p in parts])
-                lead_ra = np.concatenate([p[1] for p in parts])
-                lead_dec = np.concatenate([p[2] for p in parts])
-            else:
-                lead_ids = np.empty(0, dtype=np.uint64)
-                lead_ra = np.empty(0)
-                lead_dec = np.empty(0)
-            a, b, sep, candidates = _crossmatch_arrays(
-                lead_ids, lead_ra, lead_dec, other, spec.radius
-            )
-            return (a, b, sep), candidates, int(len(a))
-
-        return job
-
-    t0 = time.perf_counter()
-    results, stats = _run_workers(
-        [job_for(w) for w in range(plan.worker_count)], other.row_bytes
+    everything = (0, plan.zone_count - 1)
+    return _execute(
+        plan, leading.zone_starts, everything, other.row_bytes, work, _pairs_from_arrays
     )
-    lead_ids = np.concatenate([r[0] for r in results])
-    other_ids = np.concatenate([r[1] for r in results])
-    sep = np.concatenate([r[2] for r in results])
-    pairs = _pairs_from_arrays(lead_ids, other_ids, sep)
-    return pairs, _report(stats, plan.worker_count, t0)

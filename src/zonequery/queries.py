@@ -1,11 +1,11 @@
-"""The three query kinds executed against zone slices, plus the exhaustive
-oracle used to verify them.
+"""The three query kinds, plus the exhaustive oracle used to verify them.
 
 * scan_filter: magnitude BETWEEN filter; visits every object (no index on
   magnitudes by design).
-* cone_search: zone range + ra window candidates, exact separation filter.
 * zone_crossmatch: all-pairs radius join driven by the leading catalog's
   slices against a full replicated index of the other catalog.
+* cone_search: the same zone join, with the cone's centre as a one-row
+  leading catalog.
 * brute_force_crossmatch: O(n*m) exhaustive comparison, the correctness
   oracle; zone_crossmatch must reproduce its output exactly.
 
@@ -20,15 +20,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .catalog import KEY_BAND, ZoneIndex, ZoneSlice, ra_scan_indices
+from .catalog import KEY_BAND, ZoneIndex, ZoneSlice
 from .sphere import (
     SkyPoint,
-    ra_halfwidth,
+    ZoneConfig,
     ra_halfwidth_array,
-    ra_window,
     separation_deg,
     zone_of_array,
-    zones_overlapping,
 )
 
 __all__ = [
@@ -52,6 +50,8 @@ WINDOW_PAD_DEG = 1e-7
 BRUTE_FORCE_PAIR_LIMIT = 10**8
 
 CandidateSink = Callable[[np.ndarray, np.ndarray], None]
+
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -103,10 +103,18 @@ class MatchPair:
     separation: float
 
 
-def _scan_slice(zone_slice: ZoneSlice, f: ScanFilter) -> tuple[np.ndarray, np.ndarray]:
-    col = zone_slice.mags[:, zone_slice.bands.index(f.band)]
+def _by_id(ids: np.ndarray, values: np.ndarray) -> list[tuple[int, float]]:
+    """(id, value) rows in ascending id order."""
+    order = np.argsort(ids)
+    return [(int(i), float(v)) for i, v in zip(ids[order], values[order])]
+
+
+def _mag_filter(
+    ids: np.ndarray, col: np.ndarray, f: ScanFilter
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ids and magnitudes of rows whose magnitude lies in [lo, hi]."""
     mask = (col >= f.lo) & (col <= f.hi)  # NaN (missing) compares False
-    return zone_slice.ids[mask], col[mask]
+    return ids[mask], col[mask]
 
 
 def scan_filter(
@@ -117,66 +125,32 @@ def scan_filter(
     Every object in the given slices is visited; there is deliberately no
     index over magnitudes.
     """
-    ids_parts: list[np.ndarray] = []
-    mag_parts: list[np.ndarray] = []
     for zone_slice in slices:
         if f.band not in zone_slice.bands:
             raise ValueError(
                 f"unknown band {f.band!r}; catalog has {list(zone_slice.bands)}"
             )
-        ids, mags = _scan_slice(zone_slice, f)
-        ids_parts.append(ids)
-        mag_parts.append(mags)
-    if not ids_parts:
+    if not slices:
         return []
-    ids = np.concatenate(ids_parts)
-    mags = np.concatenate(mag_parts)
-    order = np.argsort(ids)
-    return [(int(i), float(m)) for i, m in zip(ids[order], mags[order])]
+    ids = np.concatenate([s.ids for s in slices])
+    col = np.concatenate([s.mags[:, s.bands.index(f.band)] for s in slices])
+    return _by_id(*_mag_filter(ids, col, f))
 
 
-def _cone_arrays(
-    index: ZoneIndex, q: ConeQuery, zones: np.ndarray | None = None
+def _cone_join(
+    q: ConeQuery, key: np.ndarray, ra: np.ndarray, dec: np.ndarray, cfg: ZoneConfig
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Cone search over (a zone subset of) an index.
-
-    Returns (ids, separations, candidates_examined), unsorted.
-    """
-    overlap = zones_overlapping(
-        q.center.dec - q.radius, q.center.dec + q.radius, index.cfg
+    """A cone as a one-row zone join: (rows, separations, candidates)."""
+    _, rows, sep, candidates = _zone_join(
+        np.array([q.center.ra]), np.array([q.center.dec]), q.radius, key, ra, dec, cfg
     )
-    if zones is None:
-        zone_list = np.arange(overlap.start, overlap.stop)
-    else:
-        zone_list = np.intersect1d(zones, np.arange(overlap.start, overlap.stop))
-    window = ra_window(q.center.ra, ra_halfwidth(q.radius, q.center.dec))
-    ids_parts: list[np.ndarray] = []
-    sep_parts: list[np.ndarray] = []
-    examined = 0
-    for zone in zone_list:
-        zone_slice = index.slice(int(zone))
-        if not len(zone_slice):
-            continue
-        idx = ra_scan_indices(zone_slice, window)
-        if idx.size == 0:
-            continue
-        examined += int(idx.size)
-        sep = separation_deg(
-            zone_slice.ra[idx], zone_slice.dec[idx], q.center.ra, q.center.dec
-        )
-        keep = sep <= q.radius
-        ids_parts.append(zone_slice.ids[idx][keep])
-        sep_parts.append(sep[keep])
-    if not ids_parts:
-        return np.empty(0, dtype=np.uint64), np.empty(0), examined
-    return np.concatenate(ids_parts), np.concatenate(sep_parts), examined
+    return rows, sep, candidates
 
 
 def cone_search(index: ZoneIndex, q: ConeQuery) -> list[tuple[int, float]]:
     """All objects within q.radius of q.center as (id, separation), by id."""
-    ids, sep, _ = _cone_arrays(index, q)
-    order = np.argsort(ids)
-    return [(int(i), float(s)) for i, s in zip(ids[order], sep[order])]
+    rows, sep, _ = _cone_join(q, index.ra_key, index.ra, index.dec, index.cfg)
+    return _by_id(index.ids[rows], sep)
 
 
 def _window_segments(
@@ -209,39 +183,38 @@ def _window_segments(
     return segments
 
 
-def _crossmatch_arrays(
-    lead_ids: np.ndarray,
+def _zone_join(
     lead_ra: np.ndarray,
     lead_dec: np.ndarray,
-    other: ZoneIndex,
     radius: float,
+    key: np.ndarray,
+    ra: np.ndarray,
+    dec: np.ndarray,
+    cfg: ZoneConfig,
     candidate_sink: CandidateSink | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Zone join of a batch of leading objects against a full other-catalog
-    index. Returns (leading_ids, other_ids, separations, candidates), unsorted.
+    """Zone join of leading points against other rows sorted by the composite
+    key (``ZoneIndex.ra_key``, or a zone-ordered run of it). Returns
+    (lead_rows, other_rows, separations, candidates), unsorted; rows are
+    positions into the leading and the other arrays.
 
-    Per leading object the candidate set is: other objects in the zones its
+    Per leading point the candidate set is: other rows in the zones its
     dec +- radius band can touch, with ra inside a window of conservative
     half-width; an exact separation filter then decides. Candidate ranges are
     located with binary searches on the composite (zone, ra) sort key, so the
-    whole batch runs as a handful of array passes.
+    whole batch runs as a handful of array passes. ``candidate_sink``, when
+    given, receives the pre-filter (lead_rows, other_rows) stream.
     """
-    cfg = other.cfg
-    if len(lead_ids) == 0 or other.total_count == 0:
-        return (
-            np.empty(0, dtype=np.uint64),
-            np.empty(0, dtype=np.uint64),
-            np.empty(0),
-            0,
-        )
-    z_lo = zone_of_array(np.clip(lead_dec - radius, -90.0, 90.0), cfg)
-    z_hi = zone_of_array(np.clip(lead_dec + radius, -90.0, 90.0), cfg)
+    if len(lead_ra) == 0 or len(key) == 0:
+        return _NO_ROWS, _NO_ROWS, np.empty(0), 0
+    # zone_of_array clamps to [0, zone_count), which covers dec +- r past a pole
+    z_lo = zone_of_array(lead_dec - radius, cfg)
+    z_hi = zone_of_array(lead_dec + radius, cfg)
     alpha = ra_halfwidth_array(radius, lead_dec)
     segments = _window_segments(lead_ra, alpha)
 
     lead_parts: list[np.ndarray] = []
     cand_parts: list[np.ndarray] = []
-    key = other.ra_key
     for k in range(int((z_hi - z_lo).max()) + 1):
         zone_k = z_lo + k
         for obj_idx, seg_lo, seg_hi in segments:
@@ -263,32 +236,36 @@ def _crossmatch_arrays(
             starts = np.cumsum(counts) - counts
             cand_parts.append(np.repeat(i0 - starts, counts) + np.arange(total))
 
-    if not lead_parts:
-        return (
-            np.empty(0, dtype=np.uint64),
-            np.empty(0, dtype=np.uint64),
-            np.empty(0),
-            0,
-        )
-    li = np.concatenate(lead_parts)
-    ci = np.concatenate(cand_parts)
+    li = np.concatenate(lead_parts) if lead_parts else _NO_ROWS
+    ci = np.concatenate(cand_parts) if cand_parts else _NO_ROWS
     if candidate_sink is not None:
-        candidate_sink(lead_ids[li], other.ids[ci])
-    sep = separation_deg(lead_ra[li], lead_dec[li], other.ra[ci], other.dec[ci])
+        candidate_sink(li, ci)
+    sep = separation_deg(lead_ra[li], lead_dec[li], ra[ci], dec[ci])
     keep = sep <= radius
-    return lead_ids[li[keep]], other.ids[ci[keep]], sep[keep], int(li.size)
+    return li[keep], ci[keep], sep[keep], int(li.size)
 
 
-def _gather_slices(
-    slices: Sequence[ZoneSlice],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if not slices:
-        return np.empty(0, dtype=np.uint64), np.empty(0), np.empty(0)
-    return (
-        np.concatenate([s.ids for s in slices]),
-        np.concatenate([s.ra for s in slices]),
-        np.concatenate([s.dec for s in slices]),
+def _crossmatch_arrays(
+    lead_ids: np.ndarray,
+    lead_ra: np.ndarray,
+    lead_dec: np.ndarray,
+    other: ZoneIndex,
+    radius: float,
+    candidate_sink: CandidateSink | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """:func:`_zone_join` against a whole index, with rows mapped to ids:
+    (leading_ids, other_ids, separations, candidates), unsorted.
+    ``candidate_sink`` receives the pre-filter stream as ids."""
+    sink = None
+    if candidate_sink is not None:
+
+        def sink(li: np.ndarray, ci: np.ndarray) -> None:
+            candidate_sink(lead_ids[li], other.ids[ci])
+
+    a, b, sep, candidates = _zone_join(
+        lead_ra, lead_dec, radius, other.ra_key, other.ra, other.dec, other.cfg, sink
     )
+    return lead_ids[a], other.ids[b], sep, candidates
 
 
 def _pairs_from_arrays(
@@ -321,7 +298,11 @@ def zone_crossmatch(
                 "mismatched zone configuration between leading slices and "
                 f"other catalog: {zone_slice.cfg} vs {other.cfg}"
             )
-    lead_ids, lead_ra, lead_dec = _gather_slices(leading_slices)
+    if not leading_slices:
+        return []
+    lead_ids = np.concatenate([s.ids for s in leading_slices])
+    lead_ra = np.concatenate([s.ra for s in leading_slices])
+    lead_dec = np.concatenate([s.dec for s in leading_slices])
     a, b, sep, _ = _crossmatch_arrays(
         lead_ids, lead_ra, lead_dec, other, spec.radius, candidate_sink
     )

@@ -4,7 +4,8 @@ All angles are degrees. The sky is cut into horizontal declination stripes
 ("zones") of fixed height h; zone k covers [k*h - 90, (k+1)*h - 90), with the
 last zone closed at +90 so every declination belongs to exactly one zone.
 Neighborhood queries restrict work to the zones a declination band can touch,
-plus a right-ascension window wide enough to be complete at that declination.
+plus a right-ascension half-width wide enough to be complete at that
+declination.
 """
 
 from __future__ import annotations
@@ -18,17 +19,19 @@ __all__ = [
     "DEFAULT_ZONE_HEIGHT_DEG",
     "SkyPoint",
     "ZoneConfig",
-    "RaWindow",
     "normalize_ra",
     "zone_of",
     "zone_dec_range",
-    "zones_overlapping",
     "angular_separation",
-    "ra_halfwidth",
-    "ra_window",
 ]
 
 DEFAULT_ZONE_HEIGHT_DEG = 4.0 / 60.0  # 4 arcminutes
+
+# Smallest allowed zone height, 1 arcsecond (648,000 zones). Smaller heights
+# blow up the zone offset table (0.001" would need 6.5e8 entries). At 1" the
+# sort key zone * 512 + ra stays below 3.3e8 and so resolves ra to 6e-8 deg,
+# inside the 1e-7 deg pad of the candidate windows; at 0.6" it would not.
+MIN_ZONE_HEIGHT_DEG = 1.0 / 3600.0
 
 # A zone id is a plain int in [0, ZoneConfig.zone_count).
 ZoneId = int
@@ -70,14 +73,20 @@ class SkyPoint:
 
 @dataclass(frozen=True)
 class ZoneConfig:
-    """Zone layout: stripe height in degrees plus the derived zone count."""
+    """Zone layout: stripe height in degrees plus the derived zone count.
+
+    The height must be finite and at least MIN_ZONE_HEIGHT_DEG.
+    """
 
     height_deg: float = DEFAULT_ZONE_HEIGHT_DEG
     zone_count: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.height_deg) and self.height_deg > 0.0):
-            raise ValueError(f"zone height must be positive, got {self.height_deg!r}")
+        if not (math.isfinite(self.height_deg) and self.height_deg >= MIN_ZONE_HEIGHT_DEG):
+            raise ValueError(
+                f"zone height must be a finite angle of at least 1 arcsec "
+                f"({MIN_ZONE_HEIGHT_DEG!r} deg), got {self.height_deg!r}"
+            )
         raw = 180.0 / self.height_deg
         # ceil with a relative guard: an exact divisor (e.g. h = 4') must not
         # gain a sliver zone from float noise in the quotient
@@ -115,19 +124,6 @@ def zone_dec_range(zone: ZoneId, cfg: ZoneConfig) -> tuple[float, float]:
     return lo, (zone + 1) * cfg.height_deg - 90.0
 
 
-def zones_overlapping(dec_lo: float, dec_hi: float, cfg: ZoneConfig) -> range:
-    """Minimal contiguous run of zones whose stripes intersect [dec_lo, dec_hi].
-
-    Bounds are clamped into [-90, +90] first, so callers may pass
-    ``dec - radius`` / ``dec + radius`` without clamping themselves.
-    """
-    if dec_hi < dec_lo:
-        raise ValueError(f"dec_lo {dec_lo!r} > dec_hi {dec_hi!r}")
-    lo = min(max(dec_lo, -90.0), 90.0)
-    hi = min(max(dec_hi, -90.0), 90.0)
-    return range(zone_of(lo, cfg), zone_of(hi, cfg) + 1)
-
-
 def separation_deg(
     ra1: np.ndarray | float,
     dec1: np.ndarray | float,
@@ -154,71 +150,17 @@ def angular_separation(p: SkyPoint, q: SkyPoint) -> float:
     return float(separation_deg(p.ra, p.dec, q.ra, q.dec))
 
 
-def ra_halfwidth(radius: float, dec: float) -> float:
-    """Half-width of an ra window containing everything within ``radius`` of
-    a point at declination ``dec``.
+def ra_halfwidth_array(radius: float, dec: np.ndarray) -> np.ndarray:
+    """Half-widths of ra windows containing everything within ``radius`` of
+    points at declinations ``dec``.
 
     Deliberately conservative: r / cos(|dec| + r) over-covers, and the exact
     separation filter downstream removes false candidates, so completeness is
-    the only hard requirement here. Returns 180 (full circle) once the cap
+    the only hard requirement here. A width is 180 (full circle) once the cap
     touches a pole (|dec| + radius >= 90).
     """
-    if not 0.0 <= radius <= 180.0:
-        raise ValueError(f"radius {radius!r} outside [0, 180]")
-    if not (-90.0 <= dec <= 90.0):
-        raise ValueError(f"dec {dec!r} outside [-90, +90]")
-    reach = abs(dec) + radius
-    if reach >= 90.0:
-        return 180.0
-    return min(radius / math.cos(math.radians(reach)), 180.0)
-
-
-def ra_halfwidth_array(radius: float, dec: np.ndarray) -> np.ndarray:
-    """Vector form of :func:`ra_halfwidth` for a fixed radius."""
     reach = np.abs(dec) + radius
     out = np.full(np.shape(dec), 180.0)
     narrow = reach < 90.0
     out[narrow] = np.minimum(radius / np.cos(np.radians(reach[narrow])), 180.0)
     return out
-
-
-@dataclass(frozen=True)
-class RaWindow:
-    """One or two disjoint half-open ra intervals in [0, 360), sorted by start.
-
-    Two intervals occur when the window wraps the 0/360 discontinuity.
-    """
-
-    intervals: tuple[tuple[float, float], ...]
-
-    def contains(self, ra: float) -> bool:
-        r = normalize_ra(ra)
-        return any(lo <= r < hi for lo, hi in self.intervals)
-
-    @property
-    def width(self) -> float:
-        return sum(hi - lo for lo, hi in self.intervals)
-
-
-def ra_window(center_ra: float, halfwidth: float) -> RaWindow:
-    """Normalize [center - halfwidth, center + halfwidth] into an RaWindow.
-
-    halfwidth = 180 yields the full circle. halfwidth = 0 yields a one-ulp
-    interval that still contains the center, so radius-0 searches can match
-    coincident objects through half-open interval arithmetic.
-    """
-    if not 0.0 <= center_ra < 360.0:
-        raise ValueError(f"center_ra {center_ra!r} outside [0, 360)")
-    if not 0.0 <= halfwidth <= 180.0:
-        raise ValueError(f"halfwidth {halfwidth!r} outside [0, 180]")
-    if halfwidth >= 180.0:
-        return RaWindow(((0.0, 360.0),))
-    if halfwidth == 0.0:
-        return RaWindow(((center_ra, math.nextafter(center_ra, math.inf)),))
-    lo = center_ra - halfwidth
-    hi = center_ra + halfwidth
-    if lo < 0.0:
-        return RaWindow(((0.0, hi), (lo + 360.0, 360.0)))
-    if hi > 360.0:
-        return RaWindow(((0.0, hi - 360.0), (lo, 360.0)))
-    return RaWindow(((lo, hi),))

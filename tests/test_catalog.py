@@ -12,21 +12,18 @@ import pytest
 
 from zonequery import (
     IngestError,
-    RaWindow,
     SnapshotFormatError,
     ZoneConfig,
     build_index,
     histogram,
     ingest_csv,
     load_index,
-    ra_scan,
     save_index,
-    slice_range,
     zone_of,
 )
 from zonequery import catalog
-from zonequery.catalog import ra_scan_indices
-from zonequery.sphere import ra_window
+from zonequery.queries import WINDOW_PAD_DEG, _zone_join
+from zonequery.sphere import ra_halfwidth_array
 
 from conftest import random_sky
 
@@ -58,8 +55,9 @@ class TestIngestBasics:
     def test_missing_magnitudes_stored_as_nan(self, tmp_path):
         f = write_rows(tmp_path / "cat.csv", ["7,1.0,1.0,,13.5"])
         index = ingest_csv(f, cfg=CFG)
-        obj = next(index.slices()).objects[0]
-        assert obj.mags == {"r": None, "g": 13.5}
+        s = next(index.slices())
+        assert s.ids.tolist() == [7]
+        assert math.isnan(s.mags[0, 0]) and s.mags[0, 1] == 13.5
         assert math.isnan(index.band_column("r")[0])
 
     def test_band_projection(self, tmp_path):
@@ -234,59 +232,50 @@ class TestIndexStructure:
         assert sum(len(s) for s in index.slices()) == index.total_count == 4000
 
 
-class TestSliceRange:
-    def make_known(self):
-        # zones 100, 200, 300 populated with 1, 2, 3 objects
-        dec = np.array(
-            [zone * CFG.height_deg - 90.0 + 0.01
-             for zone, k in ((100, 1), (200, 2), (300, 3)) for _ in range(k)]
-        )
-        ra = np.arange(len(dec), dtype=float)
-        return build_index("k", CFG, np.arange(len(dec), dtype=np.uint64), ra, dec)
-
-    def test_full_range(self):
-        index = self.make_known()
-        slices = slice_range(index, range(0, CFG.zone_count))
-        assert [s.zone for s in slices] == [100, 200, 300]
-        assert sum(len(s) for s in slices) == index.total_count
-
-    def test_empty_range(self):
-        assert slice_range(self.make_known(), range(0, 0)) == []
-
-    def test_single_populated_zone(self):
-        slices = slice_range(self.make_known(), range(200, 201))
-        assert len(slices) == 1 and slices[0].zone == 200 and len(slices[0]) == 2
-
-
 class TestRaScan:
-    def make_slice(self, ra_values):
-        ra = np.sort(np.asarray(ra_values, dtype=float))
-        dec = np.full(len(ra), 0.01)
-        index = build_index("s", CFG, np.arange(len(ra), dtype=np.uint64), ra, dec)
-        return index.slice(zone_of(0.01, CFG))
+    """The ra scan inside a zone is the join kernel's candidate search: binary
+    searches for a padded ra window on the index's (zone, ra) key."""
+
+    DEC = 0.01
+
+    def make_index(self, ra_values):
+        ra = np.asarray(ra_values, dtype=float)
+        dec = np.full(len(ra), self.DEC)
+        return build_index("s", CFG, np.arange(len(ra), dtype=np.uint64), ra, dec)
+
+    def candidates(self, index, center_ra, radius):
+        """Candidate rows of a cone around (center_ra, DEC), in search order."""
+        seen = []
+        _zone_join(
+            np.array([center_ra]), np.array([self.DEC]), radius,
+            index.ra_key, index.ra, index.dec, index.cfg,
+            candidate_sink=lambda lead, rows: seen.append(rows),
+        )
+        return np.concatenate(seen)
 
     def test_full_circle_returns_whole_slice(self):
-        s = self.make_slice([0.0, 10.0, 180.0, 359.9])
-        assert len(ra_scan(s, ra_window(0.0, 180.0))) == 4
+        index = self.make_index([0.0, 10.0, 180.0, 359.9])
+        assert sorted(self.candidates(index, 0.0, 180.0).tolist()) == [0, 1, 2, 3]
 
     def test_gap_between_objects_is_empty(self):
-        s = self.make_slice([10.0, 20.0])
-        assert ra_scan(s, RaWindow(((12.0, 18.0),))) == ()
+        index = self.make_index([10.0, 20.0])
+        assert self.candidates(index, 15.0, 2.0).size == 0
 
     def test_randomized_against_linear_oracle(self):
         rng = np.random.default_rng(25)
         for _ in range(100):
-            s = self.make_slice(rng.uniform(0, 360, 200))
-            hw = float(rng.uniform(0, 180))
+            index = self.make_index(rng.uniform(0, 360, 200))
+            radius = float(rng.uniform(0, 90))
             center = float(rng.uniform(0, 360))
-            w = ra_window(center, hw)
-            got = [o.id for o in ra_scan(s, w)]
-            oracle = [o.id for o in s.objects if w.contains(o.pos.ra)]
-            assert got == oracle
+            reach = ra_halfwidth_array(radius, np.array([self.DEC]))[0] + WINDOW_PAD_DEG
+            dra = np.abs((index.ra - center + 180.0) % 360.0 - 180.0)
+            oracle = np.nonzero((dra <= reach) | (reach >= 180.0))[0]
+            got = np.sort(self.candidates(index, center, radius))
+            assert got.tolist() == oracle.tolist()
 
     def test_uses_binary_search_bounds(self):
-        s = self.make_slice(np.linspace(0, 359, 1000))
-        idx = ra_scan_indices(s, ra_window(180.0, 1.0))
+        index = self.make_index(np.linspace(0, 359, 1000))
+        idx = self.candidates(index, 180.0, 1.0)
         assert np.array_equal(idx, np.arange(idx[0], idx[-1] + 1))
 
 

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from zonequery import cli
@@ -139,6 +140,42 @@ class TestExitCodes:
             "--radius", "10arcsec", "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2
+
+
+    @pytest.mark.parametrize("height", ["0.001arcsec", "1e-9deg", "0arcmin", "0.5arcsec"])
+    def test_zone_height_below_one_arcsec_is_usage_error(
+        self, small_setup, tmp_path, capsys, height
+    ):
+        a_csv = small_setup[0]
+        out = tmp_path / "tiny.npz"
+        code = run_cli(
+            "ingest", "--in", str(a_csv), "--zone-height", height, "--out", str(out)
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--zone-height" in err
+        assert not out.exists()
+
+    def test_one_arcsec_zone_height_accepted(self, small_setup, tmp_path):
+        a_csv = small_setup[0]
+        out = tmp_path / "fine.npz"
+        assert run_cli(
+            "ingest", "--in", str(a_csv), "--zone-height", "1arcsec", "--out", str(out)
+        ) == 0
+        assert run_cli("scan", "--index", str(out), "--out", str(tmp_path / "s.csv")) == 0
+
+    def test_snapshot_with_tiny_zone_height_is_2(self, small_setup, tmp_path, capsys):
+        a_idx = small_setup[2]
+        with np.load(a_idx) as data:
+            members = {key: data[key] for key in data.files}
+        members["height_deg"] = np.array(1e-9)
+        bad = tmp_path / "tiny.npz"
+        with bad.open("wb") as fh:
+            np.savez(fh, **members)
+        code = run_cli("scan", "--index", str(bad), "--out", str(tmp_path / "s.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "data error" in err
 
 
 def _corrupt(path, kind: str) -> None:

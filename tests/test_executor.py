@@ -23,6 +23,7 @@ from zonequery import (
     run_xmatch,
     scan_filter,
     zone_crossmatch,
+    zone_of,
 )
 
 from conftest import random_sky, scenario_pair
@@ -83,13 +84,47 @@ class TestRunScan:
 
 
 class TestRunCone:
+    CONES = (
+        ConeQuery(SkyPoint(200.0, 30.0), 2.0),
+        ConeQuery(SkyPoint(359.5, -10.0), 1.5),  # across 0/360
+        ConeQuery(SkyPoint(0.2, 45.0), 1.0),  # across 0/360
+        ConeQuery(SkyPoint(77.0, 88.0), 3.0),  # over the north pole
+        ConeQuery(SkyPoint(5.0, -90.0), 2.0),  # centred on the south pole
+        ConeQuery(SkyPoint(123.0, -12.0), 0.0),  # radius 0, nothing there
+        ConeQuery(SkyPoint(10.0, 10.0), 180.0),  # the whole sky
+        ConeQuery(SkyPoint(300.0, 5.0), 0.05),
+    )
+
     def test_union_equals_single_threaded(self, catalog):
-        q = ConeQuery(SkyPoint(200.0, 30.0), 2.0)
-        expected = cone_search(catalog, q)
-        for plan in plans_under_test(catalog):
-            rows, rep = run_cone(catalog, q, plan)
-            assert rows == expected
-            assert sum(s.rows_returned for s in rep.workers) == len(rows)
+        from zonequery.sphere import separation_deg
+
+        # radius 0 on an object must return that object
+        cones = self.CONES + (
+            ConeQuery(SkyPoint(float(catalog.ra[17]), float(catalog.dec[17])), 0.0),
+        )
+        sizes = np.diff(catalog.zone_starts)
+        idle_rows = 0
+        for q in cones:
+            expected = cone_search(catalog, q)
+            sep = separation_deg(catalog.ra, catalog.dec, q.center.ra, q.center.dec)
+            keep = sep <= q.radius
+            oracle = sorted(zip(catalog.ids[keep].tolist(), sep[keep].tolist()))
+            assert expected == oracle
+            lo = zone_of(max(q.center.dec - q.radius, -90.0), CFG)
+            hi = zone_of(min(q.center.dec + q.radius, 90.0), CFG)
+            for plan in plans_under_test(catalog):
+                rows, rep = run_cone(catalog, q, plan)
+                assert rows == expected
+                assert sum(s.rows_returned for s in rep.workers) == len(rows)
+                for s in rep.workers:
+                    zones = plan.zones_of(s.worker)
+                    band = zones[(zones >= lo) & (zones <= hi)]
+                    if sizes[band].sum() == 0:
+                        idle_rows += 1
+                        assert s == WorkerStats(s.worker, 0.0, s.cpu_s, 0, 0, 0)
+                        assert s.cpu_s in (0.0, None)
+        assert len(cone_search(catalog, cones[-1])) == 1
+        assert idle_rows > 0
 
     def test_non_overlapping_workers_scan_nothing(self, catalog):
         # cone around dec 80: zones near 2550, owned by the last of 4

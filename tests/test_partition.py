@@ -125,6 +125,26 @@ class TestPlanInvariants:
         b = make_plan(strategy, ZC, 8, hist_of(counts.copy()))
         assert a == b
 
+    @pytest.mark.parametrize("strategy", ["contiguous", "round_robin", "density"])
+    def test_runs_match_zone_by_zone_encoding(self, strategy):
+        def loop_runs(a, lo, hi):
+            out = []
+            start = lo
+            for z in range(lo + 1, hi + 1):
+                if z == hi or a[z] != a[start]:
+                    out.append((start, z, int(a[start])))
+                    start = z
+            return out
+
+        rng = np.random.default_rng(33)
+        counts = rng.integers(0, 50, 300)
+        for workers in (1, 2, 3, 8):
+            plan = make_plan(strategy, 300, workers, hist_of(counts))
+            assert plan.runs() == loop_runs(plan.assignment, 0, 300)
+            for _ in range(20):
+                lo, hi = sorted(rng.integers(0, 301, 2).tolist())
+                assert plan.runs(lo, hi) == loop_runs(plan.assignment, lo, hi)
+
     def test_worker_count_below_one_rejected(self):
         for fn in (lambda: plan_contiguous(10, 0),
                    lambda: plan_round_robin(10, 0),

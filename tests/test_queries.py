@@ -19,7 +19,9 @@ from zonequery import (
     zone_crossmatch,
 )
 from zonequery.queries import MatchPair
-from zonequery.sphere import separation_deg
+from zonequery.executor import run_xmatch
+from zonequery.partition import plan_contiguous
+from zonequery.sphere import MIN_ZONE_HEIGHT_DEG, separation_deg
 
 from conftest import (
     assert_same_pairs,
@@ -232,6 +234,38 @@ class TestZoneCrossmatch:
         got = zone_crossmatch(list(a.slices()), b, MatchSpec(radius=ARCMIN))
         assert got == brute_force_crossmatch(a, b, ARCMIN)
         assert len(got) == 1
+
+    def test_one_arcsec_zones_complete_at_window_edge(self):
+        # at the smallest zone height the key zone*512 + ra is largest and
+        # rounds coarsest; companions due east or west at distance r sit at
+        # the edge of their ra window, on the equator with almost no margin
+        cfg = ZoneConfig(MIN_ZONE_HEIGHT_DEG)
+        rng = np.random.default_rng(71)
+        n = 1500
+        ra, dec = random_sky(rng, n)
+        dec[:300] = rng.uniform(-0.01, 0.01, 300)
+        ra[:100] = rng.uniform(-0.01, 0.01, 100) % 360.0  # across 0/360
+        dec[300:400] = rng.uniform(89.9, 90.0, 100) * rng.choice((-1.0, 1.0), 100)
+        a = index_from("a", ra, dec, cfg=cfg)
+        for radius in (ARCSEC, 10 * ARCSEC):
+            # destination point at bearing 90 or 270 degrees, distance radius
+            theta = rng.choice((0.5 * np.pi, 1.5 * np.pi), n)
+            delta, phi1 = np.radians(radius), np.radians(dec)
+            sin_phi2 = np.sin(phi1) * np.cos(delta) + np.cos(phi1) * np.sin(delta) * np.cos(theta)
+            lam2 = np.radians(ra) + np.arctan2(
+                np.sin(theta) * np.sin(delta) * np.cos(phi1),
+                np.cos(delta) - np.sin(phi1) * sin_phi2,
+            )
+            ra2 = np.degrees(lam2) % 360.0
+            ra2[ra2 >= 360.0] = 0.0
+            dec2 = np.clip(np.degrees(np.arcsin(sin_phi2)), -90.0, 90.0)
+            b = index_from("b", ra2, dec2, cfg=cfg)
+            spec = MatchSpec(radius=radius)
+            expected = brute_force_crossmatch(a, b, radius)
+            assert len(expected) > n // 4
+            assert zone_crossmatch(list(a.slices()), b, spec) == expected
+            pairs, _ = run_xmatch(a, b, spec, plan_contiguous(cfg.zone_count, 2))
+            assert pairs == expected
 
     def test_mismatched_zone_config_rejected(self):
         a = index_from("a", [1.0], [1.0])

@@ -10,17 +10,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zonequery import (
-    RaWindow,
     SkyPoint,
     ZoneConfig,
     angular_separation,
-    ra_halfwidth,
-    ra_window,
     zone_dec_range,
     zone_of,
-    zones_overlapping,
 )
-from zonequery.sphere import ra_halfwidth_array, separation_deg, zone_of_array
+from zonequery.queries import WINDOW_PAD_DEG, _window_segments
+from zonequery.sphere import (
+    MIN_ZONE_HEIGHT_DEG,
+    ra_halfwidth_array,
+    separation_deg,
+    zone_of_array,
+)
 
 from conftest import offset_points, random_sky
 
@@ -65,6 +67,13 @@ class TestZoneConfig:
     def test_bad_height_rejected(self):
         for h in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
+                ZoneConfig(h)
+
+    def test_height_below_one_arcsec_rejected(self):
+        assert MIN_ZONE_HEIGHT_DEG == 1.0 / 3600.0
+        assert ZoneConfig(MIN_ZONE_HEIGHT_DEG).zone_count == 648_000
+        for h in (math.nextafter(MIN_ZONE_HEIGHT_DEG, 0.0), 0.6 / 3600.0, 1e-9):
+            with pytest.raises(ValueError, match="1 arcsec"):
                 ZoneConfig(h)
 
 
@@ -127,33 +136,35 @@ def _zones_overlapping_oracle(dec_lo, dec_hi, cfg):
     return hits
 
 
+def _zone_band(dec_lo, dec_hi, cfg):
+    """The zones a declination band touches, as the join and run_cone compute
+    them: zone_of_array of the unclamped ends (it clamps the zones)."""
+    z_lo, z_hi = zone_of_array(np.array([dec_lo, dec_hi]), cfg).tolist()
+    return list(range(z_lo, z_hi + 1))
+
+
 class TestZonesOverlapping:
     def test_band_within_one_zone(self):
         lo, hi = zone_dec_range(1000, CFG)
         mid = (lo + hi) / 2
-        assert list(zones_overlapping(mid, mid, CFG)) == [1000]
+        assert _zone_band(mid, mid, CFG) == [1000]
 
     def test_band_straddling_equator(self):
-        assert zones_overlapping(-0.01, 0.01, CFG) == range(1349, 1351)
+        assert _zone_band(-0.01, 0.01, CFG) == [1349, 1350]
 
     def test_polar_band_matches_scan_oracle(self):
-        got = list(zones_overlapping(89.0, 90.0, CFG))
+        got = _zone_band(89.0, 90.0, CFG)
         assert got == _zones_overlapping_oracle(89.0, 90.0, CFG)
         # dec 89 sits exactly on the lower edge of zone 2685
         assert got == list(range(2685, 2700))
 
     def test_random_bands_match_scan_oracle(self):
+        # ends beyond the poles: clamping the zones equals clamping the decs
         cfg = ZoneConfig(2.5)
         rng = np.random.default_rng(5)
         for _ in range(50):
             a, b = sorted(rng.uniform(-95.0, 95.0, 2))
-            assert list(zones_overlapping(a, b, cfg)) == _zones_overlapping_oracle(
-                a, b, cfg
-            )
-
-    def test_inverted_band_rejected(self):
-        with pytest.raises(ValueError):
-            zones_overlapping(1.0, 0.0, CFG)
+            assert _zone_band(a, b, cfg) == _zones_overlapping_oracle(a, b, cfg)
 
 
 class TestAngularSeparation:
@@ -215,20 +226,24 @@ class TestAngularSeparation:
         assert s == angular_separation(q, p)
 
 
+def _halfwidth(radius, dec):
+    return float(ra_halfwidth_array(radius, np.array([dec]))[0])
+
+
 class TestRaHalfwidth:
     def test_at_least_radius_on_equator(self):
-        assert ra_halfwidth(0.1, 0.0) >= 0.1
+        assert _halfwidth(0.1, 0.0) >= 0.1
 
     def test_pole_clamp(self):
-        assert ra_halfwidth(1.0, 89.5) == 180.0
-        assert ra_halfwidth(1.0, -89.5) == 180.0
-        assert ra_halfwidth(90.0, 0.0) == 180.0
+        assert _halfwidth(1.0, 89.5) == 180.0
+        assert _halfwidth(1.0, -89.5) == 180.0
+        assert _halfwidth(90.0, 0.0) == 180.0
 
     def test_conservative_formula_at_dec_60(self):
         expected = 1.0 / math.cos(math.radians(61.0))
-        assert ra_halfwidth(1.0, 60.0) == pytest.approx(expected)
-        assert ra_halfwidth(1.0, 60.0) == pytest.approx(2.0627, abs=5e-5)
-        assert ra_halfwidth(1.0, -60.0) == ra_halfwidth(1.0, 60.0)
+        assert _halfwidth(1.0, 60.0) == pytest.approx(expected)
+        assert _halfwidth(1.0, 60.0) == pytest.approx(2.0627, abs=5e-5)
+        assert _halfwidth(1.0, -60.0) == _halfwidth(1.0, 60.0)
 
     def test_no_pair_missed_near_dec_60(self):
         rng = np.random.default_rng(7)
@@ -241,44 +256,49 @@ class TestRaHalfwidth:
         assert np.all(dra[true_pair] <= alpha[true_pair])
 
     def test_monotone_in_abs_dec(self):
-        widths = [ra_halfwidth(0.5, d) for d in (0.0, 30.0, 60.0, 80.0, 89.0)]
-        assert widths == sorted(widths)
+        widths = ra_halfwidth_array(0.5, np.array([0.0, 30.0, 60.0, 80.0, 89.0]))
+        assert widths.tolist() == sorted(widths.tolist())
 
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            ra_halfwidth(-0.1, 0.0)
-        with pytest.raises(ValueError):
-            ra_halfwidth(181.0, 0.0)
-        with pytest.raises(ValueError):
-            ra_halfwidth(1.0, 91.0)
+
+def _window(center, hw):
+    """The join's padded ra window around one point: sorted closed segments."""
+    segments = _window_segments(np.array([center]), np.array([hw]))
+    return sorted((float(lo[0]), float(hi[0])) for _, lo, hi in segments)
+
+
+def _contains(window, ra):
+    return any(lo <= ra <= hi for lo, hi in window)
 
 
 class TestRaWindow:
     def test_plain_window(self):
-        assert ra_window(180.0, 1.0) == RaWindow(((179.0, 181.0),))
+        assert _window(180.0, 1.0) == [(179.0 - WINDOW_PAD_DEG, 181.0 + WINDOW_PAD_DEG)]
 
     def test_wrap_split(self):
-        assert ra_window(0.05, 0.2) == RaWindow(((0.0, 0.25), (359.85, 360.0)))
+        w = _window(0.05, 0.2)
+        assert [v for seg in w for v in seg] == pytest.approx(
+            [0.0, 0.25 + WINDOW_PAD_DEG, 359.85 - WINDOW_PAD_DEG, 360.0], abs=1e-12
+        )
 
     def test_full_circle(self):
-        assert ra_window(123.0, 180.0) == RaWindow(((0.0, 360.0),))
+        assert _window(123.0, 180.0) == [(0.0, 360.0)]
 
     def test_degenerate_window_contains_center(self):
-        w = ra_window(10.0, 0.0)
-        assert w.contains(10.0)
-        assert not w.contains(10.0 + 1e-9)
-        assert w.width > 0.0
+        w = _window(10.0, 0.0)
+        assert _contains(w, 10.0)
+        assert not _contains(w, 10.0 + 2 * WINDOW_PAD_DEG)
+        assert 0.0 < w[0][1] - w[0][0] <= 2 * WINDOW_PAD_DEG + 1e-12
 
     def test_width_at_least_twice_halfwidth(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
             c = rng.uniform(0, 360)
             hw = rng.uniform(0, 179.9)
-            assert ra_window(c, hw).width >= 2 * hw - 1e-12
+            width = sum(hi - lo for lo, hi in _window(c, hw))
+            assert width >= 2 * hw - 1e-12
 
     def test_intervals_disjoint_and_sorted(self):
-        w = ra_window(359.0, 2.0)
-        (a_lo, a_hi), (b_lo, b_hi) = w.intervals
+        (a_lo, a_hi), (b_lo, b_hi) = _window(359.0, 2.0)
         assert a_hi <= b_lo
         assert a_lo < a_hi and b_lo < b_hi
 
@@ -289,17 +309,12 @@ class TestRaWindow:
     )
     @settings(max_examples=300, deadline=None)
     def test_membership_invariant_under_wrap(self, center, hw, ra):
-        # only shifts that are exact in float probe the window's wrap logic;
-        # e.g. 359.99999999999994 + 360.0 rounds to 720.0 before we see it
-        assume((ra + 360.0) - 360.0 == ra)
-        w = ra_window(center, hw)
-        assert w.contains(ra) == w.contains(ra + 360.0)
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            ra_window(360.0, 1.0)
-        with pytest.raises(ValueError):
-            ra_window(0.0, 180.5)
+        # membership depends only on the distance around the circle, so it is
+        # the same on either side of 0/360; exact-edge rounding is skipped
+        reach = hw + WINDOW_PAD_DEG
+        dist = abs((ra - center + 180.0) % 360.0 - 180.0)
+        assume(abs(dist - reach) > 1e-9)
+        assert _contains(_window(center, hw), ra) == (dist <= reach)
 
 
 class TestZoneTotality:
@@ -355,8 +370,9 @@ class TestAlphaCompleteness:
         dra = np.abs((ra2 - ra + 180.0) % 360.0 - 180.0)
         violations = true_pair & (dra > alpha)
         assert violations.sum() == 0
-        # spot-check the RaWindow form of the same predicate
+        # spot-check the join's window segments on the same pairs
         idx = np.nonzero(true_pair)[0][:2000]
-        for i in idx:
-            w = ra_window(float(ra[i]), float(min(alpha[i], 180.0)))
-            assert w.contains(float(ra2[i]))
+        inside = np.zeros(len(idx), dtype=bool)
+        for obj, lo, hi in _window_segments(ra[idx], alpha[idx]):
+            inside[obj] |= (ra2[idx][obj] >= lo) & (ra2[idx][obj] <= hi)
+        assert inside.all()
