@@ -40,6 +40,7 @@ from .queries import (
     ConeQuery,
     MatchPair,
     MatchSpec,
+    MatchTable,
     ScanFilter,
     best_matches,
     brute_force_crossmatch,

@@ -16,8 +16,11 @@ import re
 import statistics
 import sys
 import time
+from itertools import chain
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .catalog import (
     IngestError,
@@ -29,12 +32,18 @@ from .catalog import (
     save_index,
 )
 from .partition import STRATEGIES, make_plan, report
-from .queries import ConeQuery, MatchPair, MatchSpec, ScanFilter, best_matches
+from .queries import ConeQuery, MatchSpec, ScanFilter, best_matches
 from .executor import run_cone, run_scan, run_xmatch
 from .sphere import SkyPoint, ZoneConfig
 from .synth import BandSpec, Clustered, DecBand, FullSky, SyntheticSpec, write_csv
 
 __all__ = ["main"]
+
+# the most workers a command accepts: each busy worker is one thread
+MAX_WORKERS = 64
+
+# rows formatted per write: one format call per chunk, bounded memory
+_CHUNK_ROWS = 8192
 
 
 class UsageError(Exception):
@@ -116,6 +125,11 @@ def parse_bands(text: str) -> tuple[BandSpec, ...]:
     return tuple(out)
 
 
+def _check_workers(workers: int) -> None:
+    if workers > MAX_WORKERS:
+        raise UsageError(f"--workers {workers} is above the limit of {MAX_WORKERS}")
+
+
 def parse_worker_list(text: str) -> list[int]:
     try:
         workers = [int(p) for p in text.split(",")]
@@ -123,6 +137,7 @@ def parse_worker_list(text: str) -> list[int]:
         raise UsageError(f"bad worker list {text!r}: need e.g. 1,2,4,8") from None
     if not workers or any(w < 1 for w in workers):
         raise UsageError(f"bad worker list {text!r}: counts must be >= 1")
+    _check_workers(max(workers))
     return workers
 
 
@@ -133,12 +148,6 @@ def _normalize_strategy(text: str) -> str:
             f"unknown strategy {text!r}; expected contiguous, round-robin, or density"
         )
     return strategy
-
-
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
 
 
 def _load(path: str) -> ZoneIndex:
@@ -156,6 +165,7 @@ def _load_pair(leading: str, other: str) -> tuple[ZoneIndex, ZoneIndex]:
 
 
 def _plan_for(index: ZoneIndex, strategy: str, workers: int):
+    _check_workers(workers)
     hist = histogram(index) if strategy == "density" else None
     try:
         return make_plan(strategy, index.cfg.zone_count, workers, hist)
@@ -163,10 +173,25 @@ def _plan_for(index: ZoneIndex, strategy: str, workers: int):
         raise UsageError(str(exc)) from None
 
 
-def _write_pairs(fh: TextIO, pairs: Sequence[MatchPair]) -> None:
-    fh.write("leading_id,other_id,separation_deg\n")
-    for p in pairs:
-        fh.write(f"{p.leading_id},{p.other_id},{p.separation:.12g}\n")
+def _format_rows(row_format: str, columns: Sequence) -> Iterator[str]:
+    """The rows of ``columns`` (equal-length arrays or tuples; none for no
+    rows), each formatted by ``row_format``, one string per _CHUNK_ROWS rows."""
+    for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
+        chunk = [col[start : start + _CHUNK_ROWS] for col in columns]
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk))
+        yield row_format * len(chunk[0]) % tuple(chain.from_iterable(rows))
+
+
+def _write_csv(path: str | None, header: str, row_format: str, columns) -> None:
+    """Write a CSV to ``path``, or to stdout for None or "-"."""
+    to_stdout = path is None or path == "-"
+    fh = sys.stdout if to_stdout else open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        fh.write(header)
+        fh.writelines(_format_rows(row_format, columns))
+    finally:
+        if not to_stdout:
+            fh.close()
 
 
 def _write_stats(path: str | None, report_json: str) -> None:
@@ -267,14 +292,7 @@ def _cmd_scan(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     rows, rep = run_scan(index, f, plan)
-    fh, close = _open_out(args.out)
-    try:
-        fh.write("id,mag\n")
-        for obj_id, mag in rows:
-            fh.write(f"{obj_id},{mag!r}\n")
-    finally:
-        if close:
-            fh.close()
+    _write_csv(args.out, "id,mag\n", "%d,%r\n", tuple(zip(*rows)))
     _write_stats(args.stats, rep.to_json())
     return 0
 
@@ -291,14 +309,7 @@ def _cmd_cone(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     rows, rep = run_cone(index, q, plan)
-    fh, close = _open_out(args.out)
-    try:
-        fh.write("id,separation_deg\n")
-        for obj_id, sep in rows:
-            fh.write(f"{obj_id},{sep:.12g}\n")
-    finally:
-        if close:
-            fh.close()
+    _write_csv(args.out, "id,separation_deg\n", "%d,%.12g\n", tuple(zip(*rows)))
     _write_stats(args.stats, rep.to_json())
     return 0
 
@@ -313,15 +324,12 @@ def _cmd_xmatch(args) -> int:
         raise UsageError(str(exc)) from None
     pairs, rep = run_xmatch(leading, other, spec, plan)
     if args.no_self:
-        pairs = [p for p in pairs if p.leading_id != p.other_id]
+        pairs = pairs.take(pairs.leading_ids != pairs.other_ids)
     if args.best_match:
         pairs = best_matches(pairs)
-    fh, close = _open_out(args.out)
-    try:
-        _write_pairs(fh, pairs)
-    finally:
-        if close:
-            fh.close()
+    columns = (pairs.leading_ids, pairs.other_ids, pairs.separation)
+    header = "leading_id,other_id,separation_deg\n"
+    _write_csv(args.out, header, "%d,%d,%.12g\n", columns)
     _write_stats(args.stats, rep.to_json())
     return 0
 

@@ -25,14 +25,13 @@ from .catalog import ZoneIndex
 from .partition import PartitionPlan
 from .queries import (
     ConeQuery,
-    MatchPair,
     MatchSpec,
+    MatchTable,
     ScanFilter,
     _by_id,
     _cone_join,
     _crossmatch_arrays,
     _mag_filter,
-    _pairs_from_arrays,
 )
 from .sphere import zone_of_array
 
@@ -220,20 +219,22 @@ def _execute(
 ):
     """Run ``work`` over each worker's share of the zone band, one thread per
     worker with rows; a worker without rows gets an all-zero stats row and no
-    thread. The workers' result columns are concatenated, then ``merge``d."""
+    thread, and a lone busy worker runs in the calling thread. The workers'
+    result columns are concatenated, then ``merge``d."""
     t0 = time.perf_counter()
     shares = _shares(plan, zone_starts, *band)
     busy = [w for w, ranges in enumerate(shares) if ranges]
     stats = [WorkerStats(w, 0.0, _IDLE_CPU, 0, 0, 0) for w in range(plan.worker_count)]
-    results = []
-    if busy:
+    if len(busy) > 1:
         with ThreadPoolExecutor(max_workers=len(busy)) as pool:
             futures = [pool.submit(_timed, w, row_bytes, work, shares[w]) for w in busy]
-            for w, fut in zip(busy, futures):
-                result, stats[w] = fut.result()
-                results.append(result)
-    else:  # typed empty columns for the merge
-        results.append(work([(0, 0)])[0])
+            done = [fut.result() for fut in futures]
+    else:
+        done = [_timed(w, row_bytes, work, shares[w]) for w in busy]
+    for w, (_, row) in zip(busy, done):
+        stats[w] = row
+    # no busy worker: typed empty columns for the merge
+    results = [result for result, _ in done] or [work([(0, 0)])[0]]
     merged = merge(*(np.concatenate(parts) for parts in zip(*results)))
     max_row, avg_row = aggregate(stats)
     report = ExecutionReport(
@@ -291,7 +292,7 @@ def run_xmatch(
     other: ZoneIndex,
     spec: MatchSpec,
     plan: PartitionPlan,
-) -> tuple[list[MatchPair], ExecutionReport]:
+) -> tuple[MatchTable, ExecutionReport]:
     """Parallel cross-match. Each worker joins its leading rows against the
     full (replicated, read-only) other index; a leading object is owned by
     exactly one worker, so each pair is produced exactly once."""
@@ -317,6 +318,5 @@ def run_xmatch(
         return (a, b, sep), candidates, len(a)
 
     everything = (0, plan.zone_count - 1)
-    return _execute(
-        plan, leading.zone_starts, everything, other.row_bytes, work, _pairs_from_arrays
-    )
+    merge = MatchTable.from_unsorted
+    return _execute(plan, leading.zone_starts, everything, other.row_bytes, work, merge)

@@ -15,8 +15,10 @@ Match semantics are all-pairs-within-radius with an inclusive boundary
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from operator import attrgetter
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +36,7 @@ __all__ = [
     "ConeQuery",
     "MatchSpec",
     "MatchPair",
+    "MatchTable",
     "scan_filter",
     "cone_search",
     "zone_crossmatch",
@@ -101,6 +104,56 @@ class MatchPair:
     leading_id: int
     other_id: int
     separation: float
+
+
+@dataclass(frozen=True, eq=False)
+class MatchTable(abc.Sequence):
+    """Cross-match pairs as three columns in ascending (leading_id, other_id)
+    order: ``leading_ids`` and ``other_ids`` (uint64), ``separation``
+    (float64, degrees). A read-only sequence of :class:`MatchPair`, which
+    are built only when it is indexed or iterated."""
+
+    leading_ids: np.ndarray
+    other_ids: np.ndarray
+    separation: np.ndarray
+
+    __hash__ = None  # type: ignore[assignment]
+
+    @classmethod
+    def from_unsorted(
+        cls, leading_ids: np.ndarray, other_ids: np.ndarray, separation: np.ndarray
+    ) -> MatchTable:
+        """The pairs of three equal-length columns, sorted into canonical order."""
+        order = np.lexsort((other_ids, leading_ids))
+        return cls(leading_ids[order], other_ids[order], separation[order])
+
+    def take(self, rows: np.ndarray) -> MatchTable:
+        """The pairs at ``rows`` (a boolean mask or ascending positions)."""
+        columns = (self.leading_ids, self.other_ids, self.separation)
+        return MatchTable(*(c[rows] for c in columns))
+
+    def __len__(self) -> int:
+        return len(self.leading_ids)
+
+    def __getitem__(self, i: int) -> MatchPair:  # type: ignore[override]
+        return MatchPair(
+            int(self.leading_ids[i]), int(self.other_ids[i]), float(self.separation[i])
+        )
+
+    def __iter__(self) -> Iterator[MatchPair]:
+        columns = (self.leading_ids, self.other_ids, self.separation)
+        return map(MatchPair, *(c.tolist() for c in columns))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, MatchTable):
+            return (
+                np.array_equal(self.leading_ids, other.leading_ids)
+                and np.array_equal(self.other_ids, other.other_ids)
+                and np.array_equal(self.separation, other.separation)
+            )
+        if isinstance(other, abc.Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
 
 
 def _by_id(ids: np.ndarray, values: np.ndarray) -> list[tuple[int, float]]:
@@ -268,22 +321,12 @@ def _crossmatch_arrays(
     return lead_ids[a], other.ids[b], sep, candidates
 
 
-def _pairs_from_arrays(
-    lead_ids: np.ndarray, other_ids: np.ndarray, sep: np.ndarray
-) -> list[MatchPair]:
-    order = np.lexsort((other_ids, lead_ids))
-    return [
-        MatchPair(int(a), int(b), float(s))
-        for a, b, s in zip(lead_ids[order], other_ids[order], sep[order])
-    ]
-
-
 def zone_crossmatch(
     leading_slices: Sequence[ZoneSlice],
     other: ZoneIndex,
     spec: MatchSpec,
     candidate_sink: CandidateSink | None = None,
-) -> list[MatchPair]:
+) -> MatchTable:
     """All (leading, other) pairs within spec.radius, ascending by
     (leading_id, other_id).
 
@@ -299,14 +342,15 @@ def zone_crossmatch(
                 f"other catalog: {zone_slice.cfg} vs {other.cfg}"
             )
     if not leading_slices:
-        return []
+        no_ids = np.empty(0, dtype=np.uint64)
+        return MatchTable(no_ids, no_ids, np.empty(0))
     lead_ids = np.concatenate([s.ids for s in leading_slices])
     lead_ra = np.concatenate([s.ra for s in leading_slices])
     lead_dec = np.concatenate([s.dec for s in leading_slices])
     a, b, sep, _ = _crossmatch_arrays(
         lead_ids, lead_ra, lead_dec, other, spec.radius, candidate_sink
     )
-    return _pairs_from_arrays(a, b, sep)
+    return MatchTable.from_unsorted(a, b, sep)
 
 
 def _brute_force_arrays(
@@ -335,9 +379,7 @@ def _brute_force_arrays(
     )
 
 
-def brute_force_crossmatch(
-    a: ZoneIndex, b: ZoneIndex, radius: float
-) -> list[MatchPair]:
+def brute_force_crossmatch(a: ZoneIndex, b: ZoneIndex, radius: float) -> MatchTable:
     """O(n*m) oracle: every pair compared, no zones, no windows.
 
     Guarded to desk scale; refuses when n*m would exceed 1e8 comparisons.
@@ -350,19 +392,19 @@ def brute_force_crossmatch(
             f"{a.total_count} x {b.total_count} = {n_pairs} comparisons "
             f"exceeds the brute-force guard ({BRUTE_FORCE_PAIR_LIMIT})"
         )
-    return _pairs_from_arrays(*_brute_force_arrays(a, b, radius))
+    return MatchTable.from_unsorted(*_brute_force_arrays(a, b, radius))
 
 
-def best_matches(pairs: Sequence[MatchPair]) -> list[MatchPair]:
+def best_matches(pairs: Sequence[MatchPair]) -> MatchTable:
     """Keep, per leading id, the minimum-separation pair; ties go to the
     lower other_id. Input order does not matter."""
-    best: dict[int, MatchPair] = {}
-    for p in pairs:
-        cur = best.get(p.leading_id)
-        if (
-            cur is None
-            or p.separation < cur.separation
-            or (p.separation == cur.separation and p.other_id < cur.other_id)
-        ):
-            best[p.leading_id] = p
-    return [best[k] for k in sorted(best)]
+    if not isinstance(pairs, MatchTable):  # converted once, at the API edge
+        fields = attrgetter("leading_id", "other_id", "separation")
+        lead, other, sep = zip(*map(fields, pairs)) if pairs else ((), (), ())
+        ids = (np.array(c, dtype=np.uint64) for c in (lead, other))
+        pairs = MatchTable.from_unsorted(*ids, np.array(sep, dtype=np.float64))
+    order = np.lexsort((pairs.other_ids, pairs.separation, pairs.leading_ids))
+    lead_sorted = pairs.leading_ids[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = lead_sorted[1:] != lead_sorted[:-1]
+    return pairs.take(order[first])

@@ -93,3 +93,19 @@ def assert_same_pairs(got, expected, sep_tol=1e-9):
     exp_sep = {(p.leading_id, p.other_id): p.separation for p in expected}
     for p in got:
         assert abs(p.separation - exp_sep[(p.leading_id, p.other_id)]) <= sep_tol
+
+
+def best_matches_reference(pairs):
+    """The per-pair dict loop ``best_matches`` once was, kept as the reference
+    for the columnar version: per leading id the minimum separation, ties to
+    the lower other_id, returned as a list ascending by leading id."""
+    best = {}
+    for p in pairs:
+        cur = best.get(p.leading_id)
+        if (
+            cur is None
+            or p.separation < cur.separation
+            or (p.separation == cur.separation and p.other_id < cur.other_id)
+        ):
+            best[p.leading_id] = p
+    return [best[k] for k in sorted(best)]

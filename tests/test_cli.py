@@ -9,11 +9,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zonequery import cli
+from zonequery import cli, load_index, plan_contiguous, run_xmatch
 from zonequery.cli import main, parse_angle, parse_footprint, parse_worker_list
-from zonequery.cli import UsageError
+from zonequery.cli import MAX_WORKERS, UsageError
+from zonequery.queries import MatchSpec
 from zonequery.synth import Clustered, DecBand, FullSky
+
+from conftest import best_matches_reference
 
 
 ARCSEC = 1.0 / 3600.0
@@ -455,6 +460,140 @@ class TestBenchCommand:
         lines = plot.read_text().splitlines()
         assert lines[0] == "worker_count,elapsed,speedup"
         assert len(lines) == 3
+
+
+CHUNK = cli._CHUNK_ROWS
+_U64 = st.sampled_from([0, 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1])
+_U64 = _U64 | st.integers(0, 2**64 - 1)
+# 0, subnormals, and values where %g switches between fixed and exponent form
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 9.99999999999e-06,
+    9.999999999995e-06, 1.00000000000005e-05, 1e-04, 1e16, 9.9999999999995e15,
+    1e12, 999999999999.5, 1e17, 123456789012.34567,
+]
+_FLOATS = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False)
+_MAGS = _FLOATS | st.sampled_from([float("nan"), -float("nan")])
+# row counts on and around the chunk boundaries, plus small ones
+_LENGTHS = st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+_LENGTHS = _LENGTHS | st.integers(0, 40)
+
+
+def _tile(pool, n):
+    return [pool[i % len(pool)] for i in range(n)]
+
+
+class TestCsvFormatter:
+    """The chunked %-formatter writes what the per-row f-strings wrote."""
+
+    @given(st.lists(st.tuples(_U64, _U64, _FLOATS), min_size=1, max_size=20), _LENGTHS)
+    @settings(max_examples=100, deadline=None)
+    def test_pair_rows(self, pool, n):
+        rows = _tile(pool, n)
+        columns = tuple(
+            np.array([r[k] for r in rows], dtype=dtype)
+            for k, dtype in enumerate((np.uint64, np.uint64, np.float64))
+        )
+        chunks = list(cli._format_rows("%d,%d,%.12g\n", columns))
+        assert len(chunks) == -(-n // CHUNK)
+        assert "".join(chunks) == "".join(f"{i},{j},{x:.12g}\n" for i, j, x in rows)
+
+    @given(st.lists(st.tuples(_U64, _MAGS), min_size=1, max_size=20), _LENGTHS)
+    @settings(max_examples=100, deadline=None)
+    def test_scan_and_cone_rows(self, pool, n):
+        rows = _tile(pool, n)
+        columns = tuple(zip(*rows))
+        scan = "".join(cli._format_rows("%d,%r\n", columns))
+        assert scan == "".join(f"{i},{x!r}\n" for i, x in rows)
+        cone = "".join(cli._format_rows("%d,%.12g\n", columns))
+        assert cone == "".join(f"{i},{x:.12g}\n" for i, x in rows)
+
+
+def _write_pairs_per_row(path, pairs) -> None:
+    """The per-row xmatch writer the CLI once had: the byte reference."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("leading_id,other_id,separation_deg\n")
+        for p in pairs:
+            fh.write(f"{p.leading_id},{p.other_id},{p.separation:.12g}\n")
+
+
+@pytest.fixture(scope="module")
+def tied_catalogs(tmp_path_factory):
+    """Two snapshots on a narrow dec band, dense enough at 30 arcmin for more
+    than one output chunk; 300 rows of each repeat another row's position
+    under a new id, so best-match sees exact separation ties."""
+    tmp = tmp_path_factory.mktemp("tied")
+    rng = np.random.default_rng(77)
+    paths = []
+    for name, n in (("a", 3000), ("b", 2000)):
+        ra = rng.uniform(0.0, 360.0, n)
+        dec = rng.uniform(0.0, 0.5, n)
+        twin = rng.integers(0, n - 300, 300)
+        ra[-300:], dec[-300:] = ra[twin], dec[twin]
+        csv = tmp / f"{name}.csv"
+        rows = enumerate(zip(ra.tolist(), dec.tolist()))
+        body = "".join(f"{i},{x!r},{y!r},9.0\n" for i, (x, y) in rows)
+        csv.write_text("id,ra,dec,r\n" + body)
+        idx = tmp / f"{name}.npz"
+        assert run_cli("ingest", "--in", str(csv), "--out", str(idx)) == 0
+        paths.append(idx)
+    return paths
+
+
+class TestXmatchOutputBytes:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "flags", [(), ("--no-self",), ("--best-match",), ("--no-self", "--best-match")]
+    )
+    @pytest.mark.parametrize("other", [0, 1])
+    def test_equal_to_per_row_writer(self, tied_catalogs, tmp_path, workers, flags,
+                                     other):
+        lead_idx, other_idx = tied_catalogs[0], tied_catalogs[other]
+        out = tmp_path / "new.csv"
+        assert run_cli(
+            "xmatch", "--leading", str(lead_idx), "--other", str(other_idx),
+            "--radius", "30arcmin", "--workers", str(workers), *flags,
+            "--out", str(out),
+        ) == 0
+        leading, oth = load_index(str(lead_idx)), load_index(str(other_idx))
+        plan = plan_contiguous(leading.cfg.zone_count, 1)
+        table, _ = run_xmatch(leading, oth, MatchSpec(radius=0.5), plan)
+        pairs = list(table)
+        if "--no-self" in flags:
+            pairs = [p for p in pairs if p.leading_id != p.other_id]
+        if "--best-match" in flags:
+            pairs = best_matches_reference(pairs)
+        _write_pairs_per_row(tmp_path / "old.csv", pairs)
+        assert out.read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert len(pairs) > CHUNK or "--best-match" in flags
+
+
+class TestWorkerLimit:
+    @pytest.mark.parametrize("command", ["plan", "scan", "cone", "xmatch", "bench"])
+    def test_65_workers_exit_1_before_planning(self, small_setup, tmp_path, capsys,
+                                               monkeypatch, command):
+        _, _, a_idx, _ = small_setup
+        argv = _query_commands(str(a_idx), tmp_path)[command]
+        if "--workers" in argv:
+            argv[argv.index("--workers") + 1] = "1,65" if command == "bench" else "65"
+        else:
+            argv += ["--workers", "65"]
+        planned = []
+        monkeypatch.setattr(cli, "make_plan", lambda *a: planned.append(a))
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        limit = f"--workers 65 is above the limit of {MAX_WORKERS}"
+        assert err == f"zonequery: error: {limit}\n"
+        assert planned == []
+
+    def test_limit_itself_accepted(self, small_setup, capsys):
+        _, _, a_idx, _ = small_setup
+        assert MAX_WORKERS == 64
+        assert parse_worker_list("1,64") == [1, 64]
+        with pytest.raises(UsageError):
+            parse_worker_list("65,1")
+        assert run_cli("plan", "--index", str(a_idx), "--workers", "64") == 0
+        assert json.loads(capsys.readouterr().out)["worker_count"] == 64
 
 
 class TestConsoleEntryPoint:

@@ -137,6 +137,26 @@ class TestRunCone:
         assert scanned[0] == scanned[1] == scanned[2] == 0
         assert scanned[3] > 0
 
+    def test_one_busy_worker_runs_in_calling_thread(self, catalog, monkeypatch):
+        # the cone's zones all belong to the last of 2 contiguous workers: it
+        # runs without a thread pool, and the idle worker reports all zeros
+        from zonequery import executor
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool for one busy worker")
+
+        monkeypatch.setattr(executor, "ThreadPoolExecutor", no_pool)
+        q = ConeQuery(SkyPoint(10.0, 60.0), 1.0)
+        rows, rep = run_cone(catalog, q, plan_contiguous(CFG.zone_count, 2))
+        assert rows == cone_search(catalog, q) and len(rows) > 0
+        idle, busy = rep.workers
+        assert idle == WorkerStats(0, 0.0, idle.cpu_s, 0, 0, 0)
+        assert idle.cpu_s in (0.0, None)
+        assert busy.rows_scanned > 0 and busy.rows_returned == len(rows)
+        assert busy.elapsed_s > 0.0
+        assert rep.max_row.rows_scanned == busy.rows_scanned
+        assert rep.avg_row.rows_scanned == busy.rows_scanned / 2
+
     def test_radius_zero(self, catalog):
         q = ConeQuery(SkyPoint(1.0, 1.0), 0.0)
         rows, _ = run_cone(catalog, q, plan_contiguous(CFG.zone_count, 4))

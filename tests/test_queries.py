@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+from collections import abc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zonequery import (
     ConeQuery,
@@ -18,13 +23,14 @@ from zonequery import (
     scan_filter,
     zone_crossmatch,
 )
-from zonequery.queries import MatchPair
+from zonequery.queries import MatchPair, MatchTable
 from zonequery.executor import run_xmatch
 from zonequery.partition import plan_contiguous
 from zonequery.sphere import MIN_ZONE_HEIGHT_DEG, separation_deg
 
 from conftest import (
     assert_same_pairs,
+    best_matches_reference,
     pair_keys,
     random_sky,
     scenario_pair,
@@ -327,7 +333,86 @@ class TestBruteForce:
         )
 
 
+def table_of(rows):
+    """A MatchTable of (leading_id, other_id, separation) rows, in any order."""
+    lead, other, sep = zip(*rows) if rows else ((), (), ())
+    return MatchTable.from_unsorted(
+        np.array(lead, dtype=np.uint64),
+        np.array(other, dtype=np.uint64),
+        np.array(sep, dtype=np.float64),
+    )
+
+
+class TestMatchTable:
+    ROWS = [(2, 1, 0.5), (1, 3, 0.25), (2**64 - 1, 0, 0.0), (1, 2, 0.125)]
+    CANONICAL = [
+        MatchPair(1, 2, 0.125),
+        MatchPair(1, 3, 0.25),
+        MatchPair(2, 1, 0.5),
+        MatchPair(2**64 - 1, 0, 0.0),
+    ]
+
+    def test_canonical_order_and_indexing(self):
+        t = table_of(self.ROWS)
+        assert len(t) == 4
+        assert [t[i] for i in range(4)] == self.CANONICAL
+        assert t[-1] == MatchPair(2**64 - 1, 0, 0.0)
+        with pytest.raises(IndexError):
+            t[4]
+        assert list(t) == self.CANONICAL
+        assert list(reversed(t)) == self.CANONICAL[::-1]
+        assert MatchPair(1, 3, 0.25) in t
+        assert t.index(MatchPair(2, 1, 0.5)) == 2
+
+    def test_elements_are_python_scalars(self):
+        for p in (*table_of(self.ROWS), table_of(self.ROWS)[3]):
+            assert type(p.leading_id) is int and type(p.other_id) is int
+            assert type(p.separation) is float
+        assert table_of(self.ROWS)[3].leading_id == 2**64 - 1
+
+    def test_equality_against_tables_and_sequences(self):
+        t = table_of(self.ROWS)
+        assert t == table_of(self.ROWS[::-1])
+        assert t == self.CANONICAL and self.CANONICAL == t
+        assert t == tuple(self.CANONICAL)
+        assert t != self.CANONICAL[:3]
+        assert t != self.CANONICAL[::-1]
+        assert t != table_of(self.ROWS[:3])
+        assert t != table_of([(2, 1, 0.5), (1, 3, 0.25), (2**64 - 1, 0, 0.0), (1, 2, 0.1)])
+        assert t != "1,2,0.125"
+        assert table_of([]) == [] and [] == table_of([])
+        assert isinstance(t, abc.Sequence)
+
+    def test_unhashable_and_frozen(self):
+        t = table_of(self.ROWS)
+        with pytest.raises(TypeError):
+            hash(t)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.separation = np.zeros(4)
+
+    def test_take_keeps_order(self):
+        t = table_of(self.ROWS)
+        assert t.take(t.leading_ids != 1) == self.CANONICAL[2:]
+        assert t.take(np.array([0, 3])) == [self.CANONICAL[0], self.CANONICAL[3]]
+
+
+# few ids and separations, so duplicate separations (the tie rule) are common
+_IDS = st.sampled_from([0, 1, 2, 3, 2**63, 2**64 - 1])
+_SEPS = st.sampled_from([0.0, 1e-9, 2.5e-4, 0.01, 0.5]) | st.floats(0.0, 1.0)
+
+
 class TestBestMatches:
+    @given(st.lists(st.tuples(_IDS, _IDS, _SEPS), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_columnar_equals_dict_loop(self, rows):
+        pairs = [MatchPair(*r) for r in rows]
+        expected = best_matches_reference(pairs)
+        got = best_matches(pairs)
+        assert isinstance(got, MatchTable)
+        assert got == expected
+        assert best_matches(table_of(rows)) == expected
+
+
     def test_keeps_minimum_separation_with_id_tiebreak(self):
         pairs = [
             MatchPair(1, 5, 0.002),
