@@ -50,7 +50,6 @@ from .queries import (
 )
 from .executor import (
     ExecutionReport,
-    StatsSummary,
     WorkerStats,
     aggregate,
     run_cone,

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import zipfile
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -54,6 +56,9 @@ _V2_MEMBERS = frozenset(
 
 # fraction of rejected rows above which ingestion fails outright
 MAX_REJECT_FRACTION = 0.01
+
+# CSV rows formatted per write: one format call per chunk, bounded memory
+_CHUNK_ROWS = 8192
 
 
 class IngestError(ValueError):
@@ -96,7 +101,6 @@ class ZoneIndex:
         ra: np.ndarray,
         dec: np.ndarray,
         mags: np.ndarray,
-        zone: np.ndarray,
         zone_starts: np.ndarray,
     ) -> None:
         self.name = name
@@ -106,9 +110,9 @@ class ZoneIndex:
         self.ra = ra
         self.dec = dec
         self.mags = mags
-        self.zone = zone
         self.zone_starts = zone_starts
-        self.ra_key = zone.astype(np.float64) * KEY_BAND + ra
+        zone_base = np.arange(cfg.zone_count, dtype=np.float64) * KEY_BAND
+        self.ra_key = np.repeat(zone_base, np.diff(zone_starts)) + ra
 
     @property
     def total_count(self) -> int:
@@ -124,26 +128,19 @@ class ZoneIndex:
             raise ValueError(f"unknown band {band!r}; catalog has {list(self.bands)}")
         return self.mags[:, self.bands.index(band)]
 
-    def zone_extent(self, zone: ZoneId) -> tuple[int, int]:
-        return int(self.zone_starts[zone]), int(self.zone_starts[zone + 1])
-
-    def slice(self, zone: ZoneId) -> ZoneSlice:
-        a, b = self.zone_extent(zone)
-        return ZoneSlice(
-            zone=zone,
-            cfg=self.cfg,
-            bands=self.bands,
-            ids=self.ids[a:b],
-            ra=self.ra[a:b],
-            dec=self.dec[a:b],
-            mags=self.mags[a:b],
-        )
-
     def slices(self) -> Iterator[ZoneSlice]:
         """Non-empty slices in zone order."""
-        counts = np.diff(self.zone_starts)
-        for zone in np.nonzero(counts)[0]:
-            yield self.slice(int(zone))
+        for zone in np.flatnonzero(np.diff(self.zone_starts)).tolist():
+            a, b = self.zone_starts[zone : zone + 2].tolist()
+            yield ZoneSlice(
+                zone=zone,
+                cfg=self.cfg,
+                bands=self.bands,
+                ids=self.ids[a:b],
+                ra=self.ra[a:b],
+                dec=self.dec[a:b],
+                mags=self.mags[a:b],
+            )
 
 
 @dataclass(frozen=True)
@@ -198,7 +195,7 @@ def build_index(
     order = np.lexsort((ids, ra, zone))
     ids, ra, dec, zone, mags = ids[order], ra[order], dec[order], zone[order], mags[order]
     zone_starts = np.searchsorted(zone, np.arange(cfg.zone_count + 1))
-    return ZoneIndex(name, cfg, bands, ids, ra, dec, mags, zone, zone_starts)
+    return ZoneIndex(name, cfg, bands, ids, ra, dec, mags, zone_starts)
 
 
 def _has_duplicates(ids: np.ndarray) -> bool:
@@ -353,6 +350,29 @@ def ingest_csv(
     )
 
 
+def _format_rows(row_format: str, columns: Sequence) -> Iterator[str]:
+    """The rows of ``columns`` (equal-length arrays or tuples; none for no
+    rows), each formatted by ``row_format``, one string per _CHUNK_ROWS rows."""
+    for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
+        chunk = [col[start : start + _CHUNK_ROWS] for col in columns]
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk))
+        yield row_format * len(chunk[0]) % tuple(chain.from_iterable(rows))
+
+
+def _write_csv(path: str | Path | None, header: str, row_format: str, columns) -> None:
+    """Write a CSV: ``header``, then ``columns`` formatted row by row with
+    ``row_format``; to stdout for a path of None or "-". Catalogs and query
+    results are both written here."""
+    to_stdout = path is None or path == "-"
+    fh = sys.stdout if to_stdout else open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        fh.write(header)
+        fh.writelines(_format_rows(row_format, columns))
+    finally:
+        if not to_stdout:
+            fh.close()
+
+
 def histogram(index: ZoneIndex) -> ZoneHistogram:
     """Per-zone object counts for the whole index."""
     return ZoneHistogram(np.diff(index.zone_starts).astype(np.int64))
@@ -392,7 +412,9 @@ def load_index(path: str | Path) -> ZoneIndex:
     if not path.exists():
         raise SnapshotFormatError(f"no such file: {path}")
     try:
-        with np.load(path, allow_pickle=False) as data:
+        # our own handle: np.load(path) leaves its file open when the
+        # archive is unreadable
+        with path.open("rb") as fh, np.load(fh, allow_pickle=False) as data:
             if "version" not in data:
                 raise SnapshotFormatError(f"{path}: not a zonequery index snapshot")
             version = int(data["version"])
@@ -461,4 +483,4 @@ def _checked_v2(
         raise bad("zone_starts disagree with the zones of dec")
     if _has_duplicates(ids):
         raise bad("duplicate object ids")
-    return ZoneIndex(name, cfg, bands, ids, ra, dec, mags, zone, zone_starts)
+    return ZoneIndex(name, cfg, bands, ids, ra, dec, mags, zone_starts)

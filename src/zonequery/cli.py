@@ -16,13 +16,13 @@ import re
 import statistics
 import sys
 import time
-from itertools import chain
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
-import numpy as np
-
-from .catalog import (
+from .catalog import (  # _CHUNK_ROWS and _format_rows stay reachable for tests
+    _CHUNK_ROWS,
+    _format_rows,
+    _write_csv,
     IngestError,
     SnapshotFormatError,
     ZoneIndex,
@@ -41,9 +41,6 @@ __all__ = ["main"]
 
 # the most workers a command accepts: each busy worker is one thread
 MAX_WORKERS = 64
-
-# rows formatted per write: one format call per chunk, bounded memory
-_CHUNK_ROWS = 8192
 
 
 class UsageError(Exception):
@@ -150,18 +147,14 @@ def _normalize_strategy(text: str) -> str:
     return strategy
 
 
-def _load(path: str) -> ZoneIndex:
-    return load_index(path)
-
-
 def _load_pair(leading: str, other: str) -> tuple[ZoneIndex, ZoneIndex]:
     """Load the two indexes of a cross-match; a self-match loads its file once."""
-    lead = _load(leading)
+    lead = load_index(leading)
     try:
         same = os.path.samefile(leading, other)
     except OSError:  # other is missing; its own load reports that
         same = False
-    return lead, (lead if same else _load(other))
+    return lead, (lead if same else load_index(other))
 
 
 def _plan_for(index: ZoneIndex, strategy: str, workers: int):
@@ -171,27 +164,6 @@ def _plan_for(index: ZoneIndex, strategy: str, workers: int):
         return make_plan(strategy, index.cfg.zone_count, workers, hist)
     except ValueError as exc:  # bad worker count typed on the command line
         raise UsageError(str(exc)) from None
-
-
-def _format_rows(row_format: str, columns: Sequence) -> Iterator[str]:
-    """The rows of ``columns`` (equal-length arrays or tuples; none for no
-    rows), each formatted by ``row_format``, one string per _CHUNK_ROWS rows."""
-    for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
-        chunk = [col[start : start + _CHUNK_ROWS] for col in columns]
-        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk))
-        yield row_format * len(chunk[0]) % tuple(chain.from_iterable(rows))
-
-
-def _write_csv(path: str | None, header: str, row_format: str, columns) -> None:
-    """Write a CSV to ``path``, or to stdout for None or "-"."""
-    to_stdout = path is None or path == "-"
-    fh = sys.stdout if to_stdout else open(path, "w", encoding="utf-8", newline="\n")
-    try:
-        fh.write(header)
-        fh.writelines(_format_rows(row_format, columns))
-    finally:
-        if not to_stdout:
-            fh.close()
 
 
 def _write_stats(path: str | None, report_json: str) -> None:
@@ -238,53 +210,44 @@ def _cmd_plan(args) -> int:
     strategy = _normalize_strategy(args.strategy)
     if args.format == "table" and not args.report:
         raise UsageError("--format table requires --report")
-    index = _load(args.index)
+    index = load_index(args.index)
     plan = _plan_for(index, strategy, args.workers)
     if not args.report:
         print(plan.to_json())
         return 0
-    rep = report(plan, histogram(index))
+    # the leading choices: the index, and --other when given
+    choices = [(index, plan)]
     if args.other:
-        other = _load(args.other)
+        other = load_index(args.other)
         if other.cfg != index.cfg:
             raise ValueError(
                 f"indexes use different zone configurations: {index.cfg} vs {other.cfg}"
             )
-        other_plan = _plan_for(other, strategy, args.workers)
-        other_rep = report(other_plan, histogram(other))
-        if args.format == "table":
-            print(f"leading: {index.name}")
-            print(rep.to_text())
-            print()
-            print(f"leading: {other.name}")
-            print(other_rep.to_text())
-            return 0
-        payload = {
-            "leading": {
-                "catalog": index.name,
-                "plan": json.loads(plan.to_json()),
-                "report": json.loads(rep.to_json()),
-            },
-            "other_leading": {
-                "catalog": other.name,
-                "plan": json.loads(other_plan.to_json()),
-                "report": json.loads(other_rep.to_json()),
-            },
-        }
-    else:
-        if args.format == "table":
-            print(rep.to_text())
-            return 0
-        payload = {
-            "plan": json.loads(plan.to_json()),
+        choices.append((other, _plan_for(other, strategy, args.workers)))
+    payload, tables = {}, []
+    for key, (leading, leading_plan) in zip(("leading", "other_leading"), choices):
+        rep = report(leading_plan, histogram(leading))
+        entry = {
+            "plan": json.loads(leading_plan.to_json()),
             "report": json.loads(rep.to_json()),
         }
-    print(json.dumps(payload, sort_keys=True))
+        table = rep.to_text()
+        if args.other:  # name each choice
+            entry["catalog"] = leading.name
+            table = f"leading: {leading.name}\n{table}"
+        payload[key] = entry
+        tables.append(table)
+    if not args.other:
+        payload = payload["leading"]
+    if args.format == "table":
+        print("\n\n".join(tables))
+    else:
+        print(json.dumps(payload, sort_keys=True))
     return 0
 
 
 def _cmd_scan(args) -> int:
-    index = _load(args.index)
+    index = load_index(args.index)
     strategy = _normalize_strategy(args.strategy)
     plan = _plan_for(index, strategy, args.workers)
     try:
@@ -298,7 +261,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_cone(args) -> int:
-    index = _load(args.index)
+    index = load_index(args.index)
     strategy = _normalize_strategy(args.strategy)
     plan = _plan_for(index, strategy, args.workers)
     try:
@@ -362,11 +325,8 @@ def _cmd_bench_xmatch(args) -> int:
     Path(args.out).write_text(json.dumps(payload, sort_keys=True) + "\n",
                               encoding="utf-8")
     if args.plot_csv:
-        lines = ["worker_count,elapsed,speedup"]
-        lines.extend(
-            f"{r['workers']},{r['median_s']!r},{r['speedup']!r}" for r in runs
-        )
-        Path(args.plot_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        columns = [[r[key] for r in runs] for key in ("workers", "median_s", "speedup")]
+        _write_csv(args.plot_csv, "worker_count,elapsed,speedup\n", "%d,%r,%r\n", columns)
     for r in runs:
         print(
             f"workers={r['workers']} median={r['median_s']:.4f}s "
@@ -376,13 +336,16 @@ def _cmd_bench_xmatch(args) -> int:
     return 0
 
 
-def _add_parallel_flags(p: argparse.ArgumentParser) -> None:
+def _add_query_flags(p: argparse.ArgumentParser) -> None:
+    """The flags scan, cone and xmatch share: parallelism and outputs."""
     p.add_argument("--workers", type=int, default=1, help="worker count (default 1)")
     p.add_argument(
         "--strategy",
         default="contiguous",
         help="contiguous | round-robin | density (default contiguous)",
     )
+    p.add_argument("--out", help="result CSV (default stdout)")
+    p.add_argument("--stats", help="write per-worker stats JSON here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -425,9 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band", default="r")
     p.add_argument("--between", type=float, nargs=2, default=[9.0, 10.0],
                    metavar=("LO", "HI"))
-    _add_parallel_flags(p)
-    p.add_argument("--out", help="result CSV (default stdout)")
-    p.add_argument("--stats", help="write per-worker stats JSON here")
+    _add_query_flags(p)
     p.set_defaults(fn=_cmd_scan)
 
     p = sub.add_parser("cone", help="cone search around a sky position")
@@ -435,22 +396,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ra", required=True, help="e.g. 180deg")
     p.add_argument("--dec", required=True, help="e.g. -12.5deg")
     p.add_argument("--radius", required=True, help="e.g. 1arcmin")
-    _add_parallel_flags(p)
-    p.add_argument("--out", help="result CSV (default stdout)")
-    p.add_argument("--stats", help="write per-worker stats JSON here")
+    _add_query_flags(p)
     p.set_defaults(fn=_cmd_cone)
 
     p = sub.add_parser("xmatch", help="radius cross-match of two catalogs")
     p.add_argument("--leading", required=True, help="index whose zones drive partitioning")
     p.add_argument("--other", required=True, help="index replicated to all workers")
     p.add_argument("--radius", required=True, help="e.g. 10arcsec")
-    _add_parallel_flags(p)
+    _add_query_flags(p)
     p.add_argument("--best-match", action="store_true",
                    help="keep only the closest pair per leading object")
     p.add_argument("--no-self", action="store_true",
                    help="drop identity pairs (leading_id == other_id)")
-    p.add_argument("--out", help="result CSV (default stdout)")
-    p.add_argument("--stats", help="write per-worker stats JSON here")
     p.set_defaults(fn=_cmd_xmatch)
 
     p = sub.add_parser("bench", help="benchmark harness")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,7 +37,6 @@ from .sphere import zone_of_array
 
 __all__ = [
     "WorkerStats",
-    "StatsSummary",
     "ExecutionReport",
     "aggregate",
     "run_scan",
@@ -55,10 +54,11 @@ class WorkerStats:
     or cross-match examines before the exact separation filter.
     ``bytes_read`` is modelled, not measured I/O: rows_scanned x 8 * (3 +
     bands), the width of a stored row of the scanned index. A worker whose
-    share holds no rows reports an all-zero row.
+    share holds no rows reports an all-zero row. The aggregate rows of
+    :func:`aggregate` are labelled "MAX" and "AVG" instead of a worker index.
     """
 
-    worker: int
+    worker: int | str
     elapsed_s: float
     cpu_s: float | None
     rows_scanned: int
@@ -66,89 +66,51 @@ class WorkerStats:
     bytes_read: int
 
 
-@dataclass(frozen=True)
-class StatsSummary:
-    """Component-wise aggregate over workers (the MAX / AVG report rows)."""
-
-    elapsed_s: float
-    cpu_s: float | None
-    rows_scanned: float
-    rows_returned: float
-    bytes_read: float
+# the counters of a stats row, each aggregated into the MAX and AVG rows
+_COUNTERS = ("elapsed_s", "cpu_s", "rows_scanned", "rows_returned", "bytes_read")
 
 
-def aggregate(stats: Sequence[WorkerStats]) -> tuple[StatsSummary, StatsSummary]:
-    """Component-wise maximum and arithmetic mean over worker rows."""
+def aggregate(stats: Sequence[WorkerStats]) -> tuple[WorkerStats, WorkerStats]:
+    """Component-wise maximum and arithmetic mean over worker rows, as rows
+    labelled "MAX" and "AVG"; cpu_s is None unless every worker has one."""
     if not stats:
         raise ValueError("aggregate needs at least one worker row")
-    cpus = [s.cpu_s for s in stats]
-    have_cpu = all(c is not None for c in cpus)
-    max_row = StatsSummary(
-        elapsed_s=max(s.elapsed_s for s in stats),
-        cpu_s=max(cpus) if have_cpu else None,
-        rows_scanned=max(s.rows_scanned for s in stats),
-        rows_returned=max(s.rows_returned for s in stats),
-        bytes_read=max(s.bytes_read for s in stats),
-    )
-    n = len(stats)
-    avg_row = StatsSummary(
-        elapsed_s=sum(s.elapsed_s for s in stats) / n,
-        cpu_s=sum(cpus) / n if have_cpu else None,
-        rows_scanned=sum(s.rows_scanned for s in stats) / n,
-        rows_returned=sum(s.rows_returned for s in stats) / n,
-        bytes_read=sum(s.bytes_read for s in stats) / n,
-    )
-    return max_row, avg_row
+    max_row, avg_row = {}, {}
+    for name in _COUNTERS:
+        values = [getattr(s, name) for s in stats]
+        known = None not in values
+        max_row[name] = max(values) if known else None
+        avg_row[name] = sum(values) / len(values) if known else None
+    return WorkerStats("MAX", **max_row), WorkerStats("AVG", **avg_row)
 
 
 @dataclass(frozen=True)
 class ExecutionReport:
-    worker_count: int
     workers: tuple[WorkerStats, ...]
-    max_row: StatsSummary
-    avg_row: StatsSummary
     total_elapsed_s: float
 
-    def to_json(self) -> str:
-        def row(s: WorkerStats | StatsSummary, label: object) -> dict:
-            return {
-                "worker": label,
-                "elapsed_s": s.elapsed_s,
-                "cpu_s": s.cpu_s,
-                "rows_scanned": s.rows_scanned,
-                "rows_returned": s.rows_returned,
-                "bytes_read": s.bytes_read,
-            }
+    @property
+    def worker_count(self) -> int:
+        return len(self.workers)
 
+    @property
+    def max_row(self) -> WorkerStats:
+        return aggregate(self.workers)[0]
+
+    @property
+    def avg_row(self) -> WorkerStats:
+        return aggregate(self.workers)[1]
+
+    def to_json(self) -> str:
+        max_row, avg_row = aggregate(self.workers)
         payload = {
             "worker_count": self.worker_count,
             "total_elapsed_s": self.total_elapsed_s,
-            "workers": [row(s, s.worker) for s in self.workers],
-            "max": row(self.max_row, "MAX"),
-            "avg": row(self.avg_row, "AVG"),
+            "workers": [asdict(s) for s in self.workers],
+            "max": asdict(max_row),
+            "avg": asdict(avg_row),
         }
         return json.dumps(payload, sort_keys=True)
-
-    def to_text(self) -> str:
-        header = (
-            f"{'worker':>8} {'elapsed_s':>12} {'cpu_s':>10} "
-            f"{'rows_scanned':>14} {'rows_returned':>14} {'bytes_read':>12}"
-        )
-
-        def fmt(label: object, s: WorkerStats | StatsSummary) -> str:
-            cpu = f"{s.cpu_s:.4f}" if s.cpu_s is not None else "-"
-            return (
-                f"{label!s:>8} {s.elapsed_s:>12.4f} {cpu:>10} "
-                f"{s.rows_scanned:>14.0f} {s.rows_returned:>14.0f} "
-                f"{s.bytes_read:>12.0f}"
-            )
-
-        lines = [header]
-        lines.extend(fmt(s.worker, s) for s in self.workers)
-        lines.append(fmt("MAX", self.max_row))
-        lines.append(fmt("AVG", self.avg_row))
-        lines.append(f"total elapsed: {self.total_elapsed_s:.4f}s")
-        return "\n".join(lines)
 
 
 def _check_plan(index: ZoneIndex, plan: PartitionPlan) -> None:
@@ -236,15 +198,7 @@ def _execute(
     # no busy worker: typed empty columns for the merge
     results = [result for result, _ in done] or [work([(0, 0)])[0]]
     merged = merge(*(np.concatenate(parts) for parts in zip(*results)))
-    max_row, avg_row = aggregate(stats)
-    report = ExecutionReport(
-        worker_count=plan.worker_count,
-        workers=tuple(stats),
-        max_row=max_row,
-        avg_row=avg_row,
-        total_elapsed_s=time.perf_counter() - t0,
-    )
-    return merged, report
+    return merged, ExecutionReport(tuple(stats), time.perf_counter() - t0)
 
 
 def run_scan(

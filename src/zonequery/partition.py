@@ -73,19 +73,6 @@ class PartitionPlan:
         }
         return json.dumps(payload, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "PartitionPlan":
-        payload = json.loads(text)
-        assignment = np.empty(payload["zone_count"], dtype=np.int64)
-        for start, stop, worker in payload["runs"]:
-            assignment[start:stop] = worker
-        return cls(
-            strategy=payload["strategy"],
-            worker_count=payload["worker_count"],
-            zone_count=payload["zone_count"],
-            assignment=assignment,
-        )
-
 
 def _check_workers(worker_count: int) -> None:
     if worker_count < 1:

@@ -49,6 +49,9 @@ __all__ = [
 # Padding only adds false candidates; the exact filter removes them.
 WINDOW_PAD_DEG = 1e-7
 
+# sanity cap on a cross-match radius, degrees
+MAX_MATCH_RADIUS_DEG = 10.0
+
 # brute-force oracle refuses above this many pairwise comparisons
 BRUTE_FORCE_PAIR_LIMIT = 10**8
 
@@ -88,14 +91,13 @@ class MatchSpec:
 
     radius: float
     leading: str | None = None
-    radius_cap: float = 10.0
 
     def __post_init__(self) -> None:
         if not self.radius > 0.0:
             raise ValueError(f"match radius must be > 0, got {self.radius!r}")
-        if self.radius > self.radius_cap:
+        if self.radius > MAX_MATCH_RADIUS_DEG:
             raise ValueError(
-                f"match radius {self.radius!r} above sanity cap {self.radius_cap!r}"
+                f"match radius {self.radius!r} above sanity cap {MAX_MATCH_RADIUS_DEG!r}"
             )
 
 

@@ -8,14 +8,13 @@ assignments visibly lopsided.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .catalog import ZoneIndex, build_index
+from .catalog import ZoneIndex, _write_csv, build_index
 from .sphere import ZoneConfig
 
 __all__ = [
@@ -130,11 +129,6 @@ def generate_index(
 def write_csv(spec: SyntheticSpec, path: str | Path) -> None:
     """Write a catalog CSV in the ingest format; same spec, same bytes."""
     ids, ra, dec, mags = generate_columns(spec)
-    header = "id,ra,dec" + "".join(f",{b.name}" for b in spec.bands)
-    buf = io.StringIO()
-    buf.write(header + "\n")
-    for i in range(len(ids)):
-        row = [str(int(ids[i])), repr(float(ra[i])), repr(float(dec[i]))]
-        row.extend(repr(float(v)) for v in mags[i])
-        buf.write(",".join(row) + "\n")
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    header = "id,ra,dec" + "".join(f",{b.name}" for b in spec.bands) + "\n"
+    row_format = "%d,%r,%r" + ",%r" * len(spec.bands) + "\n"
+    _write_csv(path, header, row_format, (ids, ra, dec, *mags.T))

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import gc
 import math
 import struct
+import warnings
 import zipfile
 
 import numpy as np
@@ -23,7 +25,7 @@ from zonequery import (
 )
 from zonequery import catalog
 from zonequery.queries import WINDOW_PAD_DEG, _zone_join
-from zonequery.sphere import ra_halfwidth_array
+from zonequery.sphere import ra_halfwidth_array, zone_of_array
 
 from conftest import random_sky
 
@@ -182,7 +184,7 @@ class TestIndexStructure:
         rows = ["5,10.0,0.01,9", "3,10.0,0.02,9", "9,10.0,0.03,9", "1,9.0,0.015,9"]
         f = write_rows(tmp_path / "ties.csv", rows, header="id,ra,dec,r")
         index = ingest_csv(f, cfg=CFG)
-        s = index.slice(zone_of(0.02, CFG))
+        (s,) = [s for s in index.slices() if s.zone == zone_of(0.02, CFG)]
         assert s.ra.tolist() == [9.0, 10.0, 10.0, 10.0]
         assert s.ids.tolist() == [1, 3, 5, 9]
 
@@ -195,7 +197,7 @@ class TestIndexStructure:
         ]
         f = write_rows(tmp_path / "cat.csv", rows, header="id,ra,dec,r")
         a, b = ingest_csv(f, cfg=CFG), ingest_csv(f, cfg=CFG)
-        for attr in ("ids", "ra", "dec", "mags", "zone", "zone_starts", "ra_key"):
+        for attr in ("ids", "ra", "dec", "mags", "zone_starts", "ra_key"):
             assert np.array_equal(getattr(a, attr), getattr(b, attr))
 
     def test_every_object_in_its_zone(self, tmp_path):
@@ -204,6 +206,18 @@ class TestIndexStructure:
         index = build_index("t", CFG, np.arange(5000, dtype=np.uint64), ra, dec)
         for s in index.slices():
             assert all(zone_of(float(d), CFG) == s.zone for d in s.dec)
+
+    def test_ra_key_is_zone_key_band_plus_ra(self, tmp_path):
+        rng = np.random.default_rng(24)
+        ra, dec = random_sky(rng, 5000)
+        ra[:50] = np.nextafter(360.0, 0.0)  # keys that round up to the band's end
+        built = build_index("t", CFG, np.arange(5000, dtype=np.uint64), ra, dec)
+        save_index(built, tmp_path / "t.idx")
+        for index in (built, load_index(tmp_path / "t.idx")):
+            zone = zone_of_array(index.dec, CFG)
+            expected = zone.astype(np.float64) * catalog.KEY_BAND + index.ra
+            assert index.ra_key.dtype == np.float64
+            assert index.ra_key.tobytes() == expected.tobytes()
 
     def test_duplicate_ids_rejected_by_build(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -311,7 +325,7 @@ class TestSnapshot:
         assert loaded.name == "snap"
         assert loaded.cfg == index.cfg
         assert loaded.bands == ("r", "g")
-        for attr in ("ids", "ra", "dec", "zone", "zone_starts", "ra_key"):
+        for attr in ("ids", "ra", "dec", "zone_starts", "ra_key"):
             assert np.array_equal(getattr(loaded, attr), getattr(index, attr))
         assert np.array_equal(loaded.mags, index.mags, equal_nan=True)
 
@@ -420,7 +434,7 @@ class TestSnapshotV2:
 
         monkeypatch.setattr(catalog, "build_index", no_rebuild)
         loaded = load_index(path)
-        for attr in ("ids", "ra", "dec", "mags", "zone", "zone_starts", "ra_key"):
+        for attr in ("ids", "ra", "dec", "mags", "zone_starts", "ra_key"):
             assert np.array_equal(getattr(loaded, attr), getattr(built, attr))
         assert (loaded.name, loaded.cfg, loaded.bands) == ("v2", CFG, ("r", "g"))
 
@@ -449,7 +463,7 @@ class TestSnapshotV2:
         loaded = load_index(path)
         expected = build_index("old", CFG, ids, ra, dec, mags, ("r",))
         assert (loaded.name, loaded.cfg, loaded.bands) == ("old", CFG, ("r",))
-        for attr in ("ids", "ra", "dec", "mags", "zone", "zone_starts", "ra_key"):
+        for attr in ("ids", "ra", "dec", "mags", "zone_starts", "ra_key"):
             assert np.array_equal(getattr(loaded, attr), getattr(expected, attr))
 
     @pytest.mark.parametrize("breaker, reason", [
@@ -485,6 +499,17 @@ class TestSnapshotV2:
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         with pytest.raises(SnapshotFormatError, match="unreadable"):
             load_index(path)
+
+    def test_truncated_file_is_closed(self, built, tmp_path):
+        path = tmp_path / "cut.idx"
+        save_index(built, path)
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SnapshotFormatError):
+                load_index(path)
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_flipped_byte_fails_member_crc(self, built, tmp_path):
         path = tmp_path / "flip.idx"

@@ -323,6 +323,113 @@ class TestPlanCommand:
         assert code == 1
 
 
+_PLAN_A = (
+    '{"runs": [[0, 3, 1], [3, 4, 0], [4, 5, 1], [5, 6, 0]], "strategy": "density", '
+    '"worker_count": 2, "zone_count": 6}'
+)
+_REPORT_A = '{"avg_count": 2.5, "counts": [3, 2], "imbalance": 1.2, "max_count": 3}'
+_PLAN_B = (
+    '{"runs": [[0, 1, 1], [1, 2, 0], [2, 6, 1]], "strategy": "density", '
+    '"worker_count": 2, "zone_count": 6}'
+)
+_REPORT_B = (
+    '{"avg_count": 1.5, "counts": [2, 1], "imbalance": 1.3333333333333333, '
+    '"max_count": 2}'
+)
+_TABLE_A = (
+    "  worker       objects\n       0             3\n       1             2\n"
+    "     MAX             3\n     AVG           2.5\nimbalance (max/avg): 1.200\n"
+)
+_TABLE_B = (
+    "  worker       objects\n       0             2\n       1             1\n"
+    "     MAX             2\n     AVG           1.5\nimbalance (max/avg): 1.333\n"
+)
+
+
+class TestPlanOutputBytes:
+    """The exact stdout of ``plan --report`` in its four modes, on two tiny
+    catalogs with 30deg zones (six zones)."""
+
+    @pytest.fixture()
+    def tiny(self, tmp_path):
+        a_csv, b_csv = tmp_path / "a.csv", tmp_path / "b.csv"
+        a_csv.write_text(
+            "id,ra,dec,r\n1,10.0,-80.0,9.5\n2,20.0,-10.0,9.0\n3,30.0,5.0,8.0\n"
+            "4,40.0,5.5,\n5,350.0,75.0,12.0\n"
+        )
+        b_csv.write_text("id,ra,dec\n7,1.0,-45.0\n8,2.0,-44.0\n9,3.0,89.0\n")
+        for name in ("a", "b"):
+            assert run_cli(
+                "ingest", "--in", str(tmp_path / f"{name}.csv"),
+                "--zone-height", "30deg", "--out", str(tmp_path / f"{name}.idx"),
+            ) == 0
+        return str(tmp_path / "a.idx"), str(tmp_path / "b.idx")
+
+    @pytest.mark.parametrize("fmt, other, expected", [
+        ("json", False, f'{{"plan": {_PLAN_A}, "report": {_REPORT_A}}}\n'),
+        ("json", True,
+         f'{{"leading": {{"catalog": "a", "plan": {_PLAN_A}, "report": {_REPORT_A}}}, '
+         f'"other_leading": {{"catalog": "b", "plan": {_PLAN_B}, '
+         f'"report": {_REPORT_B}}}}}\n'),
+        ("table", False, _TABLE_A),
+        ("table", True, f"leading: a\n{_TABLE_A}\nleading: b\n{_TABLE_B}"),
+    ])
+    def test_report_bytes(self, tiny, capsys, fmt, other, expected):
+        a_idx, b_idx = tiny
+        argv = ["plan", "--index", a_idx, "--workers", "2", "--strategy", "density",
+                "--report", "--format", fmt]
+        if other:
+            argv += ["--other", b_idx]
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == expected
+
+
+_STATS_COUNTERS = ("elapsed_s", "rows_scanned", "rows_returned", "bytes_read")
+
+
+class TestStatsJson:
+    """``--stats`` JSON of the three query commands: its keys, and MAX / AVG
+    rows holding the workers' maximum (ints stay ints) and mean (floats)."""
+
+    @pytest.mark.parametrize("command", ["scan", "cone", "xmatch"])
+    def test_shape_and_summary_rows(self, small_setup, tmp_path, command):
+        _, _, a_idx, b_idx = small_setup
+        stats = tmp_path / "stats.json"
+        argv = {
+            "scan": ["scan", "--index", str(a_idx)],
+            "cone": ["cone", "--index", str(a_idx), "--ra", "10deg", "--dec", "5deg",
+                     "--radius", "20deg"],
+            "xmatch": ["xmatch", "--leading", str(a_idx), "--other", str(b_idx),
+                       "--radius", "30arcmin"],
+        }[command]
+        assert run_cli(*argv, "--workers", "3", "--strategy", "round-robin",
+                       "--out", str(tmp_path / "out.csv"), "--stats", str(stats)) == 0
+        payload = json.loads(stats.read_text())
+        assert set(payload) == {"worker_count", "total_elapsed_s", "workers", "max", "avg"}
+        assert payload["worker_count"] == 3
+        rows = payload["workers"]
+        keys = {"worker", "cpu_s", *_STATS_COUNTERS}
+        assert [r["worker"] for r in rows] == [0, 1, 2]
+        assert all(set(r) == keys for r in (*rows, payload["max"], payload["avg"]))
+        mx, avg = payload["max"], payload["avg"]
+        assert (mx["worker"], avg["worker"]) == ("MAX", "AVG")
+        assert sum(r["rows_returned"] for r in rows) > 0
+        for name in _STATS_COUNTERS:
+            values = [r[name] for r in rows]
+            assert mx[name] == max(values)
+            assert avg[name] == sum(values) / 3
+            assert type(avg[name]) is float
+        for name in ("rows_scanned", "rows_returned", "bytes_read"):
+            assert type(mx[name]) is int
+        cpus = [r["cpu_s"] for r in rows]
+        if None in cpus:  # no per-thread CPU clock on this platform
+            assert mx["cpu_s"] is None and avg["cpu_s"] is None
+        else:
+            assert mx["cpu_s"] == max(cpus)
+            assert avg["cpu_s"] == sum(cpus) / 3
+
+
 class TestXmatchCommand:
     def test_one_vs_eight_workers_byte_identical(self, small_setup, tmp_path):
         _, _, a_idx, b_idx = small_setup

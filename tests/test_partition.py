@@ -14,7 +14,6 @@ from zonequery import (
     plan_round_robin,
     report,
 )
-from zonequery.partition import PartitionPlan
 
 ZC = ZoneConfig().zone_count  # 2700
 
@@ -159,13 +158,6 @@ class TestPlanInvariants:
     def test_density_requires_histogram(self):
         with pytest.raises(ValueError, match="histogram"):
             make_plan("density", 10, 2)
-
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(33)
-        counts = rng.integers(0, 50, 100)
-        for strategy in ("contiguous", "round_robin", "density"):
-            plan = make_plan(strategy, 100, 5, hist_of(counts))
-            assert PartitionPlan.from_json(plan.to_json()) == plan
 
 
 class TestReport:

@@ -22,6 +22,7 @@ from zonequery import (
     cone_search,
     scan_filter,
     zone_crossmatch,
+    zone_of,
 )
 from zonequery.queries import MatchPair, MatchTable
 from zonequery.executor import run_xmatch
@@ -236,7 +237,7 @@ class TestZoneCrossmatch:
         ra_victim = float(np.nextafter(360.0, 0.0))
         a = index_from("a", [0.0], [0.01])
         b = index_from("b", [ra_victim], [0.01])
-        assert b.ra_key[0] == b.zone[0] * 512.0 + 360.0
+        assert b.ra_key[0] == zone_of(0.01, CFG) * 512.0 + 360.0
         got = zone_crossmatch(list(a.slices()), b, MatchSpec(radius=ARCMIN))
         assert got == brute_force_crossmatch(a, b, ARCMIN)
         assert len(got) == 1
@@ -292,9 +293,9 @@ class TestZoneCrossmatch:
         assert zone_crossmatch(list(full.slices()), empty, spec) == []
 
     def test_radius_cap_enforced(self):
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(ValueError, match="match radius 11.0 above sanity cap 10.0"):
             MatchSpec(radius=11.0)
-        assert MatchSpec(radius=11.0, radius_cap=20.0).radius == 11.0
+        assert MatchSpec(radius=10.0).radius == 10.0
         with pytest.raises(ValueError):
             MatchSpec(radius=0.0)
 

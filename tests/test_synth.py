@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from zonequery import (
     BandSpec,
@@ -18,6 +19,7 @@ from zonequery import (
     write_csv,
     zone_of,
 )
+from zonequery.catalog import _CHUNK_ROWS
 
 CFG = ZoneConfig()
 
@@ -35,6 +37,18 @@ class TestReproducibility:
         write_csv(SyntheticSpec(count=100, seed=1), a)
         write_csv(SyntheticSpec(count=100, seed=2), b)
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize("count", [0, 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("bands", [0, 1, 3])
+    def test_bytes_equal_per_row_writer(self, tmp_path, count, bands):
+        spec = SyntheticSpec(
+            count=count,
+            bands=tuple(BandSpec(f"b{k}", 5.0 + k, 15.0 + k) for k in range(bands)),
+            seed=9,
+        )
+        got = tmp_path / "got.csv"
+        write_csv(spec, got)
+        assert got.read_bytes() == _write_csv_per_row(spec)
 
     def test_columns_deterministic(self):
         spec = SyntheticSpec(count=500, seed=3)
@@ -100,3 +114,14 @@ class TestFootprints:
 
     def test_full_sky_is_default(self):
         assert SyntheticSpec(count=1).footprint == FullSky()
+
+
+def _write_csv_per_row(spec: SyntheticSpec) -> bytes:
+    """The per-row catalog writer ``write_csv`` once was: the byte reference."""
+    ids, ra, dec, mags = generate_columns(spec)
+    lines = ["id,ra,dec" + "".join(f",{b.name}" for b in spec.bands)]
+    for i in range(len(ids)):
+        row = [str(int(ids[i])), repr(float(ra[i])), repr(float(dec[i]))]
+        row.extend(repr(float(v)) for v in mags[i])
+        lines.append(",".join(row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
