@@ -16,6 +16,7 @@ keeps zone key bands exact and separated by a gap that absorbs rounding.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import sys
 import zipfile
@@ -59,6 +60,20 @@ MAX_REJECT_FRACTION = 0.01
 
 # CSV rows formatted per write: one format call per chunk, bounded memory
 _CHUNK_ROWS = 8192
+
+# bytes of a catalog CSV read and bulk-parsed at a time (rounded to lines)
+_BLOCK_BYTES = 4 << 20
+
+# byte classes of _certify, as a bytes.translate table
+_DIGIT, _NUMBER, _COMMA, _NEWLINE, _OTHER = range(5)
+_BYTE_CLASS = bytes(
+    _DIGIT if c in b"0123456789"
+    else _NUMBER if c in b".eE+-"
+    else _COMMA if c == ord(",")
+    else _NEWLINE if c == ord("\n")
+    else _OTHER
+    for c in range(256)
+)
 
 
 class IngestError(ValueError):
@@ -239,115 +254,272 @@ def ingest_csv(
     ``bands`` selects a projection of the header's magnitude columns (all of
     them when None). Rows with unparseable or out-of-range values are
     rejected individually and reported as ``line <n>: <reason>`` through
-    ``on_reject``; more than 1% rejected rows aborts with IngestError.
-    Empty magnitude fields mean missing and are stored as NaN.
+    ``on_reject``, in line order; more than 1% rejected rows aborts with
+    IngestError. Empty magnitude fields mean missing and are stored as NaN.
+
+    Plain lines (see ``_certify``) are parsed in bulk; every other line goes
+    through the per-row checks of ``_check_row``, which alone words the
+    reject messages. A file holding a quote, CR, NUL or non-ASCII byte, whose
+    records need not be its lines, goes through them record by record.
     """
     path = Path(path)
-    if not path.exists():
-        raise IngestError(f"no such file: {path}")
-    rejects: list[str] = []
+    if bands is not None and len(set(bands)) != len(bands):
+        raise IngestError(f"repeated band names in {list(bands)}")
+    try:
+        with path.open("rb") as fh:
+            rows = _read_plain(fh, path, bands)
+        if rows is None:
+            # utf-8-sig: a byte-order mark, as some spreadsheet tools write,
+            # is not part of the first header name
+            with path.open(newline="", encoding="utf-8-sig") as fh:
+                reader = csv.reader(fh)
+                rows = _Rows(path, _header(reader, path), bands)
+                rows.check(reader, range(2, sys.maxsize))
+    except FileNotFoundError:
+        raise IngestError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise IngestError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
-    def reject(line_no: int, reason: str) -> None:
-        msg = f"line {line_no}: {reason}"
-        rejects.append(msg)
-        if on_reject is not None:
+    ids, ra, dec, mags, rejects = rows.resolve()
+    if on_reject is not None:
+        for msg in rejects:
             on_reject(msg)
-
-    ids: list[int] = []
-    ras: list[float] = []
-    decs: list[float] = []
-    mag_rows: list[list[float]] = []
-    seen: set[int] = set()
-
-    # utf-8-sig: a byte-order mark, as some spreadsheet tools write, is not
-    # part of the first header name
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [c.strip() for c in next(reader)]
-        except StopIteration:
-            raise IngestError(f"{path}: empty file, missing header") from None
-        selected = _parse_header(header, bands)
-        col_idx = [header.index(b, 3) for b in selected] if selected else []
-        n_cols = len(header)
-        total_rows = 0
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            total_rows += 1
-            if len(row) != n_cols:
-                reject(line_no, f"expected {n_cols} fields, got {len(row)}")
-                continue
-            try:
-                obj_id = int(row[0])
-            except ValueError:
-                reject(line_no, f"bad id {row[0]!r}")
-                continue
-            if not 0 <= obj_id < 2**64:
-                reject(line_no, f"id {obj_id} outside unsigned 64-bit range")
-                continue
-            if obj_id in seen:
-                reject(line_no, f"duplicate id {obj_id}")
-                continue
-            try:
-                ra = float(row[1])
-                dec = float(row[2])
-            except ValueError:
-                reject(line_no, f"unparseable coordinates {row[1]!r},{row[2]!r}")
-                continue
-            if not (math.isfinite(ra) and math.isfinite(dec)):
-                reject(line_no, f"non-finite coordinates {row[1]!r},{row[2]!r}")
-                continue
-            if not -90.0 <= dec <= 90.0:
-                reject(line_no, f"dec {dec} outside [-90, 90]")
-                continue
-            mags = []
-            ok = True
-            for band, ci in zip(selected, col_idx):
-                field = row[ci].strip()
-                if field == "":
-                    mags.append(math.nan)
-                    continue
-                try:
-                    value = float(field)
-                except ValueError:
-                    ok = False
-                    reject(line_no, f"bad magnitude {field!r} for band {band}")
-                    break
-                if not math.isfinite(value):
-                    ok = False
-                    reject(line_no, f"non-finite magnitude {field!r} for band {band}")
-                    break
-                mags.append(value)
-            if not ok:
-                continue
-            seen.add(obj_id)
-            ids.append(obj_id)
-            ras.append(ra)
-            decs.append(dec)
-            mag_rows.append(mags)
-
-    if total_rows and len(rejects) > MAX_REJECT_FRACTION * total_rows:
+    if rows.total and len(rejects) > MAX_REJECT_FRACTION * rows.total:
         shown = "; ".join(rejects[:5])
         raise IngestError(
-            f"{path}: {len(rejects)}/{total_rows} rows rejected (> "
+            f"{path}: {len(rejects)}/{rows.total} rows rejected (> "
             f"{MAX_REJECT_FRACTION:.0%}): {shown}"
         )
-
-    mags_arr = (
-        np.array(mag_rows, dtype=np.float64).reshape(len(ids), len(selected))
-        if selected
-        else None
-    )
     return build_index(
-        name if name is not None else path.stem,
-        cfg,
-        np.array(ids, dtype=np.uint64),
-        np.array(ras, dtype=np.float64),
-        np.array(decs, dtype=np.float64),
-        mags_arr,
-        selected,
+        name if name is not None else path.stem, cfg, ids, ra, dec, mags, rows.bands
     )
+
+
+def _check_row(
+    row: list[str], n_cols: int, bands: Sequence[str], col_idx: Sequence[int]
+) -> tuple[int | None, str | None, tuple | None]:
+    """The per-row checks of one record, all but the duplicate test:
+    ``(id, reason, values)``. A passing row has no reason and values
+    ``(ra, dec, mags)``; a rejected row has no values, and no id when the id
+    itself is bad."""
+    if len(row) != n_cols:
+        return None, f"expected {n_cols} fields, got {len(row)}", None
+    try:
+        obj_id = int(row[0])
+    except ValueError:
+        return None, f"bad id {row[0]!r}", None
+    if not 0 <= obj_id < 2**64:
+        return None, f"id {obj_id} outside unsigned 64-bit range", None
+    try:
+        ra = float(row[1])
+        dec = float(row[2])
+    except ValueError:
+        return obj_id, f"unparseable coordinates {row[1]!r},{row[2]!r}", None
+    if not (math.isfinite(ra) and math.isfinite(dec)):
+        return obj_id, f"non-finite coordinates {row[1]!r},{row[2]!r}", None
+    if not -90.0 <= dec <= 90.0:
+        return obj_id, f"dec {dec} outside [-90, 90]", None
+    mags = []
+    for band, ci in zip(bands, col_idx):
+        field = row[ci].strip()
+        if field == "":
+            mags.append(math.nan)
+            continue
+        try:
+            value = float(field)
+        except ValueError:
+            return obj_id, f"bad magnitude {field!r} for band {band}", None
+        if not math.isfinite(value):
+            return obj_id, f"non-finite magnitude {field!r} for band {band}", None
+        mags.append(value)
+    return obj_id, None, (ra, dec, mags)
+
+
+class _Rows:
+    """The data rows of one catalog file as they are read: those that pass
+    every check but the duplicate test, as column arrays, and the rejected
+    ones with their reasons. ``resolve`` applies the duplicate rule."""
+
+    def __init__(self, path: Path, header: list[str], bands: Sequence[str] | None) -> None:
+        self.path = path
+        self.bands = _parse_header(header, bands)
+        self.col_idx = [header.index(b, 3) for b in self.bands]
+        self.n_cols = len(header)
+        # (line numbers, ids, ra, dec, mags) of passing rows, each part in line order
+        self.parts: list[tuple[np.ndarray, ...]] = []
+        # (line number, id or None, reason) of rejected rows
+        self.rejected: list[tuple[int, int | None, str]] = []
+
+    @property
+    def total(self) -> int:
+        """Non-empty data records read."""
+        return sum(len(part[0]) for part in self.parts) + len(self.rejected)
+
+    def check(self, reader, line_nos: Sequence[int]) -> None:
+        """Run the per-row checks on the rows of a csv reader, the k-th row
+        being line ``line_nos[k]``. A csv error, such as a field over the csv
+        module's size limit, becomes an IngestError naming its line."""
+        lines, ids, ras, decs, mags = [], [], [], [], []
+        k = 0
+        try:
+            for k, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                obj_id, reason, values = _check_row(row, self.n_cols, self.bands, self.col_idx)
+                if reason is None:
+                    lines.append(line_nos[k - 1])
+                    ids.append(obj_id)
+                    ras.append(values[0])
+                    decs.append(values[1])
+                    mags.append(values[2])
+                else:
+                    self.rejected.append((line_nos[k - 1], obj_id, reason))
+        except csv.Error as exc:
+            raise IngestError(f"{self.path}: line {line_nos[k]}: {exc}") from None
+        self.parts.append((
+            np.array(lines, np.int64), np.array(ids, np.uint64), np.array(ras, np.float64),
+            np.array(decs, np.float64),
+            np.array(mags, np.float64).reshape(len(lines), len(self.bands)),
+        ))
+
+    def resolve(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[str]]:
+        """``(ids, ra, dec, mags, reject messages)``, rows and messages in
+        line order. Per id the first row that passes every other check wins,
+        and every later row with that id is rejected as a duplicate, whatever
+        else is wrong with it; a row rejected for another reason claims no id."""
+        lines, ids, ra, dec, mags = (np.concatenate(c) for c in zip(*self.parts))
+        claimed = [(line_no, obj_id) for line_no, obj_id, _ in self.rejected if obj_id is not None]
+        n = len(lines)
+        all_lines = np.concatenate((lines, np.array([c[0] for c in claimed], np.int64)))
+        all_ids = np.concatenate((ids, np.array([c[1] for c in claimed], np.uint64)))
+        # per id, the line of its first passing row
+        order = np.argsort(all_ids)
+        new_id = np.ones(len(order), dtype=bool)
+        new_id[1:] = all_ids[order[1:]] != all_ids[order[:-1]]
+        passing_line = np.where(order < n, all_lines[order], np.iinfo(np.int64).max)
+        won = np.minimum.reduceat(passing_line, np.flatnonzero(new_id))[np.cumsum(new_id) - 1]
+        dup = np.empty(len(order), dtype=bool)
+        dup[order] = all_lines[order] > won
+
+        dup_lines = set(all_lines[n:][dup[n:]].tolist())
+        rejects = [
+            (line_no, f"duplicate id {obj_id}" if line_no in dup_lines else reason)
+            for line_no, obj_id, reason in self.rejected
+        ]
+        rejects += [
+            (line_no, f"duplicate id {obj_id}")
+            for line_no, obj_id in zip(lines[dup[:n]].tolist(), ids[dup[:n]].tolist())
+        ]
+        rejects.sort()
+        keep = np.flatnonzero(~dup[:n])
+        keep = keep[np.argsort(lines[keep])]
+        return (ids[keep], ra[keep], dec[keep], mags[keep],
+                [f"line {line_no}: {reason}" for line_no, reason in rejects])
+
+
+def _header(reader, path: Path) -> list[str]:
+    """The stripped header fields, the first row of a csv reader."""
+    try:
+        row = next(reader, None)
+    except csv.Error as exc:
+        raise IngestError(f"{path}: line 1: {exc}") from None
+    if row is None:
+        raise IngestError(f"{path}: empty file, missing header")
+    return [c.strip() for c in row]
+
+
+def _read_plain(fh, path: Path, bands: Sequence[str] | None) -> _Rows | None:
+    """Read a binary file whose records are its lines, in blocks of about
+    _BLOCK_BYTES; None for an empty file, and as soon as a block holds a
+    quote, CR, NUL or non-ASCII byte, which csv parsing would treat
+    differently."""
+    rows = None
+    line_no = 2
+    for buf in _blocks(fh):
+        if not buf.isascii() or b'"' in buf or b"\r" in buf or b"\0" in buf:
+            return None
+        if rows is None:
+            cut = buf.index(b"\n")
+            rows = _Rows(path, _header(csv.reader([buf[:cut].decode()]), path), bands)
+            buf = buf[cut + 1 :]
+        line_no = _read_block(buf, line_no, rows)
+    return rows
+
+
+def _blocks(fh) -> Iterator[bytes]:
+    """A binary file in blocks of about _BLOCK_BYTES that end on a line
+    boundary; a newline is added after a last line that lacks one."""
+    rest = b""
+    while chunk := fh.read(_BLOCK_BYTES):
+        buf = rest + chunk
+        cut = buf.rfind(b"\n") + 1
+        rest = buf[cut:]
+        if cut:
+            yield buf[:cut]
+    if rest:
+        yield rest + b"\n"
+
+
+def _read_block(buf: bytes, first_line: int, rows: _Rows) -> int:
+    """Add the lines of ``buf`` (plain ASCII, ending with a newline), the
+    first being line ``first_line``, to ``rows``; the next line's number.
+
+    Certified lines are parsed by one ``np.loadtxt`` and range-tested as
+    arrays; the lines that fail either, or the whole block when ``loadtxt``
+    raises, go through the per-row checks."""
+    starts, ends, plain = _certify(buf, rows.n_cols, csv.field_size_limit())
+    if plain.any():
+        # runs of consecutive certified lines, newlines included
+        edges = np.diff(plain.astype(np.int8), prepend=0, append=0)
+        run_starts = starts[edges[:-1] == 1].tolist()
+        run_ends = (ends[np.flatnonzero(edges == -1) - 1] + 1).tolist()
+        text = b"".join(buf[a:b] for a, b in zip(run_starts, run_ends))
+        dtype = np.dtype([("id", np.uint64), ("ra", np.float64), ("dec", np.float64),
+                          ("mags", np.float64, (len(rows.bands),))])
+        try:
+            table = np.loadtxt(io.BytesIO(text), dtype=dtype, delimiter=",", comments=None,
+                               usecols=(0, 1, 2, *rows.col_idx), ndmin=1)
+        except ValueError:  # a certified but malformed number, such as "--1" or "1e"
+            plain[:] = False
+        else:
+            ids, ra, dec, mags = (table[f] for f in dtype.names)
+            good = (dec >= -90.0) & (dec <= 90.0) & np.isfinite(ra) & np.isfinite(mags).all(1)
+            lines = np.flatnonzero(plain)
+            plain[lines[~good]] = False
+            rows.parts.append(
+                (first_line + lines[good], ids[good], ra[good], dec[good], mags[good])
+            )
+    rest = np.flatnonzero(~plain)
+    texts = [buf[a:b].decode() for a, b in zip(starts[rest].tolist(), ends[rest].tolist())]
+    rows.check(csv.reader(texts), (first_line + rest).tolist())
+    return first_line + len(ends)
+
+
+def _certify(buf: bytes, n_cols: int, max_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(starts, ends, plain)`` per line of ``buf``, which ends with a
+    newline: its byte span and whether it is certified for bulk parsing. A
+    certified line has only bytes from ``0-9 . e E + - ,``, ``n_cols - 1``
+    commas and no empty field, an id of 1 to 19 digits, and at most
+    ``max_len`` bytes, the csv module's field size limit."""
+    cls = np.frombuffer(buf.translate(_BYTE_CLASS), dtype=np.uint8)
+    ends = np.flatnonzero(cls == _NEWLINE)
+    starts = np.concatenate(([0], ends[:-1] + 1))[: len(ends)]
+    commas = np.flatnonzero(cls == _COMMA)
+    numbers = np.flatnonzero(cls == _NUMBER)
+    # each line's first comma, as an index into commas, gives its comma
+    # count and the end of its id field
+    first = np.searchsorted(commas, starts)
+    id_end = np.minimum(np.append(commas, len(buf))[first], ends)
+    id_len = id_end - starts
+    plain = np.diff(first, append=len(commas)) == n_cols - 1
+    plain &= (id_len >= 1) & (id_len <= 19) & (ends - starts <= max_len)
+    # no byte of ".eE+-" in the id field
+    plain &= np.append(numbers, len(buf))[np.searchsorted(numbers, starts)] > id_end
+    after = cls[commas + 1]
+    empty = commas[(after == _COMMA) | (after == _NEWLINE)]  # a comma before an empty field
+    plain[np.searchsorted(ends, empty)] = False
+    plain[np.searchsorted(ends, np.flatnonzero(cls == _OTHER))] = False
+    return starts, ends, plain
 
 
 def _format_rows(row_format: str, columns: Sequence) -> Iterator[str]:

@@ -191,6 +191,8 @@ def _cmd_ingest(args) -> int:
     except ValueError as exc:  # a bad --zone-height is a usage error
         raise UsageError(f"--zone-height: {exc}") from None
     bands = args.bands.split(",") if args.bands else None
+    if bands is not None and len(set(bands)) != len(bands):
+        raise UsageError(f"--bands: repeated band names in {args.bands!r}")
     index = ingest_csv(
         args.infile,
         bands=bands,

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import csv
+import math
+from pathlib import Path
+from typing import Callable, Sequence
+
 import numpy as np
 
 from zonequery import ZoneConfig, build_index
+from zonequery import catalog
+from zonequery.catalog import IngestError, ZoneIndex, _parse_header
 
 
 def random_sky(rng: np.random.Generator, n: int, dec_lo=-90.0, dec_hi=90.0):
@@ -109,3 +116,130 @@ def best_matches_reference(pairs):
         ):
             best[p.leading_id] = p
     return [best[k] for k in sorted(best)]
+
+
+def ingest_csv_reference(
+    path: str | Path,
+    bands: Sequence[str] | None = None,
+    cfg: ZoneConfig = ZoneConfig(),
+    name: str | None = None,
+    on_reject: Callable[[str], None] | None = None,
+) -> ZoneIndex:
+    """The per-row ``ingest_csv`` that the bulk parser replaced, kept as its
+    reference: same accepted rows, messages and errors on every input it
+    handled without a traceback.
+
+    ``bands`` selects a projection of the header's magnitude columns (all of
+    them when None). Rows with unparseable or out-of-range values are
+    rejected individually and reported as ``line <n>: <reason>`` through
+    ``on_reject``; more than 1% rejected rows aborts with IngestError.
+    Empty magnitude fields mean missing and are stored as NaN.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise IngestError(f"no such file: {path}")
+    rejects: list[str] = []
+
+    def reject(line_no: int, reason: str) -> None:
+        msg = f"line {line_no}: {reason}"
+        rejects.append(msg)
+        if on_reject is not None:
+            on_reject(msg)
+
+    ids: list[int] = []
+    ras: list[float] = []
+    decs: list[float] = []
+    mag_rows: list[list[float]] = []
+    seen: set[int] = set()
+
+    # utf-8-sig: a byte-order mark, as some spreadsheet tools write, is not
+    # part of the first header name
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [c.strip() for c in next(reader)]
+        except StopIteration:
+            raise IngestError(f"{path}: empty file, missing header") from None
+        selected = _parse_header(header, bands)
+        col_idx = [header.index(b, 3) for b in selected] if selected else []
+        n_cols = len(header)
+        total_rows = 0
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            total_rows += 1
+            if len(row) != n_cols:
+                reject(line_no, f"expected {n_cols} fields, got {len(row)}")
+                continue
+            try:
+                obj_id = int(row[0])
+            except ValueError:
+                reject(line_no, f"bad id {row[0]!r}")
+                continue
+            if not 0 <= obj_id < 2**64:
+                reject(line_no, f"id {obj_id} outside unsigned 64-bit range")
+                continue
+            if obj_id in seen:
+                reject(line_no, f"duplicate id {obj_id}")
+                continue
+            try:
+                ra = float(row[1])
+                dec = float(row[2])
+            except ValueError:
+                reject(line_no, f"unparseable coordinates {row[1]!r},{row[2]!r}")
+                continue
+            if not (math.isfinite(ra) and math.isfinite(dec)):
+                reject(line_no, f"non-finite coordinates {row[1]!r},{row[2]!r}")
+                continue
+            if not -90.0 <= dec <= 90.0:
+                reject(line_no, f"dec {dec} outside [-90, 90]")
+                continue
+            mags = []
+            ok = True
+            for band, ci in zip(selected, col_idx):
+                field = row[ci].strip()
+                if field == "":
+                    mags.append(math.nan)
+                    continue
+                try:
+                    value = float(field)
+                except ValueError:
+                    ok = False
+                    reject(line_no, f"bad magnitude {field!r} for band {band}")
+                    break
+                if not math.isfinite(value):
+                    ok = False
+                    reject(line_no, f"non-finite magnitude {field!r} for band {band}")
+                    break
+                mags.append(value)
+            if not ok:
+                continue
+            seen.add(obj_id)
+            ids.append(obj_id)
+            ras.append(ra)
+            decs.append(dec)
+            mag_rows.append(mags)
+
+    # read at call time, so that tests can change the threshold for both
+    max_reject_fraction = catalog.MAX_REJECT_FRACTION
+    if total_rows and len(rejects) > max_reject_fraction * total_rows:
+        shown = "; ".join(rejects[:5])
+        raise IngestError(
+            f"{path}: {len(rejects)}/{total_rows} rows rejected (> "
+            f"{max_reject_fraction:.0%}): {shown}"
+        )
+
+    mags_arr = (
+        np.array(mag_rows, dtype=np.float64).reshape(len(ids), len(selected))
+        if selected
+        else None
+    )
+    return build_index(
+        name if name is not None else path.stem,
+        cfg,
+        np.array(ids, dtype=np.uint64),
+        np.array(ras, dtype=np.float64),
+        np.array(decs, dtype=np.float64),
+        mags_arr,
+        selected,
+    )

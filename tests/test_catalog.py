@@ -11,6 +11,8 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zonequery import (
     IngestError,
@@ -27,7 +29,7 @@ from zonequery import catalog
 from zonequery.queries import WINDOW_PAD_DEG, _zone_join
 from zonequery.sphere import ra_halfwidth_array, zone_of_array
 
-from conftest import random_sky
+from conftest import ingest_csv_reference, random_sky
 
 CFG = ZoneConfig()
 
@@ -166,6 +168,160 @@ class TestIngestRejection:
         f.write_text("", encoding="utf-8")
         with pytest.raises(IngestError, match="missing header"):
             ingest_csv(f)
+
+
+# Odd field texts for the bulk-parser equivalence test: the loose forms
+# int() and float() accept (spaces, underscores, signs, nan, inf, overflow,
+# 20-digit ids), forms only a parser would trip on ("--1", "1e"), and bad
+# values.
+_ODD_IDS = [
+    "18446744073709551615", "18446744073709551616", "99999999999999999999",
+    "9999999999999999999", "007", "-0", "+5", " 7", "1_0", "x5", "", "1.0", "1e3", "--1",
+]
+_ODD_COORDS = [
+    "-0", "+5", " 12.5", "12.5 ", "1_000", "nan", "inf", "-inf", "1e999", "1e-400",
+    "--1", "1e", ".", "north", "", "91.5", "-90.5", "-90", "90", "007.5", "1E+01",
+]
+_ODD_MAGS = ["", " ", "bright", "nan", "inf", "1e999", "--1", "+5", "-0", " 9.5", "1e"]
+# the eight malformed rows that perfbench's ingest workload injects; {id}
+# is a fresh id, {dup} one of an earlier row, {big} 2**64 or more
+_PERFBENCH_BAD = (
+    "{id},12.5", "x{id},12.5,3.25,10.0", "{big},12.5,3.25,10.0", "{dup},12.5,3.25,10.0",
+    "{id},12.5,north,10.0", "{id},inf,3.25,10.0", "{id},12.5,91.5,10.0", "{id},12.5,3.25,bright",
+)
+
+
+@st.composite
+def _catalog_text(draw):
+    """(file bytes, bands argument) of a small catalog CSV mixing plain
+    lines with every kind of bad or loose line. Two in five files also
+    hold a byte-order mark, CRLF line ends, a quoted field or non-ASCII
+    text, which make every line go through the per-row checks."""
+    n_bands = draw(st.integers(0, 3))
+    names = ["r", "g", "i"][:n_bands]
+    header = ",".join(["id", "ra", "dec", *names])
+    plain = st.tuples(
+        st.integers(0, 60).map(str), st.floats(0.0, 360.0, exclude_max=True).map(repr),
+        st.floats(-90.0, 90.0).map(repr), *[st.floats(0.0, 30.0).map(repr)] * n_bands,
+    ).map(list)
+    odd = [_ODD_IDS, _ODD_COORDS, _ODD_COORDS, *[_ODD_MAGS] * n_bands]
+    # a plain line with one field replaced by an odd one
+    one_off = st.tuples(plain, st.integers(0, 2 + n_bands)).flatmap(
+        lambda t: st.sampled_from(odd[t[1]]).map(lambda v: t[0][: t[1]] + [v] + t[0][t[1] + 1 :])
+    )
+    # every field plain or odd
+    loose = st.tuples(*(st.one_of(st.just(None), st.sampled_from(o)) for o in odd), plain).map(
+        lambda t: [p if v is None else v for v, p in zip(t[:-1], t[-1])]
+    )
+    perfbench = st.tuples(st.sampled_from(_PERFBENCH_BAD), st.integers(0, 60)).map(
+        lambda t: t[0].format(id=t[1], dup=t[1] // 2, big=2**64 + t[1])
+    )
+    other = st.sampled_from(["", "   ", "1,2", "1,2,3,4,5,6,7", ",,,", "9,1.5,2.5,3,4,,"])
+    lines = draw(st.lists(st.one_of(
+        plain.map(",".join), plain.map(",".join), one_off.map(",".join),
+        one_off.map(",".join), loose.map(",".join), perfbench, other,
+    ), max_size=40))
+    special = draw(st.sampled_from(["", "", "", "", "", "", "bom", "crlf", "quote", "non-ascii"]))
+    if special == "quote" and lines:
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = ",".join(f'"{f}"' for f in lines[at].split(","))
+    elif special == "non-ascii":
+        lines.append("\u00e9,1.5,2.5" + ",1.5" * n_bands)
+    text = "\n".join([header, *lines]) + draw(st.sampled_from(["\n", ""]))
+    if special == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif special == "bom":
+        text = "\ufeff" + text
+    bands = draw(st.one_of(st.none(), st.permutations(names).flatmap(
+        lambda p: st.integers(0, len(p)).map(lambda k: p[:k])
+    )))
+    return text.encode("utf-8"), bands
+
+
+def _outcome(ingest, path, bands):
+    """What an ingest function does with a file: its reject messages in
+    order, and either the index columns as bytes or the error it raised."""
+    log: list[str] = []
+    try:
+        index = ingest(path, bands=bands, cfg=CFG, on_reject=log.append)
+    except IngestError as exc:
+        return log, f"IngestError: {exc}"
+    columns = (index.ids, index.ra, index.dec, index.mags, index.zone_starts)
+    return log, (index.name, index.bands, index.mags.shape, *(c.tobytes() for c in columns))
+
+
+class TestBulkIngest:
+    """The bulk parser against the per-row ingest it replaced
+    (``conftest.ingest_csv_reference``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        case=_catalog_text(),
+        block_bytes=st.sampled_from([1, 5, 64, catalog._BLOCK_BYTES]),
+        max_reject=st.sampled_from([catalog.MAX_REJECT_FRACTION, 1.0]),
+    )
+    def test_same_outcome_as_per_row_reference(
+        self, tmp_path_factory, case, block_bytes, max_reject
+    ):
+        data, bands = case
+        path = tmp_path_factory.mktemp("bulk") / "cat.csv"
+        path.write_bytes(data)
+        with pytest.MonkeyPatch.context() as mp:
+            # blocks of a few bytes end in the middle of the file
+            mp.setattr(catalog, "_BLOCK_BYTES", block_bytes)
+            mp.setattr(catalog, "MAX_REJECT_FRACTION", max_reject)
+            assert _outcome(ingest_csv, path, bands) == _outcome(ingest_csv_reference, path, bands)
+
+    @pytest.mark.parametrize("block_bytes", [7, catalog._BLOCK_BYTES])
+    @pytest.mark.parametrize(
+        "field, value",
+        [(0, v) for v in _ODD_IDS] + [(f, v) for f in (1, 2) for v in _ODD_COORDS]
+        + [(3, v) for v in _ODD_MAGS],
+    )
+    def test_each_odd_field_among_plain_lines(self, tmp_path, monkeypatch, block_bytes,
+                                               field, value):
+        plain = [[str(i), f"{i * 7.25 % 360!r}", f"{i * 3.5 % 180 - 90!r}", f"{i % 9 + 5.5!r}"]
+                 for i in range(100)]
+        fresh = plain.pop()  # id 99, in no other row
+        odd = ",".join(fresh[:field] + [value] + fresh[field + 1 :])
+        rows = [",".join(r) for r in plain]
+        # the odd row, a plain row with its id, then the odd row again
+        rows = rows[:5] + [odd] + rows[5:50] + [",".join(fresh)] + rows[50:] + [odd]
+        path = write_rows(tmp_path / "c.csv", rows, header="id,ra,dec,r")
+        monkeypatch.setattr(catalog, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(catalog, "MAX_REJECT_FRACTION", 1.0)
+        assert _outcome(ingest_csv, path, None) == _outcome(ingest_csv_reference, path, None)
+
+    @pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
+    def test_field_over_csv_limit_names_its_line(self, tmp_path, bom):
+        long_ra = "0" * csv.field_size_limit() + ".5"
+        f = tmp_path / "long.csv"
+        f.write_text(("\ufeff" if bom else "") + "id,ra,dec\n1,2,3\n2," + long_ra + ",3\n",
+                     encoding="utf-8")
+        with pytest.raises(IngestError) as info:
+            ingest_csv(f)
+        assert str(info.value) == f"{f}: line 3: field larger than field limit (131072)"
+
+    def test_field_at_csv_limit_is_read(self, tmp_path):
+        ra = "0" * (csv.field_size_limit() - 2) + ".5"
+        f = write_rows(tmp_path / "c.csv", [f"1,{ra},3"], header="id,ra,dec")
+        assert ingest_csv(f).ra.tolist() == [0.5]
+
+    def test_directory_is_an_ingest_error(self, tmp_path):
+        with pytest.raises(IngestError, match="cannot read: Is a directory"):
+            ingest_csv(tmp_path)
+
+    def test_repeated_band_names_rejected(self, tmp_path):
+        with pytest.raises(IngestError, match=r"repeated band names in \['r', 'r'\]"):
+            ingest_csv(tmp_path / "not-read.csv", bands=["r", "r"])
+
+    def test_malformed_certified_number_sends_block_to_row_checks(self, tmp_path):
+        rows = [f"{i},{i}.5,1.5" for i in range(300)]
+        rows[150] = "150,--1,1.5"
+        f = write_rows(tmp_path / "c.csv", rows, header="id,ra,dec")
+        log: list[str] = []
+        assert ingest_csv(f, on_reject=log.append).total_count == 299
+        assert log == ["line 152: unparseable coordinates '--1','1.5'"]
 
 
 class TestIndexStructure:

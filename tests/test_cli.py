@@ -6,19 +6,20 @@ import json
 import shutil
 import subprocess
 import sys
+import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonequery import cli, load_index, plan_contiguous, run_xmatch
+from zonequery import cli, load_index, plan_contiguous, run_xmatch, save_index
 from zonequery.cli import main, parse_angle, parse_footprint, parse_worker_list
 from zonequery.cli import MAX_WORKERS, UsageError
 from zonequery.queries import MatchSpec
 from zonequery.synth import Clustered, DecBand, FullSky
 
-from conftest import best_matches_reference
+from conftest import best_matches_reference, ingest_csv_reference
 
 
 ARCSEC = 1.0 / 3600.0
@@ -182,6 +183,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "data error" in err
 
+    def test_ingest_field_over_csv_limit_is_2(self, tmp_path, capsys):
+        f = tmp_path / "long.csv"
+        f.write_text("id,ra,dec\n1," + "1" * 200_000 + ",0\n", encoding="utf-8")
+        code = run_cli("ingest", "--in", str(f), "--out", str(tmp_path / "i.npz"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"zonequery: data error: {f}: line 2: field larger than field limit (131072)\n"
+        )
+
+    def test_ingest_directory_is_2(self, tmp_path, capsys):
+        # an unreadable file takes the same path (an OSError on open), but
+        # cannot be made unreadable to a test running as root
+        code = run_cli("ingest", "--in", str(tmp_path), "--out", str(tmp_path / "i.npz"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"zonequery: data error: {tmp_path}: cannot read: Is a directory\n"
+
+    def test_ingest_repeated_bands_is_usage_error(self, tmp_path, capsys):
+        # the input does not exist: the flag is checked before it is read
+        code = run_cli(
+            "ingest", "--in", str(tmp_path / "nope.csv"), "--bands", "r,r",
+            "--out", str(tmp_path / "i.npz"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "zonequery: error: --bands: repeated band names in 'r,r'\n"
+
 
 def _corrupt(path, kind: str) -> None:
     raw = bytearray(path.read_bytes())
@@ -272,6 +301,43 @@ class TestGenIngestScan:
         err = capsys.readouterr().err
         assert "line 9:" in err
         assert "ingested 199 objects" in err
+
+
+def _snapshot_members(path) -> dict[str, bytes]:
+    with zipfile.ZipFile(path) as z:
+        return {name: z.read(name) for name in z.namelist()}
+
+
+class TestIngestMatchesReference:
+    """``ingest`` writes the snapshot the per-row ingest it replaced
+    (``conftest.ingest_csv_reference``) would, member for member."""
+
+    @pytest.mark.parametrize("dirty", [False, True], ids=["clean", "dirty"])
+    def test_snapshot_members_byte_identical(self, tmp_path, capsys, dirty):
+        f = tmp_path / "cat.csv"
+        assert run_cli("gen", "--count", "20000", "--seed", "3", "--bands", "r=5:15,g=6:16",
+                       "--out", str(f)) == 0
+        if dirty:
+            lines = f.read_text().splitlines()
+            # one bad row of each kind, a duplicate, loose forms and a blank
+            lines[100:100] = [
+                "20001,12.5", "x20002,1,2,3,4", "18446744073709551616,1,2,3,4", "7,1,2,3,4",
+                "20003,north,2,3,4", "20004,inf,2,3,4", "20005,1,91.5,3,4", "20006,1,2,bright,4",
+                "20007, 1.5,+2,1_0,", "20008,1e999,2,3,4", "20009,1,2,3,1e999", "",
+                "0020010,-0,-0,-0,--1", "18446744073709551615,1,2,3,4",
+            ]
+            f.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        idx = tmp_path / "cat.idx"
+        assert run_cli("ingest", "--in", str(f), "--out", str(idx)) == 0
+        rejects = [l for l in capsys.readouterr().err.splitlines() if l.startswith("line ")]
+
+        expected: list[str] = []
+        ref = tmp_path / "ref.idx"
+        save_index(ingest_csv_reference(f, on_reject=expected.append), ref)
+        assert rejects == expected
+        assert len(expected) == (11 if dirty else 0)
+        assert _snapshot_members(idx) == _snapshot_members(ref)
 
 
 class TestPlanCommand:
