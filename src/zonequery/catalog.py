@@ -279,6 +279,8 @@ def ingest_csv(
         raise IngestError(f"no such file: {path}") from None
     except OSError as exc:
         raise IngestError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
 
     ids, ra, dec, mags, rejects = rows.resolve()
     if on_reject is not None:
@@ -293,6 +295,18 @@ def ingest_csv(
     return build_index(
         name if name is not None else path.stem, cfg, ids, ra, dec, mags, rows.bands
     )
+
+
+def _not_utf8(path: Path) -> IngestError:
+    """The error for a file that is not UTF-8 text, naming the line of its
+    first undecodable byte."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return IngestError(f"{path}: line {line}: not UTF-8 text (byte 0x{data[exc.start]:02x})")
+    return IngestError(f"{path}: not UTF-8 text")
 
 
 def _check_row(

@@ -27,11 +27,13 @@ from .queries import (
     ConeQuery,
     MatchSpec,
     MatchTable,
+    Ranges,
     ScanFilter,
     _by_id,
     _cone_join,
     _crossmatch_arrays,
     _mag_filter,
+    _take,
 )
 from .sphere import zone_of_array
 
@@ -125,18 +127,9 @@ def _check_plan(index: ZoneIndex, plan: PartitionPlan) -> None:
 _HAS_THREAD_CPU = hasattr(time, "thread_time")
 _IDLE_CPU = 0.0 if _HAS_THREAD_CPU else None
 
-# a worker's share: [start, stop) row ranges in zone order
-Ranges = Sequence[tuple[int, int]]
-# work(ranges) -> (result columns, rows_scanned, rows_returned)
+# work(a worker's share, its Ranges in zone order)
+#   -> (result columns, rows_scanned, rows_returned)
 Work = Callable[[Ranges], tuple]
-
-
-def _take(col: np.ndarray, ranges: Ranges) -> np.ndarray:
-    """The rows of ``col`` in ``ranges``, in order; a view for one range."""
-    if len(ranges) == 1:
-        a, b = ranges[0]
-        return col[a:b]
-    return np.concatenate([col[a:b] for a, b in ranges])
 
 
 def _shares(
@@ -247,9 +240,11 @@ def run_xmatch(
     spec: MatchSpec,
     plan: PartitionPlan,
 ) -> tuple[MatchTable, ExecutionReport]:
-    """Parallel cross-match. Each worker joins its leading rows against the
-    full (replicated, read-only) other index; a leading object is owned by
-    exactly one worker, so each pair is produced exactly once."""
+    """Parallel cross-match. Each worker walks its share's leading row ranges
+    in chunks, joining each chunk against the zone-local slice of the shared,
+    read-only other index (the zones the chunk's dec +- radius reaches); a
+    leading object is owned by exactly one worker, so each pair is produced
+    exactly once."""
     if leading.cfg != other.cfg:
         raise ValueError(
             f"catalogs indexed with different zone configurations: "
@@ -263,11 +258,7 @@ def run_xmatch(
 
     def work(ranges: Ranges) -> tuple:
         a, b, sep, candidates = _crossmatch_arrays(
-            _take(leading.ids, ranges),
-            _take(leading.ra, ranges),
-            _take(leading.dec, ranges),
-            other,
-            spec.radius,
+            leading.ids, leading.ra, leading.dec, other, spec.radius, ranges=ranges
         )
         return (a, b, sep), candidates, len(a)
 

@@ -3,7 +3,8 @@
 * scan_filter: magnitude BETWEEN filter; visits every object (no index on
   magnitudes by design).
 * zone_crossmatch: all-pairs radius join driven by the leading catalog's
-  slices against a full replicated index of the other catalog.
+  slices, taken in chunks of rows; each chunk is joined against the
+  zone-local slice of the other index, the zones its dec +- radius reaches.
 * cone_search: the same zone join, with the cone's centre as a one-row
   leading catalog.
 * brute_force_crossmatch: O(n*m) exhaustive comparison, the correctness
@@ -49,6 +50,15 @@ __all__ = [
 # Padding only adds false candidates; the exact filter removes them.
 WINDOW_PAD_DEG = 1e-7
 
+# a candidate whose |delta dec| exceeds the radius by more than this is
+# dropped before the separation is computed. A pair is at least |delta dec|
+# apart in exact arithmetic; the pad absorbs the rounding of the haversine.
+DEC_PAD_DEG = 1e-9
+
+# leading rows joined at a time: bounds the per-candidate temporaries, and
+# each chunk searches only the other index's rows in the zones it reaches
+JOIN_CHUNK_ROWS = 65_536
+
 # sanity cap on a cross-match radius, degrees
 MAX_MATCH_RADIUS_DEG = 10.0
 
@@ -56,6 +66,9 @@ MAX_MATCH_RADIUS_DEG = 10.0
 BRUTE_FORCE_PAIR_LIMIT = 10**8
 
 CandidateSink = Callable[[np.ndarray, np.ndarray], None]
+
+# [start, stop) row ranges of an array, in order
+Ranges = Sequence[tuple[int, int]]
 
 _NO_ROWS = np.empty(0, dtype=np.intp)
 
@@ -255,10 +268,12 @@ def _zone_join(
 
     Per leading point the candidate set is: other rows in the zones its
     dec +- radius band can touch, with ra inside a window of conservative
-    half-width; an exact separation filter then decides. Candidate ranges are
-    located with binary searches on the composite (zone, ra) sort key, so the
-    whole batch runs as a handful of array passes. ``candidate_sink``, when
-    given, receives the pre-filter (lead_rows, other_rows) stream.
+    half-width. A |delta dec| test then drops the candidates farther than
+    radius (+ DEC_PAD_DEG) in dec alone, and an exact separation filter
+    decides on the rest. Candidate ranges are located with binary searches on
+    the composite (zone, ra) sort key, so the whole batch runs as a handful of
+    array passes. ``candidate_sink``, when given, receives the pre-filter
+    (lead_rows, other_rows) stream, and ``candidates`` counts it.
     """
     if len(lead_ra) == 0 or len(key) == 0:
         return _NO_ROWS, _NO_ROWS, np.empty(0), 0
@@ -295,9 +310,39 @@ def _zone_join(
     ci = np.concatenate(cand_parts) if cand_parts else _NO_ROWS
     if candidate_sink is not None:
         candidate_sink(li, ci)
-    sep = separation_deg(lead_ra[li], lead_dec[li], ra[ci], dec[ci])
+    candidates = int(li.size)
+    lead_d, other_d = lead_dec[li], dec[ci]
+    near = np.abs(lead_d - other_d) <= radius + DEC_PAD_DEG
+    li, ci = li[near], ci[near]
+    sep = separation_deg(lead_ra[li], lead_d[near], ra[ci], other_d[near])
     keep = sep <= radius
-    return li[keep], ci[keep], sep[keep], int(li.size)
+    return li[keep], ci[keep], sep[keep], candidates
+
+
+def _take(col: np.ndarray, ranges: Ranges) -> np.ndarray:
+    """The rows of ``col`` in ``ranges``, in order; a view for one range."""
+    if len(ranges) == 1:
+        a, b = ranges[0]
+        return col[a:b]
+    return np.concatenate([col[a:b] for a, b in ranges])
+
+
+def _chunks(ranges: Ranges, size: int) -> Iterator[list[tuple[int, int]]]:
+    """``ranges`` regrouped, in order, into chunks of at most ``size`` rows,
+    each a list of [start, stop) pieces; long ranges are split."""
+    chunk: list[tuple[int, int]] = []
+    room = size
+    for a, b in ranges:
+        while a < b:
+            stop = min(b, a + room)
+            chunk.append((a, stop))
+            room -= stop - a
+            a = stop
+            if room == 0:
+                yield chunk
+                chunk, room = [], size
+    if chunk:
+        yield chunk
 
 
 def _crossmatch_arrays(
@@ -307,20 +352,40 @@ def _crossmatch_arrays(
     other: ZoneIndex,
     radius: float,
     candidate_sink: CandidateSink | None = None,
+    ranges: Ranges | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """:func:`_zone_join` against a whole index, with rows mapped to ids:
-    (leading_ids, other_ids, separations, candidates), unsorted.
-    ``candidate_sink`` receives the pre-filter stream as ids."""
-    sink = None
-    if candidate_sink is not None:
+    """:func:`_zone_join` of the leading rows in ``ranges`` (all of them by
+    default) against an index, with rows mapped to ids: (leading_ids,
+    other_ids, separations, candidates), unsorted. ``candidate_sink``
+    receives the pre-filter stream as ids.
 
-        def sink(li: np.ndarray, ci: np.ndarray) -> None:
-            candidate_sink(lead_ids[li], other.ids[ci])
-
-    a, b, sep, candidates = _zone_join(
-        lead_ra, lead_dec, radius, other.ra_key, other.ra, other.dec, other.cfg, sink
-    )
-    return lead_ids[a], other.ids[b], sep, candidates
+    The rows are joined JOIN_CHUNK_ROWS at a time, each chunk against the
+    other index's rows in zones zone(min dec - r) to zone(max dec + r): one
+    slice through ``zone_starts``, holding every zone a row of the chunk can
+    reach, so the candidates are those of one whole-index join."""
+    if ranges is None:
+        ranges = [(0, len(lead_ids))]
+    lead_parts, other_parts, sep_parts = [lead_ids[:0]], [other.ids[:0]], [np.empty(0)]
+    candidates = 0
+    for pieces in _chunks(ranges, JOIN_CHUNK_ROWS):
+        ids, ra, dec = (_take(c, pieces) for c in (lead_ids, lead_ra, lead_dec))
+        reach = np.array([dec.min() - radius, dec.max() + radius])
+        z_lo, z_hi = zone_of_array(reach, other.cfg).tolist()
+        o0, o1 = other.zone_starts[[z_lo, z_hi + 1]].tolist()
+        other_ids = other.ids[o0:o1]
+        sink = None if candidate_sink is None else (
+            lambda li, ci: candidate_sink(ids[li], other_ids[ci])
+        )
+        a, b, sep, n = _zone_join(
+            ra, dec, radius, other.ra_key[o0:o1], other.ra[o0:o1], other.dec[o0:o1],
+            other.cfg, sink,
+        )
+        lead_parts.append(ids[a])
+        other_parts.append(other_ids[b])
+        sep_parts.append(sep)
+        candidates += n
+    a, b, sep = (np.concatenate(p) for p in (lead_parts, other_parts, sep_parts))
+    return a, b, sep, candidates
 
 
 def zone_crossmatch(

@@ -201,6 +201,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"zonequery: data error: {tmp_path}: cannot read: Is a directory\n"
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    def test_ingest_non_utf8_names_file_and_line(self, tmp_path, capsys, bom):
+        f = tmp_path / "latin.csv"
+        f.write_bytes(bom + b"id,ra,dec,r\n1,10.0,20.0,12.5\n2,11.0,2\xff.0,13.0\n")
+        code = run_cli("ingest", "--in", str(f), "--out", str(tmp_path / "i.npz"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"zonequery: data error: {f}: line 3: not UTF-8 text (byte 0xff)\n"
+
     def test_ingest_repeated_bands_is_usage_error(self, tmp_path, capsys):
         # the input does not exist: the flag is checked before it is read
         code = run_cli(

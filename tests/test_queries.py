@@ -446,3 +446,44 @@ class TestBoundaryDecs:
         for radius in (ARCSEC, ARCMIN):
             got = zone_crossmatch(list(a.slices()), b, MatchSpec(radius=radius))
             assert got == brute_force_crossmatch(a, b, radius)
+
+
+class TestDecPreTest:
+    """The |delta dec| test before the haversine must not move the inclusive
+    sep <= r boundary: same-ra pairs whose |delta dec| is r exactly, or one
+    ulp either side, are kept or dropped exactly as the oracle says."""
+
+    @staticmethod
+    def rounding_offset(dec0):
+        """A dec offset at which a same-ra pair's haversine rounds below its
+        float |delta dec|: with r the haversine, the oracle keeps the pair
+        and only the pad keeps the pre-test from dropping it."""
+        for r0 in np.linspace(0.01, 1.0, 400):
+            d1 = dec0 - r0 if dec0 > 0 else dec0 + r0
+            if separation_deg(0.0, dec0, 0.0, d1) < abs(d1 - dec0):
+                return float(r0)
+        raise AssertionError(f"no rounding case near dec {dec0}")
+
+    @pytest.mark.parametrize("dec0", [0.0, 45.0, -45.0, 89.9, -89.9])
+    def test_boundary_pairs_follow_oracle(self, dec0):
+        kept = dropped = 0
+        for r0 in (ARCSEC, ARCMIN, 0.05, 0.5, self.rounding_offset(dec0)):
+            for sign in (1.0, -1.0):
+                d1 = dec0 + sign * r0
+                if not -90.0 <= d1 <= 90.0:
+                    continue
+                decs = [np.nextafter(d1, -np.inf), d1, np.nextafter(d1, np.inf)]
+                a = index_from("a", [123.25], [dec0])
+                b = index_from("b", [123.25] * 3, decs)
+                # r is the middle companion's float |delta dec|, which the
+                # pre-test sees, or its haversine, which the oracle sees
+                sep = float(separation_deg(123.25, dec0, 123.25, d1))
+                for r in {abs(d1 - dec0), sep}:
+                    expected = brute_force_crossmatch(a, b, r)
+                    assert zone_crossmatch(list(a.slices()), b, MatchSpec(radius=r)) == expected
+                    q = ConeQuery(SkyPoint(123.25, dec0), r)
+                    assert cone_search(b, q) == brute_cone(b, q)
+                    kept += len(expected)
+                    dropped += 3 - len(expected)
+        # the cases straddle the boundary rather than sit on one side of it
+        assert kept > 0 and dropped > 0
