@@ -135,12 +135,16 @@ Work = Callable[[Ranges], tuple]
 def _shares(
     plan: PartitionPlan, zone_starts: np.ndarray, z_lo: int, z_hi: int
 ) -> list[list[tuple[int, int]]]:
-    """Per worker, the non-empty row ranges of its runs clipped to zones
-    [z_lo, z_hi]. Runs come in zone order, so each share is key-sorted."""
-    runs = plan.runs(z_lo, z_hi + 1)
-    bounds = zone_starts[[a for a, _, _ in runs] + [z_hi + 1]].tolist()
+    """Per worker, the non-empty row ranges of its runs of consecutive zones
+    within [z_lo, z_hi]. Runs come in zone order, so each share is
+    key-sorted. Run edges are found with array calls and only the runs are
+    walked in Python: a full band of 1 arcsec zones costs its runs, not its
+    648,000 zones."""
+    owners = plan.assignment[z_lo : z_hi + 1]
+    edges = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist(), len(owners)]
+    bounds = zone_starts[z_lo : z_hi + 2][edges].tolist()
     shares: list[list[tuple[int, int]]] = [[] for _ in range(plan.worker_count)]
-    for (_, _, worker), start, stop in zip(runs, bounds, bounds[1:]):
+    for worker, start, stop in zip(owners[edges[:-1]].tolist(), bounds, bounds[1:]):
         if stop > start:
             shares[worker].append((start, stop))
     return shares

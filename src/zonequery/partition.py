@@ -53,16 +53,16 @@ class PartitionPlan:
     def zones_of(self, worker: int) -> np.ndarray:
         return np.nonzero(self.assignment == worker)[0]
 
-    def runs(self, lo: int = 0, hi: int | None = None) -> list[tuple[int, int, int]]:
-        """Run-length encoding of zones [lo, hi), all zones by default:
-        (zone_start, zone_stop, worker) triples in zone order."""
-        a = self.assignment[lo:hi]
+    def runs(self) -> list[tuple[int, int, int]]:
+        """Run-length encoding of the assignment: (zone_start, zone_stop,
+        worker) triples in zone order."""
+        a = self.assignment
         if not a.size:
             return []
         cuts = np.flatnonzero(np.diff(a)) + 1
         starts = np.concatenate(([0], cuts))
         stops = np.concatenate((cuts, [a.size]))
-        return list(zip((starts + lo).tolist(), (stops + lo).tolist(), a[starts].tolist()))
+        return list(zip(starts.tolist(), stops.tolist(), a[starts].tolist()))
 
     def to_json(self) -> str:
         payload = {

@@ -223,32 +223,43 @@ def cone_search(index: ZoneIndex, q: ConeQuery) -> list[tuple[int, float]]:
 
 def _window_segments(
     ra: np.ndarray, alpha: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split padded ra windows into half-open segments inside [0, 360).
 
-    Returns up to three (object_index, lo, hi) groups: the main segment for
-    every object, plus wrap segments for windows crossing 0/360. Segments of
-    one object never overlap, so no candidate is produced twice.
+    Returns (object_index, lo, hi) columns holding the main segment of every
+    object, then the wrap segments of windows crossing 0, then those of
+    windows crossing 360, each group in object order. Segments of one object
+    never overlap, so no candidate is produced twice.
     """
     w_lo = ra - alpha - WINDOW_PAD_DEG
     w_hi = ra + alpha + WINDOW_PAD_DEG
     full = (w_hi - w_lo) >= 360.0
-
     main_lo = np.where(full, 0.0, np.maximum(w_lo, 0.0))
     main_hi = np.where(full, 360.0, np.minimum(w_hi, 360.0))
-    segments = [(np.arange(len(ra)), main_lo, main_hi)]
+    wrap_low = np.flatnonzero(~full & (w_lo < 0.0))
+    wrap_high = np.flatnonzero(~full & (w_hi > 360.0))
+    if not (wrap_low.size or wrap_high.size):
+        return np.arange(len(ra)), main_lo, main_hi
+    obj = np.concatenate((np.arange(len(ra)), wrap_low, wrap_high))
+    lo = np.concatenate((main_lo, w_lo[wrap_low] + 360.0, np.zeros(wrap_high.size)))
+    hi = np.concatenate((main_hi, np.full(wrap_low.size, 360.0), w_hi[wrap_high] - 360.0))
+    return obj, lo, hi
 
-    wrap_low = np.nonzero(~full & (w_lo < 0.0))[0]
-    if wrap_low.size:
-        segments.append(
-            (wrap_low, w_lo[wrap_low] + 360.0, np.full(wrap_low.size, 360.0))
-        )
-    wrap_high = np.nonzero(~full & (w_hi > 360.0))[0]
-    if wrap_high.size:
-        segments.append(
-            (wrap_high, np.zeros(wrap_high.size), w_hi[wrap_high] - 360.0)
-        )
-    return segments
+
+def _expand(
+    key: np.ndarray, obj: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``key`` in each needle's key range [lo, hi], as (leading
+    row, key row) pairs in needle order, key rows ascending per needle."""
+    i0 = np.searchsorted(key, lo, side="left")
+    # closed upper bound: a stored key for ra just under 360 can round up to
+    # exactly zone*KEY_BAND + 360, and the gap to the next zone band makes
+    # including equality safe (never pulls in another zone)
+    counts = np.searchsorted(key, hi, side="right") - i0
+    del lo, hi  # the caller passes temporaries: free them before expanding
+    total = int(counts.sum())
+    starts = np.cumsum(counts) - counts
+    return np.repeat(obj, counts), np.repeat(i0 - starts, counts) + np.arange(total)
 
 
 def _zone_join(
@@ -270,44 +281,42 @@ def _zone_join(
     dec +- radius band can touch, with ra inside a window of conservative
     half-width. A |delta dec| test then drops the candidates farther than
     radius (+ DEC_PAD_DEG) in dec alone, and an exact separation filter
-    decides on the rest. Candidate ranges are located with binary searches on
-    the composite (zone, ra) sort key, so the whole batch runs as a handful of
-    array passes. ``candidate_sink``, when given, receives the pre-filter
-    (lead_rows, other_rows) stream, and ``candidates`` counts it.
+    decides on the rest. Each (zone offset, window segment, leading row)
+    triple is a needle: a key range located by binary search on the
+    composite (zone, ra) sort key. The needles are built up front, in that
+    order, and searched and expanded in one pass of array calls; a join is
+    split into several passes only to hold at most JOIN_CHUNK_ROWS needles
+    each: a cone reaching up to JOIN_CHUNK_ROWS / 3 zones takes one pass, a
+    full chunk of leading rows one per zone offset.
+    ``candidate_sink``, when given, receives the pre-filter (lead_rows,
+    other_rows) stream, and ``candidates`` counts it.
     """
     if len(lead_ra) == 0 or len(key) == 0:
         return _NO_ROWS, _NO_ROWS, np.empty(0), 0
     # zone_of_array clamps to [0, zone_count), which covers dec +- r past a pole
     z_lo = zone_of_array(lead_dec - radius, cfg)
     z_hi = zone_of_array(lead_dec + radius, cfg)
-    alpha = ra_halfwidth_array(radius, lead_dec)
-    segments = _window_segments(lead_ra, alpha)
+    obj, seg_lo, seg_hi = _window_segments(lead_ra, ra_halfwidth_array(radius, lead_dec))
+    first, span = z_lo[obj], (z_hi - z_lo)[obj]
+    n_offsets = int(span.max()) + 1
+    step = max(1, JOIN_CHUNK_ROWS // len(obj))
 
     lead_parts: list[np.ndarray] = []
     cand_parts: list[np.ndarray] = []
-    for k in range(int((z_hi - z_lo).max()) + 1):
-        zone_k = z_lo + k
-        for obj_idx, seg_lo, seg_hi in segments:
-            act = np.nonzero(zone_k[obj_idx] <= z_hi[obj_idx])[0]
-            if act.size == 0:
-                continue
-            obj = obj_idx[act]
-            base = zone_k[obj].astype(np.float64) * KEY_BAND
-            i0 = np.searchsorted(key, base + seg_lo[act], side="left")
-            # closed upper bound: a stored key for ra just under 360 can round
-            # up to exactly zone*KEY_BAND + 360, and the gap to the next zone
-            # band makes including equality safe (never pulls in another zone)
-            i1 = np.searchsorted(key, base + seg_hi[act], side="right")
-            counts = i1 - i0
-            total = int(counts.sum())
-            if total == 0:
-                continue
-            lead_parts.append(np.repeat(obj, counts))
-            starts = np.cumsum(counts) - counts
-            cand_parts.append(np.repeat(i0 - starts, counts) + np.arange(total))
+    for k0 in range(0, n_offsets, step):
+        offsets = np.arange(k0, min(k0 + step, n_offsets))[:, None]
+        # needle positions in the (offset, segment) grid, row-major: by zone
+        # offset, then segment and leading row
+        flat = np.flatnonzero(span >= offsets)
+        j = flat % len(obj) if len(offsets) > 1 else flat
+        base = (first + offsets).ravel()[flat].astype(np.float64) * KEY_BAND
+        li, ci = _expand(key, obj[j], base + seg_lo[j], base + seg_hi[j])
+        lead_parts.append(li)
+        cand_parts.append(ci)
 
-    li = np.concatenate(lead_parts) if lead_parts else _NO_ROWS
-    ci = np.concatenate(cand_parts) if cand_parts else _NO_ROWS
+    li = lead_parts[0] if len(lead_parts) == 1 else np.concatenate(lead_parts)
+    ci = cand_parts[0] if len(cand_parts) == 1 else np.concatenate(cand_parts)
+    del lead_parts, cand_parts  # free the passes' parts before filtering
     if candidate_sink is not None:
         candidate_sink(li, ci)
     candidates = int(li.size)

@@ -111,7 +111,8 @@ def zone_of(dec: float, cfg: ZoneConfig) -> ZoneId:
 def zone_of_array(dec: np.ndarray, cfg: ZoneConfig) -> np.ndarray:
     """Vector form of :func:`zone_of`; identical arithmetic per element."""
     z = np.floor((dec + 90.0) / cfg.height_deg).astype(np.int64)
-    return np.clip(z, 0, cfg.zone_count - 1)
+    # np.maximum/np.minimum: a few microseconds cheaper than np.clip per call
+    return np.minimum(np.maximum(z, 0), cfg.zone_count - 1)
 
 
 def zone_dec_range(zone: ZoneId, cfg: ZoneConfig) -> tuple[float, float]:

@@ -11,7 +11,10 @@ import numpy as np
 
 from zonequery import ZoneConfig, build_index
 from zonequery import catalog
-from zonequery.catalog import IngestError, ZoneIndex, _parse_header
+from zonequery.catalog import KEY_BAND, IngestError, ZoneIndex, _parse_header
+from zonequery.partition import PartitionPlan
+from zonequery.queries import DEC_PAD_DEG, WINDOW_PAD_DEG
+from zonequery.sphere import ra_halfwidth_array, separation_deg, zone_of_array
 
 
 def random_sky(rng: np.random.Generator, n: int, dec_lo=-90.0, dec_hi=90.0):
@@ -243,3 +246,95 @@ def ingest_csv_reference(
         mags_arr,
         selected,
     )
+
+
+def _window_segments_reference(ra, alpha):
+    """Padded ra windows as up to three (object_index, lo, hi) groups inside
+    [0, 360): the main segment of every object, then the wrap segments."""
+    w_lo = ra - alpha - WINDOW_PAD_DEG
+    w_hi = ra + alpha + WINDOW_PAD_DEG
+    full = (w_hi - w_lo) >= 360.0
+
+    main_lo = np.where(full, 0.0, np.maximum(w_lo, 0.0))
+    main_hi = np.where(full, 360.0, np.minimum(w_hi, 360.0))
+    segments = [(np.arange(len(ra)), main_lo, main_hi)]
+
+    wrap_low = np.nonzero(~full & (w_lo < 0.0))[0]
+    if wrap_low.size:
+        segments.append(
+            (wrap_low, w_lo[wrap_low] + 360.0, np.full(wrap_low.size, 360.0))
+        )
+    wrap_high = np.nonzero(~full & (w_hi > 360.0))[0]
+    if wrap_high.size:
+        segments.append(
+            (wrap_high, np.zeros(wrap_high.size), w_hi[wrap_high] - 360.0)
+        )
+    return segments
+
+
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
+
+def zone_join_reference(
+    lead_ra, lead_dec, radius, key, ra, dec, cfg, candidate_sink=None
+):
+    """The per-offset ``queries._zone_join`` that one search pass per join
+    replaced, kept as its reference: one pair of binary searches per (zone
+    offset, window segment), so its outputs and candidate stream, order
+    included, are what the one-pass kernel must reproduce."""
+    if len(lead_ra) == 0 or len(key) == 0:
+        return _NO_ROWS, _NO_ROWS, np.empty(0), 0
+    z_lo = zone_of_array(lead_dec - radius, cfg)
+    z_hi = zone_of_array(lead_dec + radius, cfg)
+    alpha = ra_halfwidth_array(radius, lead_dec)
+    segments = _window_segments_reference(lead_ra, alpha)
+
+    lead_parts = []
+    cand_parts = []
+    for k in range(int((z_hi - z_lo).max()) + 1):
+        zone_k = z_lo + k
+        for obj_idx, seg_lo, seg_hi in segments:
+            act = np.nonzero(zone_k[obj_idx] <= z_hi[obj_idx])[0]
+            if act.size == 0:
+                continue
+            obj = obj_idx[act]
+            base = zone_k[obj].astype(np.float64) * KEY_BAND
+            i0 = np.searchsorted(key, base + seg_lo[act], side="left")
+            i1 = np.searchsorted(key, base + seg_hi[act], side="right")
+            counts = i1 - i0
+            total = int(counts.sum())
+            if total == 0:
+                continue
+            lead_parts.append(np.repeat(obj, counts))
+            starts = np.cumsum(counts) - counts
+            cand_parts.append(np.repeat(i0 - starts, counts) + np.arange(total))
+
+    li = np.concatenate(lead_parts) if lead_parts else _NO_ROWS
+    ci = np.concatenate(cand_parts) if cand_parts else _NO_ROWS
+    if candidate_sink is not None:
+        candidate_sink(li, ci)
+    candidates = int(li.size)
+    lead_d, other_d = lead_dec[li], dec[ci]
+    near = np.abs(lead_d - other_d) <= radius + DEC_PAD_DEG
+    li, ci = li[near], ci[near]
+    sep = separation_deg(lead_ra[li], lead_d[near], ra[ci], other_d[near])
+    keep = sep <= radius
+    return li[keep], ci[keep], sep[keep], candidates
+
+
+def clip_runs(runs, lo: int, hi: int):
+    """The (zone_start, zone_stop, worker) runs of zones [lo, hi)."""
+    return [(max(a, lo), min(b, hi), w) for a, b, w in runs if a < hi and b > lo]
+
+
+def shares_reference(plan: PartitionPlan, zone_starts, z_lo: int, z_hi: int):
+    """The runs-based ``executor._shares``, kept as the reference for the
+    run-edge walk: per worker, the non-empty row ranges of its runs
+    clipped to zones [z_lo, z_hi]."""
+    runs = clip_runs(plan.runs(), z_lo, z_hi + 1)
+    bounds = zone_starts[[a for a, _, _ in runs] + [z_hi + 1]].tolist()
+    shares = [[] for _ in range(plan.worker_count)]
+    for (_, _, worker), start, stop in zip(runs, bounds, bounds[1:]):
+        if stop > start:
+            shares[worker].append((start, stop))
+    return shares

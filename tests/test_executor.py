@@ -30,10 +30,12 @@ from zonequery import (
     zone_of,
 )
 from zonequery import queries
+from zonequery.catalog import ZoneHistogram
+from zonequery.executor import _shares
 from zonequery.queries import MAX_MATCH_RADIUS_DEG, MatchTable, brute_force_crossmatch
 from zonequery.synth import Clustered, DecBand, SyntheticSpec, generate_index
 
-from conftest import random_sky, scenario_pair
+from conftest import random_sky, scenario_pair, shares_reference
 
 CFG = ZoneConfig()
 ARCMIN = 1.0 / 60.0
@@ -183,6 +185,24 @@ class TestRunCone:
         keep = sep <= q.radius
         oracle = sorted(zip(catalog.ids[keep].tolist(), sep[keep].tolist()))
         assert [(i, s) for i, s in rows] == [(int(i), float(s)) for i, s in oracle]
+
+
+class TestShares:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 8])
+    def test_walk_equals_runs_encoding(self, strategy, workers):
+        """The run-edge walk over the plan gives the row ranges of the
+        run-length encoding it replaced, empty zones included."""
+        rng = np.random.default_rng(workers)
+        counts = rng.integers(0, 5, CFG.zone_count) * (rng.random(CFG.zone_count) < 0.7)
+        zone_starts = np.concatenate(([0], np.cumsum(counts)))
+        plan = make_plan(strategy, CFG.zone_count, workers, ZoneHistogram(counts))
+        bands = [(0, CFG.zone_count - 1)] + [
+            tuple(sorted(rng.integers(0, CFG.zone_count, 2).tolist())) for _ in range(500)
+        ] + [(z, z) for z in (0, 1, CFG.zone_count - 1)]
+        for z_lo, z_hi in bands:
+            expected = shares_reference(plan, zone_starts, z_lo, z_hi)
+            assert _shares(plan, zone_starts, z_lo, z_hi) == expected
 
 
 class TestRunXmatch:

@@ -24,7 +24,8 @@ from zonequery import (
     zone_crossmatch,
     zone_of,
 )
-from zonequery.queries import MatchPair, MatchTable
+from zonequery import queries
+from zonequery.queries import MatchPair, MatchTable, _zone_join
 from zonequery.executor import run_xmatch
 from zonequery.partition import plan_contiguous
 from zonequery.sphere import MIN_ZONE_HEIGHT_DEG, separation_deg
@@ -32,6 +33,7 @@ from zonequery.sphere import MIN_ZONE_HEIGHT_DEG, separation_deg
 from conftest import (
     assert_same_pairs,
     best_matches_reference,
+    zone_join_reference,
     pair_keys,
     random_sky,
     scenario_pair,
@@ -487,3 +489,86 @@ class TestDecPreTest:
                     dropped += 3 - len(expected)
         # the cases straddle the boundary rather than sit on one side of it
         assert kept > 0 and dropped > 0
+
+
+def _join_outputs(join, lead_ra, lead_dec, radius, index):
+    stream = []
+    out = join(
+        lead_ra, lead_dec, radius, index.ra_key, index.ra, index.dec, index.cfg,
+        lambda li, ci: stream.append((li.copy(), ci.copy())),
+    )
+    return out, stream
+
+
+class TestOnePassJoin:
+    """``_zone_join`` builds every (zone offset, window segment, leading row)
+    needle up front and searches them in one pass; outputs, candidate counts
+    and the candidate stream, order included, equal the per-offset loop it
+    replaced (``conftest.zone_join_reference``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "polar", "wrap", "boundary"]),
+        height=st.sampled_from([ARCSEC, 4 * ARCMIN, 0.5]),
+        radius=st.one_of(
+            st.sampled_from([0.0, 180.0]),
+            st.floats(min_value=ARCSEC, max_value=2.0),
+            st.floats(min_value=ARCSEC, max_value=90.0),
+        ),
+        n_lead=st.sampled_from([1, 1, 2, 7, 40]),
+        n_other=st.integers(0, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_offset_reference(self, kind, height, radius, n_lead, n_other, seed):
+        if height == ARCSEC:
+            # the reference makes 16 array calls per zone offset: keep 1"
+            # zones to radii of a few hundred offsets
+            radius = min(radius, 0.05)
+        cfg = ZoneConfig(height)
+        rng = np.random.default_rng(seed)
+        lead_ra, lead_dec = scenario_positions(rng, kind, n_lead, cfg)
+        ra, dec = scenario_positions(rng, kind, n_other, cfg)
+        index = index_from("other", ra, dec, cfg=cfg)
+        got, got_stream = _join_outputs(_zone_join, lead_ra, lead_dec, radius, index)
+        ref, ref_stream = _join_outputs(zone_join_reference, lead_ra, lead_dec, radius, index)
+        for mine, theirs in zip(got[:3], ref[:3]):
+            assert mine.dtype == theirs.dtype
+            assert np.array_equal(mine, theirs)
+        assert got[3] == ref[3]
+        assert len(got_stream) == len(ref_stream) == (n_other > 0)
+        for mine, theirs in zip(got_stream[:1], ref_stream[:1]):
+            assert all(np.array_equal(m, t) for m, t in zip(mine, theirs))
+
+    @pytest.mark.parametrize("dec0", [-90.0, -45.0, 0.0, 89.99, 90.0])
+    @pytest.mark.parametrize("ra0", [0.0, 180.0, 359.9999])
+    def test_full_circle_cones(self, ra0, dec0):
+        """Radius 180 at 0.5 degree zones: every zone, one full-circle
+        segment, every row a candidate."""
+        cfg = ZoneConfig(0.5)
+        ra, dec = random_sky(np.random.default_rng(5), 500)
+        index = index_from("sky", ra, dec, cfg=cfg)
+        lead = (np.array([ra0]), np.array([dec0]))
+        got, got_stream = _join_outputs(_zone_join, *lead, 180.0, index)
+        ref, ref_stream = _join_outputs(zone_join_reference, *lead, 180.0, index)
+        assert got[3] == ref[3] == 500
+        assert all(np.array_equal(m, t) for m, t in zip(got[:3], ref[:3]))
+        assert all(np.array_equal(m, t) for m, t in zip(got_stream[0], ref_stream[0]))
+
+    def test_passes_split_at_chunk_rows(self, monkeypatch):
+        """A join with more needles than JOIN_CHUNK_ROWS takes several
+        passes, and their concatenation is the one-pass stream."""
+        cfg = ZoneConfig(ARCSEC)
+        rng = np.random.default_rng(6)
+        # rows around the leading points, across the 0/360 wrap
+        ra = rng.uniform(-0.1, 0.1, 2000) + rng.choice([0.0, 10.0], 2000)
+        ra, dec = ra % 360.0, rng.uniform(-0.1, 0.1, 2000)
+        index = index_from("patch", ra, dec, cfg=cfg)
+        lead = (np.array([10.0, 359.999, 0.001]), np.array([0.0, 0.01, -0.02]))
+        whole, whole_stream = _join_outputs(_zone_join, *lead, 0.05, index)
+        monkeypatch.setattr(queries, "JOIN_CHUNK_ROWS", 7)
+        split, split_stream = _join_outputs(_zone_join, *lead, 0.05, index)
+        ref, ref_stream = _join_outputs(zone_join_reference, *lead, 0.05, index)
+        for got, stream in ((whole, whole_stream), (split, split_stream)):
+            assert got[3] == ref[3] > 0
+            assert all(np.array_equal(m, t) for m, t in zip(got[:3], ref[:3]))
+            assert all(np.array_equal(m, t) for m, t in zip(stream[0], ref_stream[0]))

@@ -262,8 +262,8 @@ class TestRaHalfwidth:
 
 def _window(center, hw):
     """The join's padded ra window around one point: sorted closed segments."""
-    segments = _window_segments(np.array([center]), np.array([hw]))
-    return sorted((float(lo[0]), float(hi[0])) for _, lo, hi in segments)
+    _, lo, hi = _window_segments(np.array([center]), np.array([hw]))
+    return sorted(zip(lo.tolist(), hi.tolist()))
 
 
 def _contains(window, ra):
@@ -373,6 +373,6 @@ class TestAlphaCompleteness:
         # spot-check the join's window segments on the same pairs
         idx = np.nonzero(true_pair)[0][:2000]
         inside = np.zeros(len(idx), dtype=bool)
-        for obj, lo, hi in _window_segments(ra[idx], alpha[idx]):
-            inside[obj] |= (ra2[idx][obj] >= lo) & (ra2[idx][obj] <= hi)
+        obj, lo, hi = _window_segments(ra[idx], alpha[idx])
+        np.logical_or.at(inside, obj, (ra2[idx][obj] >= lo) & (ra2[idx][obj] <= hi))
         assert inside.all()
