@@ -49,10 +49,10 @@ KEY_BAND = 512.0
 
 SNAPSHOT_VERSION = 2
 
-# v2 column members and their required dtypes; v2 also stores zone_starts
-_V2_COLUMNS = {"ids": np.uint64, "ra": np.float64, "dec": np.float64, "mags": np.float64}
-_V2_MEMBERS = frozenset(
-    {"version", "name", "height_deg", "bands", "zone_starts", *_V2_COLUMNS}
+# snapshot column members and their required dtypes; zone_starts is stored too
+_SNAPSHOT_COLUMNS = {"ids": np.uint64, "ra": np.float64, "dec": np.float64, "mags": np.float64}
+_SNAPSHOT_MEMBERS = frozenset(
+    {"version", "name", "height_deg", "bands", "zone_starts", *_SNAPSHOT_COLUMNS}
 )
 
 # fraction of rejected rows above which ingestion fails outright
@@ -132,11 +132,6 @@ class ZoneIndex:
     @property
     def total_count(self) -> int:
         return len(self.ids)
-
-    @property
-    def row_bytes(self) -> int:
-        """Approximate stored bytes per object, for I/O-style accounting."""
-        return 8 * (3 + len(self.bands))
 
     def band_column(self, band: str) -> np.ndarray:
         if band not in self.bands:
@@ -590,9 +585,9 @@ def save_index(index: ZoneIndex, path: str | Path) -> None:
 def load_index(path: str | Path) -> ZoneIndex:
     """Load a snapshot.
 
-    A v2 snapshot is checked in O(n), plus one sort of the ids, and used as
-    stored; a v1 snapshot holds raw columns and is rebuilt with build_index.
-    Any unreadable, corrupt or inconsistent file raises SnapshotFormatError.
+    The snapshot is checked in O(n), plus one sort of the ids, and used as
+    stored. Any unreadable, corrupt or inconsistent file, or one of another
+    version, raises SnapshotFormatError.
     """
     path = Path(path)
     if not path.exists():
@@ -604,18 +599,14 @@ def load_index(path: str | Path) -> ZoneIndex:
             if "version" not in data:
                 raise SnapshotFormatError(f"{path}: not a zonequery index snapshot")
             version = int(data["version"])
-            if version not in (1, SNAPSHOT_VERSION):
+            if version != SNAPSHOT_VERSION:
                 raise SnapshotFormatError(
-                    f"{path}: snapshot version {version}, expected 1 or {SNAPSHOT_VERSION}"
+                    f"{path}: snapshot version {version}, expected {SNAPSHOT_VERSION}"
                 )
             name = str(data["name"])
             cfg = ZoneConfig(float(data["height_deg"]))
             bands = tuple(str(b) for b in data["bands"])
-            if version == 1:
-                return build_index(
-                    name, cfg, data["ids"], data["ra"], data["dec"], data["mags"], bands
-                )
-            return _checked_v2(path, data, name, cfg, bands)
+            return _checked_snapshot(path, data, name, cfg, bands)
     except SnapshotFormatError:
         raise
     # a damaged archive surfaces as BadZipFile (also a bad member CRC-32),
@@ -627,23 +618,23 @@ def load_index(path: str | Path) -> ZoneIndex:
         raise SnapshotFormatError(f"{path}: unreadable snapshot ({exc})") from exc
 
 
-def _checked_v2(
+def _checked_snapshot(
     path: Path, data, name: str, cfg: ZoneConfig, bands: tuple[str, ...]
 ) -> ZoneIndex:
-    """Wrap a v2 snapshot's stored index after checking every invariant
+    """Wrap a snapshot's stored index after checking every invariant
     build_index establishes; the first broken one raises SnapshotFormatError."""
 
     def bad(reason: str) -> SnapshotFormatError:
         return SnapshotFormatError(f"{path}: corrupt snapshot: {reason}")
 
     members = set(data.files)
-    if members != _V2_MEMBERS:
+    if members != _SNAPSHOT_MEMBERS:
         raise bad(
-            f"missing members {sorted(_V2_MEMBERS - members)}, "
-            f"unexpected members {sorted(members - _V2_MEMBERS)}"
+            f"missing members {sorted(_SNAPSHOT_MEMBERS - members)}, "
+            f"unexpected members {sorted(members - _SNAPSHOT_MEMBERS)}"
         )
-    columns = {key: data[key] for key in _V2_COLUMNS}
-    for key, dtype in _V2_COLUMNS.items():
+    columns = {key: data[key] for key in _SNAPSHOT_COLUMNS}
+    for key, dtype in _SNAPSHOT_COLUMNS.items():
         if columns[key].dtype != dtype:
             raise bad(f"{key} has dtype {columns[key].dtype}, expected {np.dtype(dtype)}")
     ids, ra, dec, mags = columns.values()

@@ -1,4 +1,4 @@
-"""Command-line front end: generate, ingest, plan, query, benchmark.
+"""Command-line front end: generate, ingest, plan, query.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Diagnostics go to
 stderr; machine-readable results (CSV/JSON) go to --out/--stats paths or
@@ -13,15 +13,11 @@ import argparse
 import json
 import os
 import re
-import statistics
 import sys
-import time
 from pathlib import Path
 from typing import Sequence
 
-from .catalog import (  # _CHUNK_ROWS and _format_rows stay reachable for tests
-    _CHUNK_ROWS,
-    _format_rows,
+from .catalog import (
     _write_csv,
     IngestError,
     SnapshotFormatError,
@@ -125,17 +121,6 @@ def parse_bands(text: str) -> tuple[BandSpec, ...]:
 def _check_workers(workers: int) -> None:
     if workers > MAX_WORKERS:
         raise UsageError(f"--workers {workers} is above the limit of {MAX_WORKERS}")
-
-
-def parse_worker_list(text: str) -> list[int]:
-    try:
-        workers = [int(p) for p in text.split(",")]
-    except ValueError:
-        raise UsageError(f"bad worker list {text!r}: need e.g. 1,2,4,8") from None
-    if not workers or any(w < 1 for w in workers):
-        raise UsageError(f"bad worker list {text!r}: counts must be >= 1")
-    _check_workers(max(workers))
-    return workers
 
 
 def _normalize_strategy(text: str) -> str:
@@ -299,45 +284,6 @@ def _cmd_xmatch(args) -> int:
     return 0
 
 
-def _cmd_bench_xmatch(args) -> int:
-    leading, other = _load_pair(args.leading, args.other)
-    strategy = _normalize_strategy(args.strategy)
-    radius = parse_angle(args.radius)
-    worker_counts = parse_worker_list(args.workers)
-    if args.repeat < 1:
-        raise UsageError(f"--repeat must be >= 1, got {args.repeat}")
-    try:
-        spec = MatchSpec(radius=radius, leading=leading.name)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    runs = []
-    for workers in worker_counts:
-        plan = _plan_for(leading, strategy, workers)
-        elapsed = []
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            run_xmatch(leading, other, spec, plan)
-            elapsed.append(time.perf_counter() - t0)
-        runs.append({"workers": workers, "elapsed_s": elapsed,
-                     "median_s": statistics.median(elapsed)})
-    baseline = runs[0]["median_s"]
-    for entry in runs:
-        entry["speedup"] = baseline / entry["median_s"] if entry["median_s"] > 0 else 1.0
-    payload = {"radius": radius, "worker_counts": worker_counts, "runs": runs}
-    Path(args.out).write_text(json.dumps(payload, sort_keys=True) + "\n",
-                              encoding="utf-8")
-    if args.plot_csv:
-        columns = [[r[key] for r in runs] for key in ("workers", "median_s", "speedup")]
-        _write_csv(args.plot_csv, "worker_count,elapsed,speedup\n", "%d,%r,%r\n", columns)
-    for r in runs:
-        print(
-            f"workers={r['workers']} median={r['median_s']:.4f}s "
-            f"speedup={r['speedup']:.2f}",
-            file=sys.stderr,
-        )
-    return 0
-
-
 def _add_query_flags(p: argparse.ArgumentParser) -> None:
     """The flags scan, cone and xmatch share: parallelism and outputs."""
     p.add_argument("--workers", type=int, default=1, help="worker count (default 1)")
@@ -411,19 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-self", action="store_true",
                    help="drop identity pairs (leading_id == other_id)")
     p.set_defaults(fn=_cmd_xmatch)
-
-    p = sub.add_parser("bench", help="benchmark harness")
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-    b = bench_sub.add_parser("xmatch", help="cross-match scaling over worker counts")
-    b.add_argument("--leading", required=True)
-    b.add_argument("--other", required=True)
-    b.add_argument("--radius", required=True)
-    b.add_argument("--workers", required=True, help="comma list, e.g. 1,2,4,8")
-    b.add_argument("--repeat", type=int, default=3)
-    b.add_argument("--strategy", default="contiguous")
-    b.add_argument("--out", required=True, help="benchmark report JSON")
-    b.add_argument("--plot-csv", help="also write worker_count,elapsed,speedup CSV")
-    b.set_defaults(fn=_cmd_bench_xmatch)
 
     return parser
 

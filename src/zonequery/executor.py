@@ -50,13 +50,11 @@ __all__ = [
 @dataclass(frozen=True)
 class WorkerStats:
     """What one worker did: wall clock, CPU if the platform provides it,
-    and row/byte counters standing in for the storage engine's I/O numbers.
+    and row counters.
 
     ``rows_scanned`` counts the rows a scan visits, and the candidates a cone
-    or cross-match examines before the exact separation filter.
-    ``bytes_read`` is modelled, not measured I/O: rows_scanned x 8 * (3 +
-    bands), the width of a stored row of the scanned index. A worker whose
-    share holds no rows reports an all-zero row. The aggregate rows of
+    or cross-match examines before the exact separation filter. A worker
+    whose share holds no rows reports an all-zero row. The aggregate rows of
     :func:`aggregate` are labelled "MAX" and "AVG" instead of a worker index.
     """
 
@@ -65,11 +63,10 @@ class WorkerStats:
     cpu_s: float | None
     rows_scanned: int
     rows_returned: int
-    bytes_read: int
 
 
 # the counters of a stats row, each aggregated into the MAX and AVG rows
-_COUNTERS = ("elapsed_s", "cpu_s", "rows_scanned", "rows_returned", "bytes_read")
+_COUNTERS = ("elapsed_s", "cpu_s", "rows_scanned", "rows_returned")
 
 
 def aggregate(stats: Sequence[WorkerStats]) -> tuple[WorkerStats, WorkerStats]:
@@ -150,29 +147,20 @@ def _shares(
     return shares
 
 
-def _timed(worker: int, row_bytes: int, work: Work, ranges: Ranges):
+def _timed(worker: int, work: Work, ranges: Ranges):
     """Run one worker's share and wrap the counters it reports."""
     t0 = time.perf_counter()
     c0 = time.thread_time() if _HAS_THREAD_CPU else None
     result, scanned, returned = work(ranges)
     elapsed = time.perf_counter() - t0
     cpu = time.thread_time() - c0 if c0 is not None else None
-    stats = WorkerStats(
-        worker=worker,
-        elapsed_s=elapsed,
-        cpu_s=cpu,
-        rows_scanned=scanned,
-        rows_returned=returned,
-        bytes_read=scanned * row_bytes,
-    )
-    return result, stats
+    return result, WorkerStats(worker, elapsed, cpu, scanned, returned)
 
 
 def _execute(
     plan: PartitionPlan,
     zone_starts: np.ndarray,
     band: tuple[int, int],
-    row_bytes: int,
     work: Work,
     merge: Callable,
 ):
@@ -183,13 +171,13 @@ def _execute(
     t0 = time.perf_counter()
     shares = _shares(plan, zone_starts, *band)
     busy = [w for w, ranges in enumerate(shares) if ranges]
-    stats = [WorkerStats(w, 0.0, _IDLE_CPU, 0, 0, 0) for w in range(plan.worker_count)]
+    stats = [WorkerStats(w, 0.0, _IDLE_CPU, 0, 0) for w in range(plan.worker_count)]
     if len(busy) > 1:
         with ThreadPoolExecutor(max_workers=len(busy)) as pool:
-            futures = [pool.submit(_timed, w, row_bytes, work, shares[w]) for w in busy]
+            futures = [pool.submit(_timed, w, work, shares[w]) for w in busy]
             done = [fut.result() for fut in futures]
     else:
-        done = [_timed(w, row_bytes, work, shares[w]) for w in busy]
+        done = [_timed(w, work, shares[w]) for w in busy]
     for w, (_, row) in zip(busy, done):
         stats[w] = row
     # no busy worker: typed empty columns for the merge
@@ -211,7 +199,7 @@ def run_scan(
         return (ids, mags), sum(b - a for a, b in ranges), len(ids)
 
     everything = (0, plan.zone_count - 1)
-    return _execute(plan, index.zone_starts, everything, index.row_bytes, work, _by_id)
+    return _execute(plan, index.zone_starts, everything, work, _by_id)
 
 
 def run_cone(
@@ -233,9 +221,7 @@ def run_cone(
         )
         return (_take(index.ids, ranges)[rows], sep), candidates, len(rows)
 
-    return _execute(
-        plan, index.zone_starts, tuple(band.tolist()), index.row_bytes, work, _by_id
-    )
+    return _execute(plan, index.zone_starts, tuple(band.tolist()), work, _by_id)
 
 
 def run_xmatch(
@@ -268,4 +254,4 @@ def run_xmatch(
 
     everything = (0, plan.zone_count - 1)
     merge = MatchTable.from_unsorted
-    return _execute(plan, leading.zone_starts, everything, other.row_bytes, work, merge)
+    return _execute(plan, leading.zone_starts, everything, work, merge)

@@ -8,6 +8,7 @@ assignments visibly lopsided.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -70,6 +71,10 @@ class BandSpec:
     lo: float
     hi: float
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo <= self.hi):
+            raise ValueError(f"bad band {self.name!r} range [{self.lo!r}, {self.hi!r}]")
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -81,6 +86,11 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.count < 0:
             raise ValueError(f"count must be >= 0, got {self.count}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        names = [b.name for b in self.bands]
+        if len(set(names)) != len(names):
+            raise ValueError(f"repeated band names in {names}")
 
 
 def _sample_dec(rng: np.random.Generator, n: int, lo: float, hi: float) -> np.ndarray:

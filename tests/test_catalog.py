@@ -604,23 +604,19 @@ class TestSnapshotV2:
         assert loaded.mags.shape == (0, 0)
         assert np.array_equal(loaded.zone_starts, np.zeros(CFG.zone_count + 1))
 
-    def test_v1_snapshot_is_rebuilt(self, tmp_path):
+    def test_v1_snapshot_is_rejected(self, tmp_path):
+        # version 1 stored raw columns without zone_starts; it is not read
         rng = np.random.default_rng(28)
         ra, dec = random_sky(rng, 600)
-        ra[:5] -= 360.0  # raw, not yet normalized
-        ids = rng.permutation(600).astype(np.uint64)
-        mags = rng.uniform(5, 15, (600, 1))
         path = tmp_path / "v1.idx"
         _write_members(path, dict(
             version=np.array(1, dtype=np.int64), name=np.array("old"),
             height_deg=np.array(CFG.height_deg), bands=np.array(["r"]),
-            ids=ids, ra=ra, dec=dec, mags=mags,
+            ids=np.arange(600, dtype=np.uint64), ra=ra, dec=dec,
+            mags=rng.uniform(5, 15, (600, 1)),
         ))
-        loaded = load_index(path)
-        expected = build_index("old", CFG, ids, ra, dec, mags, ("r",))
-        assert (loaded.name, loaded.cfg, loaded.bands) == ("old", CFG, ("r",))
-        for attr in ("ids", "ra", "dec", "mags", "zone_starts", "ra_key"):
-            assert np.array_equal(getattr(loaded, attr), getattr(expected, attr))
+        with pytest.raises(SnapshotFormatError, match="snapshot version 1, expected 2$"):
+            load_index(path)
 
     @pytest.mark.parametrize("breaker, reason", [
         (_swap_rows, "order"),

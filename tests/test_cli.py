@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zonequery import cli, load_index, plan_contiguous, run_xmatch, save_index
-from zonequery.cli import main, parse_angle, parse_footprint, parse_worker_list
+from zonequery.catalog import _CHUNK_ROWS, _format_rows
+from zonequery.cli import main, parse_angle, parse_footprint
 from zonequery.cli import MAX_WORKERS, UsageError
 from zonequery.queries import MatchSpec
 from zonequery.synth import Clustered, DecBand, FullSky
@@ -64,13 +65,6 @@ class TestAngleParsing:
         with pytest.raises(UsageError):
             parse_footprint("sphere")
 
-    def test_worker_list(self):
-        assert parse_worker_list("1,2,4,8") == [1, 2, 4, 8]
-        with pytest.raises(UsageError):
-            parse_worker_list("1,zero")
-        with pytest.raises(UsageError):
-            parse_worker_list("0,2")
-
 
 class TestExitCodes:
     def test_usage_error_is_1(self, small_setup, tmp_path, capsys):
@@ -94,22 +88,33 @@ class TestExitCodes:
             run_cli("scan")  # missing required --index
         assert exc.value.code == 1
 
+    def test_bench_is_unknown_command(self, capsys):
+        # scaling is measured by xmatch --workers N --stats (total_elapsed_s)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "xmatch", "--workers", "1,2")
+        assert exc.value.code == 1
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_zero_workers_is_usage_error(self, small_setup, capsys):
         _, _, a_idx, _ = small_setup
         assert run_cli("scan", "--index", str(a_idx), "--workers", "0") == 1
 
-    def test_zero_repeat_is_usage_error(self, small_setup, tmp_path, capsys):
-        _, _, a_idx, b_idx = small_setup
-        code = run_cli(
-            "bench", "xmatch", "--leading", str(a_idx), "--other", str(b_idx),
-            "--radius", "1arcmin", "--workers", "1", "--repeat", "0",
-            "--out", str(tmp_path / "b.json"),
-        )
+    @pytest.mark.parametrize("args", [
+        ["--count", "-1"],
+        ["--bands", "r=1e999:5"],
+        ["--bands", "r=15:5"],
+        ["--seed", "-1"],
+        ["--bands", "r=5:15,r=1:2"],
+    ], ids=["negative-count", "infinite-band", "inverted-band", "negative-seed",
+            "repeated-band"])
+    def test_bad_gen_spec_is_usage_error(self, tmp_path, capsys, args):
+        out = tmp_path / "g.csv"
+        code = run_cli("gen", "--count", "10", *args, "--out", str(out))
         assert code == 1
-
-    def test_negative_count_is_usage_error(self, tmp_path, capsys):
-        code = run_cli("gen", "--count", "-5", "--out", str(tmp_path / "g.csv"))
-        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("zonequery: error: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_out_of_range_dec_is_usage_error(self, small_setup, capsys):
         _, _, a_idx, _ = small_setup
@@ -240,15 +245,12 @@ def _query_commands(idx, tmp_path):
                  "--radius", "1deg", "--out", str(tmp_path / "c.csv")],
         "xmatch": ["xmatch", "--leading", idx, "--other", idx, "--radius", "1arcmin",
                    "--out", str(tmp_path / "x.csv")],
-        "bench": ["bench", "xmatch", "--leading", idx, "--other", idx,
-                  "--radius", "1arcmin", "--workers", "1", "--repeat", "1",
-                  "--out", str(tmp_path / "b.json")],
     }
 
 
 class TestCorruptSnapshot:
     @pytest.mark.parametrize("kind", ["empty", "truncated", "crc"])
-    @pytest.mark.parametrize("command", ["plan", "scan", "cone", "xmatch", "bench"])
+    @pytest.mark.parametrize("command", ["plan", "scan", "cone", "xmatch"])
     def test_query_exits_2_with_one_line(self, small_setup, tmp_path, capsys,
                                          command, kind):
         _, _, a_idx, _ = small_setup
@@ -260,6 +262,19 @@ class TestCorruptSnapshot:
         err = capsys.readouterr().err
         assert err.startswith("zonequery: data error: ")
         assert err.count("\n") == 1
+
+    def test_v1_snapshot_exits_2_with_one_line(self, tmp_path, capsys):
+        v1 = tmp_path / "v1.idx"
+        with v1.open("wb") as fh:
+            np.savez(fh, version=np.array(1, dtype=np.int64), name=np.array("old"),
+                     height_deg=np.array(4 / 60), bands=np.array(["r"]),
+                     ids=np.arange(3, dtype=np.uint64), ra=np.array([1.0, 2.0, 3.0]),
+                     dec=np.zeros(3), mags=np.full((3, 1), 9.0))
+        capsys.readouterr()
+        assert run_cli("cone", "--index", str(v1), "--ra", "2deg", "--dec", "0deg",
+                       "--radius", "1deg", "--out", str(tmp_path / "c.csv")) == 2
+        err = capsys.readouterr().err
+        assert err == f"zonequery: data error: {v1}: snapshot version 1, expected 2\n"
 
 
 class TestGenIngestScan:
@@ -460,7 +475,7 @@ class TestPlanOutputBytes:
         assert capsys.readouterr().out == expected
 
 
-_STATS_COUNTERS = ("elapsed_s", "rows_scanned", "rows_returned", "bytes_read")
+_STATS_COUNTERS = ("elapsed_s", "rows_scanned", "rows_returned")
 
 
 class TestStatsJson:
@@ -495,7 +510,7 @@ class TestStatsJson:
             assert mx[name] == max(values)
             assert avg[name] == sum(values) / 3
             assert type(avg[name]) is float
-        for name in ("rows_scanned", "rows_returned", "bytes_read"):
+        for name in ("rows_scanned", "rows_returned"):
             assert type(mx[name]) is int
         cpus = [r["cpu_s"] for r in rows]
         if None in cpus:  # no per-thread CPU clock on this platform
@@ -565,7 +580,7 @@ class TestXmatchCommand:
             # stable under parse/format cycle
             assert f"{float(sep):.12g}" == sep
 
-    @pytest.mark.parametrize("command", ["xmatch", "bench"])
+    @pytest.mark.parametrize("command", ["xmatch"])
     def test_self_match_loads_file_once(self, small_setup, tmp_path, monkeypatch,
                                         command):
         _, _, a_idx, _ = small_setup
@@ -583,17 +598,11 @@ class TestXmatchCommand:
         for other in (a_idx, twin):
             loads.clear()
             out = tmp_path / f"{command}.out"
-            argv = ["--leading", str(a_idx), "--other", str(other),
-                    "--radius", "30arcmin", "--out", str(out)]
-            if command == "bench":
-                argv = ["bench", "xmatch", *argv, "--workers", "1", "--repeat", "1"]
-            else:
-                argv = ["xmatch", *argv]
-            assert run_cli(*argv) == 0
+            assert run_cli(command, "--leading", str(a_idx), "--other", str(other),
+                           "--radius", "30arcmin", "--out", str(out)) == 0
             outs.append((len(loads), out.read_bytes()))
         assert [n for n, _ in outs] == [1, 2]
-        if command == "xmatch":
-            assert outs[0][1] == outs[1][1]
+        assert outs[0][1] == outs[1][1]
 
 
 class TestConeCommand:
@@ -619,32 +628,7 @@ class TestConeCommand:
         assert all(float(l.split(",")[1]) <= 5.0 for l in lines[1:])
 
 
-class TestBenchCommand:
-    def test_bench_report_schema_and_speedup(self, small_setup, tmp_path):
-        _, _, a_idx, b_idx = small_setup
-        report = tmp_path / "bench.json"
-        plot = tmp_path / "plot.csv"
-        assert run_cli(
-            "bench", "xmatch", "--leading", str(a_idx), "--other", str(b_idx),
-            "--radius", "30arcmin", "--workers", "1,2", "--repeat", "3",
-            "--out", str(report), "--plot-csv", str(plot),
-        ) == 0
-        payload = json.loads(report.read_text())
-        assert set(payload) == {"radius", "worker_counts", "runs"}
-        assert payload["worker_counts"] == [1, 2]
-        for run, workers in zip(payload["runs"], (1, 2)):
-            assert run["workers"] == workers
-            assert len(run["elapsed_s"]) == 3
-            assert run["median_s"] == sorted(run["elapsed_s"])[1]
-        base = payload["runs"][0]["median_s"]
-        for run in payload["runs"]:
-            assert run["speedup"] == pytest.approx(base / run["median_s"])
-        lines = plot.read_text().splitlines()
-        assert lines[0] == "worker_count,elapsed,speedup"
-        assert len(lines) == 3
-
-
-CHUNK = cli._CHUNK_ROWS
+CHUNK = _CHUNK_ROWS
 _U64 = st.sampled_from([0, 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1])
 _U64 = _U64 | st.integers(0, 2**64 - 1)
 # 0, subnormals, and values where %g switches between fixed and exponent form
@@ -675,7 +659,7 @@ class TestCsvFormatter:
             np.array([r[k] for r in rows], dtype=dtype)
             for k, dtype in enumerate((np.uint64, np.uint64, np.float64))
         )
-        chunks = list(cli._format_rows("%d,%d,%.12g\n", columns))
+        chunks = list(_format_rows("%d,%d,%.12g\n", columns))
         assert len(chunks) == -(-n // CHUNK)
         assert "".join(chunks) == "".join(f"{i},{j},{x:.12g}\n" for i, j, x in rows)
 
@@ -684,9 +668,9 @@ class TestCsvFormatter:
     def test_scan_and_cone_rows(self, pool, n):
         rows = _tile(pool, n)
         columns = tuple(zip(*rows))
-        scan = "".join(cli._format_rows("%d,%r\n", columns))
+        scan = "".join(_format_rows("%d,%r\n", columns))
         assert scan == "".join(f"{i},{x!r}\n" for i, x in rows)
-        cone = "".join(cli._format_rows("%d,%.12g\n", columns))
+        cone = "".join(_format_rows("%d,%.12g\n", columns))
         assert cone == "".join(f"{i},{x:.12g}\n" for i, x in rows)
 
 
@@ -750,13 +734,13 @@ class TestXmatchOutputBytes:
 
 
 class TestWorkerLimit:
-    @pytest.mark.parametrize("command", ["plan", "scan", "cone", "xmatch", "bench"])
+    @pytest.mark.parametrize("command", ["plan", "scan", "cone", "xmatch"])
     def test_65_workers_exit_1_before_planning(self, small_setup, tmp_path, capsys,
                                                monkeypatch, command):
         _, _, a_idx, _ = small_setup
         argv = _query_commands(str(a_idx), tmp_path)[command]
         if "--workers" in argv:
-            argv[argv.index("--workers") + 1] = "1,65" if command == "bench" else "65"
+            argv[argv.index("--workers") + 1] = "65"
         else:
             argv += ["--workers", "65"]
         planned = []
@@ -768,14 +752,16 @@ class TestWorkerLimit:
         assert err == f"zonequery: error: {limit}\n"
         assert planned == []
 
-    def test_limit_itself_accepted(self, small_setup, capsys):
-        _, _, a_idx, _ = small_setup
+    def test_limit_itself_accepted(self, small_setup, tmp_path, capsys):
+        _, _, a_idx, b_idx = small_setup
         assert MAX_WORKERS == 64
-        assert parse_worker_list("1,64") == [1, 64]
-        with pytest.raises(UsageError):
-            parse_worker_list("65,1")
         assert run_cli("plan", "--index", str(a_idx), "--workers", "64") == 0
         assert json.loads(capsys.readouterr().out)["worker_count"] == 64
+        stats = tmp_path / "stats.json"
+        assert run_cli("xmatch", "--leading", str(a_idx), "--other", str(b_idx),
+                       "--radius", "30arcmin", "--workers", "64",
+                       "--out", str(tmp_path / "x.csv"), "--stats", str(stats)) == 0
+        assert json.loads(stats.read_text())["worker_count"] == 64
 
 
 class TestConsoleEntryPoint:

@@ -130,7 +130,7 @@ class TestRunCone:
                     band = zones[(zones >= lo) & (zones <= hi)]
                     if sizes[band].sum() == 0:
                         idle_rows += 1
-                        assert s == WorkerStats(s.worker, 0.0, s.cpu_s, 0, 0, 0)
+                        assert s == WorkerStats(s.worker, 0.0, s.cpu_s, 0, 0)
                         assert s.cpu_s in (0.0, None)
         assert len(cone_search(catalog, cones[-1])) == 1
         assert idle_rows > 0
@@ -159,7 +159,7 @@ class TestRunCone:
         rows, rep = run_cone(catalog, q, plan_contiguous(CFG.zone_count, 2))
         assert rows == cone_search(catalog, q) and len(rows) > 0
         idle, busy = rep.workers
-        assert idle == WorkerStats(0, 0.0, idle.cpu_s, 0, 0, 0)
+        assert idle == WorkerStats(0, 0.0, idle.cpu_s, 0, 0)
         assert idle.cpu_s in (0.0, None)
         assert busy.rows_scanned > 0 and busy.rows_returned == len(rows)
         assert busy.elapsed_s > 0.0
@@ -342,7 +342,7 @@ class TestStatsAndAggregate:
         assert rep.max_row.rows_scanned >= rep.avg_row.rows_scanned
 
     def test_aggregate_single_row(self):
-        row = WorkerStats(0, 1.5, 0.5, 100, 10, 800)
+        row = WorkerStats(0, 1.5, 0.5, 100, 10)
         mx, av = aggregate([row])
         assert (mx.elapsed_s, av.elapsed_s) == (1.5, 1.5)
         assert (mx.rows_scanned, av.rows_scanned) == (100, 100.0)
@@ -352,7 +352,7 @@ class TestStatsAndAggregate:
         # rows must report exactly those two numbers
         elapsed = [147.0, 113.0, 113.0, 113.0, 113.0, 113.0, 113.0, 79.0]
         rows = [
-            WorkerStats(w, e, e / 10, 1000 + w, 10 + w, 8000)
+            WorkerStats(w, e, e / 10, 1000 + w, 10 + w)
             for w, e in enumerate(elapsed)
         ]
         mx, av = aggregate(rows)
@@ -362,7 +362,7 @@ class TestStatsAndAggregate:
         assert av.rows_scanned == pytest.approx(1003.5)
 
     def test_aggregate_all_zero(self):
-        rows = [WorkerStats(w, 0.0, 0.0, 0, 0, 0) for w in range(3)]
+        rows = [WorkerStats(w, 0.0, 0.0, 0, 0) for w in range(3)]
         mx, av = aggregate(rows)
         assert mx.elapsed_s == av.elapsed_s == 0.0
         assert mx.rows_returned == av.rows_returned == 0

@@ -116,6 +116,17 @@ class TestFootprints:
         assert SyntheticSpec(count=1).footprint == FullSky()
 
 
+class TestSpecChecks:
+    # the CLI test of bad gen specs covers the rest; "nan" cannot pass its parser
+    @pytest.mark.parametrize("lo, hi", [(5.0, float("nan")), (float("-inf"), 5.0)])
+    def test_non_finite_band_range_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="bad band"):
+            BandSpec("r", lo, hi)
+
+    def test_one_point_band_accepted(self):
+        assert BandSpec("r", 9.0, 9.0).hi == 9.0
+
+
 def _write_csv_per_row(spec: SyntheticSpec) -> bytes:
     """The per-row catalog writer ``write_csv`` once was: the byte reference."""
     ids, ra, dec, mags = generate_columns(spec)
