@@ -18,7 +18,6 @@ from .sphere import (
 from .catalog import (
     IngestError,
     SnapshotFormatError,
-    ZoneHistogram,
     ZoneIndex,
     ZoneSlice,
     build_index,
@@ -45,7 +44,6 @@ from .queries import (
     best_matches,
     brute_force_crossmatch,
     cone_search,
-    scan_filter,
     zone_crossmatch,
 )
 from .executor import (

@@ -33,7 +33,6 @@ from .sphere import ZoneConfig, ZoneId, normalize_ra_array, zone_of_array
 __all__ = [
     "ZoneSlice",
     "ZoneIndex",
-    "ZoneHistogram",
     "IngestError",
     "SnapshotFormatError",
     "ingest_csv",
@@ -91,11 +90,9 @@ class ZoneSlice:
 
     zone: ZoneId
     cfg: ZoneConfig
-    bands: tuple[str, ...]
     ids: np.ndarray
     ra: np.ndarray
     dec: np.ndarray
-    mags: np.ndarray  # shape (len(ids), len(bands)), NaN = missing
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -142,29 +139,7 @@ class ZoneIndex:
         """Non-empty slices in zone order."""
         for zone in np.flatnonzero(np.diff(self.zone_starts)).tolist():
             a, b = self.zone_starts[zone : zone + 2].tolist()
-            yield ZoneSlice(
-                zone=zone,
-                cfg=self.cfg,
-                bands=self.bands,
-                ids=self.ids[a:b],
-                ra=self.ra[a:b],
-                dec=self.dec[a:b],
-                mags=self.mags[a:b],
-            )
-
-
-@dataclass(frozen=True)
-class ZoneHistogram:
-    """Per-zone object counts; zones with no objects count zero."""
-
-    counts: np.ndarray
-
-    @property
-    def total_count(self) -> int:
-        return int(self.counts.sum())
-
-    def __len__(self) -> int:
-        return len(self.counts)
+            yield ZoneSlice(zone, self.cfg, self.ids[a:b], self.ra[a:b], self.dec[a:b])
 
 
 def build_index(
@@ -554,9 +529,10 @@ def _write_csv(path: str | Path | None, header: str, row_format: str, columns) -
             fh.close()
 
 
-def histogram(index: ZoneIndex) -> ZoneHistogram:
-    """Per-zone object counts for the whole index."""
-    return ZoneHistogram(np.diff(index.zone_starts).astype(np.int64))
+def histogram(index: ZoneIndex) -> np.ndarray:
+    """Per-zone object counts for the whole index, as an int64 array with
+    one entry per zone; zones with no objects count zero."""
+    return np.diff(index.zone_starts).astype(np.int64)
 
 
 def save_index(index: ZoneIndex, path: str | Path) -> None:

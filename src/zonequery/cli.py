@@ -30,7 +30,7 @@ from .catalog import (
 from .partition import STRATEGIES, make_plan, report
 from .queries import ConeQuery, MatchSpec, ScanFilter, best_matches
 from .executor import run_cone, run_scan, run_xmatch
-from .sphere import SkyPoint, ZoneConfig
+from .sphere import SkyPoint, ZoneConfig, check_same_zones
 from .synth import BandSpec, Clustered, DecBand, FullSky, SyntheticSpec, write_csv
 
 __all__ = ["main"]
@@ -206,10 +206,7 @@ def _cmd_plan(args) -> int:
     choices = [(index, plan)]
     if args.other:
         other = load_index(args.other)
-        if other.cfg != index.cfg:
-            raise ValueError(
-                f"indexes use different zone configurations: {index.cfg} vs {other.cfg}"
-            )
+        check_same_zones(index.cfg, other.cfg)
         choices.append((other, _plan_for(other, strategy, args.workers)))
     payload, tables = {}, []
     for key, (leading, leading_plan) in zip(("leading", "other_leading"), choices):
@@ -269,7 +266,7 @@ def _cmd_xmatch(args) -> int:
     strategy = _normalize_strategy(args.strategy)
     plan = _plan_for(leading, strategy, args.workers)
     try:
-        spec = MatchSpec(radius=parse_angle(args.radius), leading=leading.name)
+        spec = MatchSpec(radius=parse_angle(args.radius))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     pairs, rep = run_xmatch(leading, other, spec, plan)
@@ -369,7 +366,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"zonequery: error: {exc}", file=sys.stderr)
         return 1
-    except (IngestError, SnapshotFormatError, FileNotFoundError, ValueError) as exc:
+    # OSError: an input that cannot be read or an output that cannot be
+    # written, such as an --out path that is a directory
+    except (IngestError, SnapshotFormatError, OSError, ValueError) as exc:
         print(f"zonequery: data error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,12 +1,14 @@
 """Fan a query out over W workers and merge results deterministically.
 
 Workers are in-process threads over immutable shared indexes; the heavy
-lifting inside each worker is vectorized array work that releases the GIL,
-which is what makes threads worth having here. A worker owns the row ranges
-of its plan's zone runs within the zones the query can touch (the other
-catalog, for cross-matches, is shared read-only by everyone); workers never
-talk to each other, and the coordinator merges by concatenate-then-sort so
-the result is bit-identical for any worker count or strategy. All three
+lifting inside each worker is vectorized array work, most of which releases
+the GIL, which is what makes threads worth having here. Not all of it does:
+``np.repeat``, which expands candidate ranges in ``queries._expand``, holds
+the GIL and so caps how far the join scales with threads. A worker owns the
+row ranges of its plan's zone runs within the zones the query can touch (the
+other catalog, for cross-matches, is shared read-only by everyone); workers
+never talk to each other, and the coordinator merges by concatenate-then-sort
+so the result is bit-identical for any worker count or strategy. All three
 queries run through one executor, ``_execute``, and one join kernel: a cone
 is a cross-match whose leading catalog is its one centre.
 """
@@ -32,10 +34,9 @@ from .queries import (
     _by_id,
     _cone_join,
     _crossmatch_arrays,
-    _mag_filter,
     _take,
 )
-from .sphere import zone_of_array
+from .sphere import check_same_zones, zone_of_array
 
 __all__ = [
     "WorkerStats",
@@ -189,14 +190,17 @@ def _execute(
 def run_scan(
     index: ZoneIndex, f: ScanFilter, plan: PartitionPlan
 ) -> tuple[list[tuple[int, float]], ExecutionReport]:
-    """Parallel magnitude scan; results identical to a single-threaded
-    scan_filter after the canonical ascending-id sort."""
+    """Parallel magnitude scan: the (id, magnitude) rows whose ``f.band``
+    magnitude lies in [lo, hi], ascending by id, for any worker count or
+    strategy. Every object is visited; there is deliberately no index over
+    magnitudes."""
     _check_plan(index, plan)
     col = index.band_column(f.band)  # validates the band before dispatching
 
     def work(ranges: Ranges) -> tuple:
-        ids, mags = _mag_filter(_take(index.ids, ranges), _take(col, ranges), f)
-        return (ids, mags), sum(b - a for a, b in ranges), len(ids)
+        ids, mags = _take(index.ids, ranges), _take(col, ranges)
+        keep = (mags >= f.lo) & (mags <= f.hi)  # NaN (missing) compares False
+        return (ids[keep], mags[keep]), len(ids), int(np.count_nonzero(keep))
 
     everything = (0, plan.zone_count - 1)
     return _execute(plan, index.zone_starts, everything, work, _by_id)
@@ -235,16 +239,8 @@ def run_xmatch(
     read-only other index (the zones the chunk's dec +- radius reaches); a
     leading object is owned by exactly one worker, so each pair is produced
     exactly once."""
-    if leading.cfg != other.cfg:
-        raise ValueError(
-            f"catalogs indexed with different zone configurations: "
-            f"{leading.cfg} vs {other.cfg}"
-        )
+    check_same_zones(leading.cfg, other.cfg)
     _check_plan(leading, plan)
-    if spec.leading is not None and spec.leading != leading.name:
-        raise ValueError(
-            f"spec names leading catalog {spec.leading!r} but got {leading.name!r}"
-        )
 
     def work(ranges: Ranges) -> tuple:
         a, b, sep, candidates = _crossmatch_arrays(

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import ZoneHistogram
-
 __all__ = [
     "STRATEGIES",
     "PartitionPlan",
@@ -49,9 +47,6 @@ class PartitionPlan:
             and self.zone_count == other.zone_count
             and np.array_equal(self.assignment, other.assignment)
         )
-
-    def zones_of(self, worker: int) -> np.ndarray:
-        return np.nonzero(self.assignment == worker)[0]
 
     def runs(self) -> list[tuple[int, int, int]]:
         """Run-length encoding of the assignment: (zone_start, zone_stop,
@@ -95,21 +90,20 @@ def plan_round_robin(zone_count: int, worker_count: int) -> PartitionPlan:
     return PartitionPlan("round_robin", worker_count, zone_count, assignment)
 
 
-def plan_density(hist: ZoneHistogram, worker_count: int) -> PartitionPlan:
-    """Greedy LPT over per-zone counts: heaviest zones first, each to the
-    currently lightest worker; ties broken toward lower zone id and lower
-    worker index so the plan is bit-deterministic."""
+def plan_density(hist: np.ndarray, worker_count: int) -> PartitionPlan:
+    """Greedy LPT over the per-zone counts ``hist``: heaviest zones first,
+    each to the currently lightest worker; ties broken toward lower zone id
+    and lower worker index so the plan is bit-deterministic."""
     _check_workers(worker_count)
-    counts = hist.counts
-    zone_count = len(counts)
-    order = sorted(range(zone_count), key=lambda z: (-int(counts[z]), z))
+    zone_count = len(hist)
+    order = sorted(range(zone_count), key=lambda z: (-int(hist[z]), z))
     heap = [(0, w) for w in range(worker_count)]
     heapq.heapify(heap)
     assignment = np.empty(zone_count, dtype=np.int64)
     for z in order:
         load, worker = heapq.heappop(heap)
         assignment[z] = worker
-        heapq.heappush(heap, (load + int(counts[z]), worker))
+        heapq.heappush(heap, (load + int(hist[z]), worker))
     return PartitionPlan("density", worker_count, zone_count, assignment)
 
 
@@ -117,9 +111,10 @@ def make_plan(
     strategy: str,
     zone_count: int,
     worker_count: int,
-    hist: ZoneHistogram | None = None,
+    hist: np.ndarray | None = None,
 ) -> PartitionPlan:
-    """Build a plan by strategy name; density requires a histogram."""
+    """Build a plan by strategy name; density requires the per-zone counts
+    ``hist``."""
     if strategy == "contiguous":
         return plan_contiguous(zone_count, worker_count)
     if strategy == "round_robin":
@@ -165,14 +160,15 @@ class WorkloadReport:
         return "\n".join(lines)
 
 
-def report(plan: PartitionPlan, hist: ZoneHistogram) -> WorkloadReport:
-    """Per-worker load sums, their max/avg, and the imbalance ratio."""
+def report(plan: PartitionPlan, hist: np.ndarray) -> WorkloadReport:
+    """Per-worker load sums of the per-zone counts ``hist``, their max/avg,
+    and the imbalance ratio."""
     if len(hist) != plan.zone_count:
         raise ValueError(
             f"histogram covers {len(hist)} zones, plan covers {plan.zone_count}"
         )
     loads = np.zeros(plan.worker_count, dtype=np.int64)
-    np.add.at(loads, plan.assignment, hist.counts)
+    np.add.at(loads, plan.assignment, hist)
     max_count = int(loads.max())
     avg_count = float(loads.sum()) / plan.worker_count
     imbalance = max_count / avg_count if avg_count > 0 else 1.0

@@ -1,7 +1,8 @@
-"""The three query kinds, plus the exhaustive oracle used to verify them.
+"""Query parameters, cone search and cross-match kernels, plus the exhaustive
+oracle used to verify them.
 
-* scan_filter: magnitude BETWEEN filter; visits every object (no index on
-  magnitudes by design).
+* ScanFilter: the magnitude BETWEEN filter of ``executor.run_scan``, which
+  visits every object (no index on magnitudes by design).
 * zone_crossmatch: all-pairs radius join driven by the leading catalog's
   slices, taken in chunks of rows; each chunk is joined against the
   zone-local slice of the other index, the zones its dec +- radius reaches.
@@ -16,9 +17,9 @@ Match semantics are all-pairs-within-radius with an inclusive boundary
 
 from __future__ import annotations
 
+import math
 from collections import abc
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ from .catalog import KEY_BAND, ZoneIndex, ZoneSlice
 from .sphere import (
     SkyPoint,
     ZoneConfig,
+    check_same_zones,
     ra_halfwidth_array,
     separation_deg,
     zone_of_array,
@@ -38,7 +40,6 @@ __all__ = [
     "MatchSpec",
     "MatchPair",
     "MatchTable",
-    "scan_filter",
     "cone_search",
     "zone_crossmatch",
     "brute_force_crossmatch",
@@ -82,7 +83,10 @@ class ScanFilter:
     hi: float
 
     def __post_init__(self) -> None:
-        if not self.lo <= self.hi:
+        for name, bound in (("lo", self.lo), ("hi", self.hi)):
+            if math.isnan(bound):
+                raise ValueError(f"{name} {bound!r} is not a number")
+        if self.lo > self.hi:
             raise ValueError(f"lo {self.lo!r} > hi {self.hi!r}")
 
 
@@ -98,12 +102,9 @@ class ConeQuery:
 
 @dataclass(frozen=True)
 class MatchSpec:
-    """Cross-match parameters. ``leading`` optionally names the catalog whose
-    zones drive partitioning (binding is positional; the label is checked
-    when set)."""
+    """Cross-match parameters: the match radius, in degrees."""
 
     radius: float
-    leading: str | None = None
 
     def __post_init__(self) -> None:
         if not self.radius > 0.0:
@@ -175,34 +176,6 @@ def _by_id(ids: np.ndarray, values: np.ndarray) -> list[tuple[int, float]]:
     """(id, value) rows in ascending id order."""
     order = np.argsort(ids)
     return [(int(i), float(v)) for i, v in zip(ids[order], values[order])]
-
-
-def _mag_filter(
-    ids: np.ndarray, col: np.ndarray, f: ScanFilter
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ids and magnitudes of rows whose magnitude lies in [lo, hi]."""
-    mask = (col >= f.lo) & (col <= f.hi)  # NaN (missing) compares False
-    return ids[mask], col[mask]
-
-
-def scan_filter(
-    slices: Sequence[ZoneSlice], f: ScanFilter
-) -> list[tuple[int, float]]:
-    """Objects whose ``f.band`` magnitude lies in [lo, hi], ascending by id.
-
-    Every object in the given slices is visited; there is deliberately no
-    index over magnitudes.
-    """
-    for zone_slice in slices:
-        if f.band not in zone_slice.bands:
-            raise ValueError(
-                f"unknown band {f.band!r}; catalog has {list(zone_slice.bands)}"
-            )
-    if not slices:
-        return []
-    ids = np.concatenate([s.ids for s in slices])
-    col = np.concatenate([s.mags[:, s.bands.index(f.band)] for s in slices])
-    return _by_id(*_mag_filter(ids, col, f))
 
 
 def _cone_join(
@@ -412,11 +385,7 @@ def zone_crossmatch(
     stream (for completeness instrumentation).
     """
     for zone_slice in leading_slices:
-        if zone_slice.cfg != other.cfg:
-            raise ValueError(
-                "mismatched zone configuration between leading slices and "
-                f"other catalog: {zone_slice.cfg} vs {other.cfg}"
-            )
+        check_same_zones(zone_slice.cfg, other.cfg)
     if not leading_slices:
         no_ids = np.empty(0, dtype=np.uint64)
         return MatchTable(no_ids, no_ids, np.empty(0))
@@ -429,36 +398,11 @@ def zone_crossmatch(
     return MatchTable.from_unsorted(a, b, sep)
 
 
-def _brute_force_arrays(
-    a: ZoneIndex, b: ZoneIndex, radius: float, chunk: int = 512
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exhaustive all-pairs comparison, chunked to bound the matrix size."""
-    la_parts: list[np.ndarray] = []
-    lb_parts: list[np.ndarray] = []
-    sep_parts: list[np.ndarray] = []
-    for start in range(0, a.total_count, chunk):
-        stop = min(start + chunk, a.total_count)
-        sep = separation_deg(
-            a.ra[start:stop, None],
-            a.dec[start:stop, None],
-            b.ra[None, :],
-            b.dec[None, :],
-        )
-        ia, ib = np.nonzero(sep <= radius)
-        la_parts.append(a.ids[start:stop][ia])
-        lb_parts.append(b.ids[ib])
-        sep_parts.append(sep[ia, ib])
-    return (
-        np.concatenate(la_parts) if la_parts else np.empty(0, dtype=np.uint64),
-        np.concatenate(lb_parts) if lb_parts else np.empty(0, dtype=np.uint64),
-        np.concatenate(sep_parts) if sep_parts else np.empty(0),
-    )
-
-
 def brute_force_crossmatch(a: ZoneIndex, b: ZoneIndex, radius: float) -> MatchTable:
     """O(n*m) oracle: every pair compared, no zones, no windows.
 
     Guarded to desk scale; refuses when n*m would exceed 1e8 comparisons.
+    Leading rows are compared 512 at a time to bound the matrix size.
     """
     if radius < 0.0:
         raise ValueError(f"radius must be >= 0, got {radius!r}")
@@ -468,17 +412,21 @@ def brute_force_crossmatch(a: ZoneIndex, b: ZoneIndex, radius: float) -> MatchTa
             f"{a.total_count} x {b.total_count} = {n_pairs} comparisons "
             f"exceeds the brute-force guard ({BRUTE_FORCE_PAIR_LIMIT})"
         )
-    return MatchTable.from_unsorted(*_brute_force_arrays(a, b, radius))
+    lead_parts, other_parts, sep_parts = [a.ids[:0]], [b.ids[:0]], [np.empty(0)]
+    for start in range(0, a.total_count, 512):
+        rows = slice(start, start + 512)
+        sep = separation_deg(a.ra[rows, None], a.dec[rows, None], b.ra[None, :], b.dec[None, :])
+        ia, ib = np.nonzero(sep <= radius)
+        lead_parts.append(a.ids[rows][ia])
+        other_parts.append(b.ids[ib])
+        sep_parts.append(sep[ia, ib])
+    columns = (np.concatenate(p) for p in (lead_parts, other_parts, sep_parts))
+    return MatchTable.from_unsorted(*columns)
 
 
-def best_matches(pairs: Sequence[MatchPair]) -> MatchTable:
+def best_matches(pairs: MatchTable) -> MatchTable:
     """Keep, per leading id, the minimum-separation pair; ties go to the
     lower other_id. Input order does not matter."""
-    if not isinstance(pairs, MatchTable):  # converted once, at the API edge
-        fields = attrgetter("leading_id", "other_id", "separation")
-        lead, other, sep = zip(*map(fields, pairs)) if pairs else ((), (), ())
-        ids = (np.array(c, dtype=np.uint64) for c in (lead, other))
-        pairs = MatchTable.from_unsorted(*ids, np.array(sep, dtype=np.float64))
     order = np.lexsort((pairs.other_ids, pairs.separation, pairs.leading_ids))
     lead_sorted = pairs.leading_ids[order]
     first = np.ones(len(order), dtype=bool)

@@ -94,6 +94,13 @@ class ZoneConfig:
         object.__setattr__(self, "zone_count", max(int(count), 1))
 
 
+def check_same_zones(a: ZoneConfig, b: ZoneConfig) -> None:
+    """Raise ValueError unless two catalogs share one zone layout, as every
+    query or report over both needs."""
+    if a != b:
+        raise ValueError(f"catalogs use different zone configurations: {a} vs {b}")
+
+
 def zone_of(dec: float, cfg: ZoneConfig) -> ZoneId:
     """Zone index containing declination ``dec``: floor((dec + 90) / h).
 

@@ -105,6 +105,15 @@ def assert_same_pairs(got, expected, sep_tol=1e-9):
         assert abs(p.separation - exp_sep[(p.leading_id, p.other_id)]) <= sep_tol
 
 
+def scan_reference(index, f):
+    """The (id, magnitude) rows a scan must return, ascending by id: a mask
+    over the index's magnitude column for ``f.band``, in which a missing
+    (NaN) magnitude never passes."""
+    col = index.mags[:, index.bands.index(f.band)]
+    keep = (col >= f.lo) & (col <= f.hi)
+    return sorted(zip(index.ids[keep].tolist(), col[keep].tolist()))
+
+
 def best_matches_reference(pairs):
     """The per-pair dict loop ``best_matches`` once was, kept as the reference
     for the columnar version: per leading id the minimum separation, ties to

@@ -131,6 +131,40 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("between", [("nan", "5"), ("5", "nan")])
+    def test_nan_between_names_the_bound(self, small_setup, capsys, between):
+        _, _, a_idx, _ = small_setup
+        capsys.readouterr()
+        assert run_cli("scan", "--index", str(a_idx), "--between", *between) == 1
+        bound = "lo" if between[0] == "nan" else "hi"
+        assert capsys.readouterr().err == f"zonequery: error: {bound} nan is not a number\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--count", "10", "--out", "{dir}"),
+        ("ingest", "--in", "{csv}", "--out", "{dir}"),
+        ("scan", "--index", "{idx}", "--out", "{dir}"),
+        ("scan", "--index", "{idx}", "--out", "{tmp}/o.csv", "--stats", "{dir}"),
+        ("cone", "--index", "{idx}", "--ra", "1deg", "--dec", "1deg", "--radius", "1deg",
+         "--out", "{dir}"),
+        ("cone", "--index", "{idx}", "--ra", "1deg", "--dec", "1deg", "--radius", "1deg",
+         "--out", "{tmp}/o.csv", "--stats", "{dir}"),
+        ("xmatch", "--leading", "{idx}", "--other", "{idx}", "--radius", "1arcmin",
+         "--out", "{dir}"),
+        ("xmatch", "--leading", "{idx}", "--other", "{idx}", "--radius", "1arcmin",
+         "--out", "{tmp}/o.csv", "--stats", "{dir}"),
+    ], ids=["gen", "ingest", "scan", "scan-stats", "cone", "cone-stats", "xmatch",
+            "xmatch-stats"])
+    def test_unwritable_output_is_2(self, small_setup, tmp_path, capsys, argv):
+        a_csv, _, a_idx, _ = small_setup
+        directory = tmp_path / "a-directory"
+        directory.mkdir()
+        names = {"dir": directory, "csv": a_csv, "idx": a_idx, "tmp": tmp_path}
+        capsys.readouterr()
+        assert run_cli(*(arg.format(**names) for arg in argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("zonequery: data error: ") and err.count("\n") == 1
+        assert str(directory) in err and "Traceback" not in err
+
     def test_radius_over_cap_is_usage_error(self, small_setup, tmp_path, capsys):
         _, _, a_idx, b_idx = small_setup
         code = run_cli(
@@ -151,6 +185,12 @@ class TestExitCodes:
             "--radius", "10arcsec", "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2
+        code = run_cli(
+            "plan", "--index", str(a_idx), "--workers", "2", "--report", "--other", str(other)
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert "zone configurations" in err[-1] and err[-2] == err[-1]
 
 
     @pytest.mark.parametrize("height", ["0.001arcsec", "1e-9deg", "0arcmin", "0.5arcsec"])

@@ -20,7 +20,9 @@ from zonequery import (
     brute_force_crossmatch,
     build_index,
     cone_search,
-    scan_filter,
+    histogram,
+    make_plan,
+    run_scan,
     zone_crossmatch,
     zone_of,
 )
@@ -36,6 +38,7 @@ from conftest import (
     zone_join_reference,
     pair_keys,
     random_sky,
+    scan_reference,
     scenario_pair,
     scenario_positions,
 )
@@ -53,6 +56,24 @@ def index_from(name, ra, dec, ids=None, mags=None, bands=(), cfg=CFG):
     return build_index(name, cfg, np.asarray(ids, dtype=np.uint64), ra, dec, mags, bands)
 
 
+def scan_plans(index):
+    """Plans of 1, 2 and 4 workers under every strategy."""
+    hist = histogram(index)
+    for workers in (1, 2, 4):
+        for strategy in ("contiguous", "round_robin", "density"):
+            yield make_plan(strategy, index.cfg.zone_count, workers, hist)
+
+
+def scan_rows(index, f):
+    """The rows of ``run_scan``, checked to equal the NumPy reference under
+    every plan of :func:`scan_plans`."""
+    expected = scan_reference(index, f)
+    for plan in scan_plans(index):
+        rows, _ = run_scan(index, f, plan)
+        assert rows == expected, (plan.strategy, plan.worker_count)
+    return expected
+
+
 class TestScanFilter:
     def make_catalog(self, n=4000, seed=40):
         rng = np.random.default_rng(seed)
@@ -63,31 +84,35 @@ class TestScanFilter:
 
     def test_excluding_range_is_empty(self):
         index, _ = self.make_catalog()
-        assert scan_filter(list(index.slices()), ScanFilter("r", 99.0, 100.0)) == []
+        assert scan_rows(index, ScanFilter("r", 99.0, 100.0)) == []
 
     def test_between_is_inclusive(self):
         index = index_from(
             "one", [10.0], [0.0], mags=np.array([[9.25]]), bands=("r",)
         )
-        rows = scan_filter(list(index.slices()), ScanFilter("r", 9.25, 9.25))
-        assert rows == [(0, 9.25)]
+        assert scan_rows(index, ScanFilter("r", 9.25, 9.25)) == [(0, 9.25)]
 
     def test_missing_magnitude_never_passes(self):
         index = index_from(
             "gap", [1.0, 2.0], [0.0, 0.0],
             mags=np.array([[np.nan], [9.0]]), bands=("r",),
         )
-        rows = scan_filter(list(index.slices()), ScanFilter("r", -1e9, 1e9))
-        assert rows == [(1, 9.0)]
+        assert scan_rows(index, ScanFilter("r", -1e9, 1e9)) == [(1, 9.0)]
+
+    def test_all_pass(self):
+        index, col = self.make_catalog(1000, seed=42)
+        rows = scan_rows(index, ScanFilter("r", 5.0, 15.0))
+        assert len(rows) == int(np.isfinite(col).sum())
 
     def test_unknown_band_rejected(self):
         index, _ = self.make_catalog(100)
-        with pytest.raises(ValueError, match="unknown band"):
-            scan_filter(list(index.slices()), ScanFilter("z", 0.0, 1.0))
+        for plan in scan_plans(index):
+            with pytest.raises(ValueError, match="unknown band"):
+                run_scan(index, ScanFilter("z", 0.0, 1.0), plan)
 
     def test_against_linear_oracle_and_binomial(self):
         index, col = self.make_catalog(4000)
-        rows = scan_filter(list(index.slices()), ScanFilter("r", 9.0, 10.0))
+        rows = scan_rows(index, ScanFilter("r", 9.0, 10.0))
         # linear oracle straight over the input columns
         ids = np.arange(4000, dtype=np.uint64)
         keep = (col >= 9.0) & (col <= 10.0)
@@ -99,18 +124,14 @@ class TestScanFilter:
         sigma = (n_valid * 0.1 * 0.9) ** 0.5
         assert abs(len(rows) - expect) <= 3 * sigma
 
-    def test_independent_of_slice_grouping(self):
-        index, _ = self.make_catalog(3000, seed=41)
-        slices = list(index.slices())
-        whole = scan_filter(slices, ScanFilter("r", 8.0, 11.0))
-        by_parts = []
-        for s in slices:
-            by_parts.extend(scan_filter([s], ScanFilter("r", 8.0, 11.0)))
-        assert sorted(by_parts) == whole
-
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             ScanFilter("r", 10.0, 9.0)
+
+    @pytest.mark.parametrize("lo, hi, named", [(np.nan, 5.0, "lo"), (5.0, np.nan, "hi")])
+    def test_nan_bound_named(self, lo, hi, named):
+        with pytest.raises(ValueError, match=f"^{named} nan is not a number$"):
+            ScanFilter("r", lo, hi)
 
 
 def brute_cone(index, q):
@@ -408,25 +429,18 @@ class TestBestMatches:
     @given(st.lists(st.tuples(_IDS, _IDS, _SEPS), max_size=60))
     @settings(max_examples=300, deadline=None)
     def test_columnar_equals_dict_loop(self, rows):
-        pairs = [MatchPair(*r) for r in rows]
-        expected = best_matches_reference(pairs)
-        got = best_matches(pairs)
+        expected = best_matches_reference([MatchPair(*r) for r in rows])
+        got = best_matches(table_of(rows))
         assert isinstance(got, MatchTable)
         assert got == expected
-        assert best_matches(table_of(rows)) == expected
 
 
     def test_keeps_minimum_separation_with_id_tiebreak(self):
-        pairs = [
-            MatchPair(1, 5, 0.002),
-            MatchPair(1, 3, 0.001),
-            MatchPair(1, 9, 0.001),
-            MatchPair(2, 7, 0.004),
-        ]
+        pairs = table_of([(1, 5, 0.002), (1, 3, 0.001), (1, 9, 0.001), (2, 7, 0.004)])
         assert best_matches(pairs) == [MatchPair(1, 3, 0.001), MatchPair(2, 7, 0.004)]
 
     def test_empty(self):
-        assert best_matches([]) == []
+        assert best_matches(table_of([])) == []
 
     def test_subset_of_all_pairs(self):
         rng = np.random.default_rng(53)

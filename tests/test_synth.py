@@ -85,12 +85,12 @@ class TestFootprints:
     def test_clustered_two_stripes_zone_occupancy(self):
         fp = Clustered((DecBand(-2.0, 2.0), DecBand(30.0, 34.0)))
         index = generate_index(SyntheticSpec(count=20_000, footprint=fp, seed=6))
-        occupied = np.nonzero(histogram(index).counts)[0]
+        occupied = np.nonzero(histogram(index))[0]
         lo1, hi1 = zone_of(-2.0, CFG), zone_of(2.0, CFG)
         lo2, hi2 = zone_of(30.0, CFG), zone_of(34.0, CFG)
         assert all(lo1 <= z <= hi1 or lo2 <= z <= hi2 for z in occupied)
         # both stripes hold an equal share
-        in_first = int(histogram(index).counts[lo1 : hi1 + 1].sum())
+        in_first = int(histogram(index)[lo1 : hi1 + 1].sum())
         assert in_first == 10_000
 
     def test_mags_within_band_ranges(self):
