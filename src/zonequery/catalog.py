@@ -18,13 +18,16 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import stat
 import sys
 import zipfile
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -515,18 +518,45 @@ def _format_rows(row_format: str, columns: Sequence) -> Iterator[str]:
         yield row_format * len(chunk[0]) % tuple(chain.from_iterable(rows))
 
 
+@contextmanager
+def _open_output(path: str | Path | None, mode: str = "w") -> Iterator[IO]:
+    """A handle to write one output to, in text ("w", UTF-8 with "\\n" line
+    ends) or binary ("wb") ``mode``: stdout for a path of None or "-", else
+    the file, created if missing. Every file zonequery writes is opened here.
+
+    An existing file is overwritten in place and, for a regular file, cut to
+    the bytes written, so it ends up as a fresh write would leave it. Opening
+    with O_TRUNC instead costs tens of milliseconds per file on some
+    filesystems, even for a file of a few hundred bytes. Devices and FIFOs,
+    such as /dev/null, are written but not cut. An OSError that names no
+    file, such as a full disk on write, is raised again naming ``path``."""
+    if path is None or path == "-":
+        yield sys.stdout if mode == "w" else sys.stdout.buffer
+        return
+    text = {"encoding": "utf-8", "newline": "\n"} if mode == "w" else {}
+    try:
+        # O_BINARY (Windows only): no newline translation below Python's own
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, mode, **text) as fh:
+            try:
+                yield fh
+                fh.flush()
+            finally:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    except OSError as exc:
+        if exc.filename is not None or exc.errno is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+
+
 def _write_csv(path: str | Path | None, header: str, row_format: str, columns) -> None:
     """Write a CSV: ``header``, then ``columns`` formatted row by row with
     ``row_format``; to stdout for a path of None or "-". Catalogs and query
     results are both written here."""
-    to_stdout = path is None or path == "-"
-    fh = sys.stdout if to_stdout else open(path, "w", encoding="utf-8", newline="\n")
-    try:
+    with _open_output(path) as fh:
         fh.write(header)
         fh.writelines(_format_rows(row_format, columns))
-    finally:
-        if not to_stdout:
-            fh.close()
 
 
 def histogram(index: ZoneIndex) -> np.ndarray:
@@ -543,7 +573,7 @@ def save_index(index: ZoneIndex, path: str | Path) -> None:
     """
     # write through a handle so the exact path is honored (np.savez would
     # append .npz to a bare filename)
-    with Path(path).open("wb") as fh:
+    with _open_output(path, "wb") as fh:
         np.savez(
             fh,
             version=np.array(SNAPSHOT_VERSION, dtype=np.int64),

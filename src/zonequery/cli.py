@@ -14,10 +14,10 @@ import json
 import os
 import re
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from .catalog import (
+    _open_output,
     _write_csv,
     IngestError,
     SnapshotFormatError,
@@ -46,10 +46,11 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        # let "--dec -30deg" parse: treat suffixed negative angles as values,
-        # not option tokens (half the sky has negative declination)
+        # treat negative numbers, bare or with an angle unit, and -inf as
+        # values, not option tokens: "--dec -30deg" (half the sky has negative
+        # declination), "--between -1e308 5", "--between -inf 5"
         self._negative_number_matcher = re.compile(
-            r"^-\d+$|^-\d*\.\d+$|^-[\d.]+(?:[eE][-+]?\d+)?\s*(?:deg|arcmin|arcsec)$"
+            r"^-[\d.]+(?:[eE][-+]?\d+)?\s*(?:deg|arcmin|arcsec)?$|^-(?i:inf|infinity)$"
         )
 
     def error(self, message: str) -> None:  # exit 1 on usage errors, not 2
@@ -153,7 +154,8 @@ def _plan_for(index: ZoneIndex, strategy: str, workers: int):
 
 def _write_stats(path: str | None, report_json: str) -> None:
     if path:
-        Path(path).write_text(report_json + "\n", encoding="utf-8")
+        with _open_output(path) as fh:
+            fh.write(report_json + "\n")
 
 
 def _cmd_gen(args) -> int:

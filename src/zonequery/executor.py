@@ -7,10 +7,12 @@ the GIL, which is what makes threads worth having here. Not all of it does:
 the GIL and so caps how far the join scales with threads. A worker owns the
 row ranges of its plan's zone runs within the zones the query can touch (the
 other catalog, for cross-matches, is shared read-only by everyone); workers
-never talk to each other, and the coordinator merges by concatenate-then-sort
-so the result is bit-identical for any worker count or strategy. All three
-queries run through one executor, ``_execute``, and one join kernel: a cone
-is a cross-match whose leading catalog is its one centre.
+never talk to each other. A cross-match worker sorts its own pairs, in its
+own thread, and the coordinator merges the sorted runs with one stable sort
+on the leading id; a scan or cone coordinator sorts the concatenated rows by
+id. Either way the result is bit-identical for any worker count or strategy.
+All three queries run through one executor, ``_execute``, and one join
+kernel: a cone is a cross-match whose leading catalog is its one centre.
 """
 
 from __future__ import annotations
@@ -246,8 +248,20 @@ def run_xmatch(
         a, b, sep, candidates = _crossmatch_arrays(
             leading.ids, leading.ra, leading.dec, other, spec.radius, ranges=ranges
         )
-        return (a, b, sep), candidates, len(a)
+        pairs = MatchTable.from_unsorted(a, b, sep)
+        return (pairs.leading_ids, pairs.other_ids, pairs.separation), candidates, len(a)
 
     everything = (0, plan.zone_count - 1)
-    merge = MatchTable.from_unsorted
-    return _execute(plan, leading.zone_starts, everything, work, merge)
+    return _execute(plan, leading.zone_starts, everything, work, _merge_runs)
+
+
+def _merge_runs(
+    leading_ids: np.ndarray, other_ids: np.ndarray, separation: np.ndarray
+) -> MatchTable:
+    """The pairs of the workers' concatenated runs, each run sorted by
+    (leading_id, other_id), in canonical order. A leading object belongs to
+    one worker, so the pairs of one leading id lie in one run, already
+    ordered by other id, and a stable sort on the leading id alone keeps
+    them so."""
+    order = np.argsort(leading_ids, kind="stable")
+    return MatchTable(leading_ids[order], other_ids[order], separation[order])

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import shutil
 import subprocess
 import sys
+import threading
 import zipfile
 
 import numpy as np
@@ -14,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zonequery import cli, load_index, plan_contiguous, run_xmatch, save_index
-from zonequery.catalog import _CHUNK_ROWS, _format_rows
+from zonequery.catalog import _CHUNK_ROWS, _format_rows, _write_csv
 from zonequery.cli import main, parse_angle, parse_footprint
 from zonequery.cli import MAX_WORKERS, UsageError
+from zonequery.executor import ExecutionReport, WorkerStats
 from zonequery.queries import MatchSpec
 from zonequery.synth import Clustered, DecBand, FullSky
 
@@ -164,6 +168,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("zonequery: data error: ") and err.count("\n") == 1
         assert str(directory) in err and "Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("flag", ["--out", "--stats"])
+    def test_write_error_names_the_path(self, small_setup, tmp_path, capsys, flag):
+        _, _, a_idx, _ = small_setup
+        outputs = {"--out": str(tmp_path / "o.csv"), "--stats": str(tmp_path / "s.json")}
+        outputs[flag] = "/dev/full"
+        argv = ["scan", "--index", str(a_idx)]
+        for option, path in outputs.items():
+            argv += [option, path]
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == (
+            f"zonequery: data error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: "
+            "'/dev/full'\n"
+        )
 
     def test_radius_over_cap_is_usage_error(self, small_setup, tmp_path, capsys):
         _, _, a_idx, b_idx = small_setup
@@ -344,6 +364,15 @@ class TestGenIngestScan:
             i, m = line.split(",")
             rebuilt.append(f"{int(i)},{float(m)!r}")
         assert "\n".join(rebuilt) + "\n" == text
+
+    def test_infinite_between_bound(self, small_setup, tmp_path):
+        _, _, a_idx, _ = small_setup
+        inf, big = tmp_path / "inf.csv", tmp_path / "big.csv"
+        for lo, out in (("-inf", inf), ("-1e308", big)):
+            assert run_cli("scan", "--index", str(a_idx), "--between", lo, "6",
+                           "--out", str(out)) == 0
+        assert inf.read_bytes() == big.read_bytes()
+        assert inf.read_text().count("\n") > 1
 
     def test_ingest_band_projection(self, tmp_path, capsys):
         f = tmp_path / "two.csv"
@@ -771,6 +800,75 @@ class TestXmatchOutputBytes:
         _write_pairs_per_row(tmp_path / "old.csv", pairs)
         assert out.read_bytes() == (tmp_path / "old.csv").read_bytes()
         assert len(pairs) > CHUNK or "--best-match" in flags
+
+
+class TestOutputPaths:
+    """Where outputs go: "-" is stdout, and an existing file is overwritten
+    in place and cut to the bytes written."""
+
+    @pytest.fixture()
+    def writers(self, small_setup):
+        index = load_index(small_setup[2])
+        ids = np.arange(5000, dtype=np.uint64)
+        report_json = ExecutionReport((WorkerStats(0, 0.5, 0.25, 5000, 12),), 0.75).to_json()
+        return {
+            "csv": lambda path: _write_csv(path, "id,mag\n", "%d,%r\n", (ids, ids * 0.5)),
+            "stats": lambda path: cli._write_stats(str(path), report_json),
+            "snapshot": lambda path: save_index(index, path),
+        }
+
+    @pytest.mark.parametrize("prior", ["longer", "shorter"])
+    @pytest.mark.parametrize("kind", ["csv", "stats", "snapshot"])
+    def test_rewrite_equals_fresh_write(self, writers, tmp_path, kind, prior):
+        fresh, rewritten = tmp_path / "fresh", tmp_path / "rewritten"
+        writers[kind](fresh)
+        size = fresh.stat().st_size
+        rewritten.write_bytes(b"x" * (2 * size + 1 if prior == "longer" else size // 2))
+        writers[kind](rewritten)
+        if kind == "snapshot":  # the archive also holds its write time
+            assert rewritten.stat().st_size == size
+            assert _snapshot_members(rewritten) == _snapshot_members(fresh)
+            assert load_index(rewritten).ids.tolist() == load_index(fresh).ids.tolist()
+        else:
+            assert rewritten.read_bytes() == fresh.read_bytes()
+
+    def test_stats_dash_is_stdout(self, small_setup, tmp_path, capsys, monkeypatch):
+        _, _, a_idx, _ = small_setup
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        capsys.readouterr()
+        assert run_cli("scan", "--index", str(a_idx), "--out", "s.csv", "--stats", "-") == 0
+        assert json.loads(capsys.readouterr().out)["worker_count"] == 1
+        assert os.listdir(cwd) == ["s.csv"]
+
+    def test_snapshot_dash_is_stdout(self, small_setup, tmp_path, capsysbinary):
+        a_csv, _, a_idx, _ = small_setup
+        capsysbinary.readouterr()
+        assert run_cli("ingest", "--in", str(a_csv), "--out", "-") == 0
+        piped = tmp_path / "piped.idx"
+        piped.write_bytes(capsysbinary.readouterr().out)
+        assert _snapshot_members(piped) == _snapshot_members(a_idx)
+
+    def test_dev_null_output(self, small_setup, capsys):
+        _, _, a_idx, b_idx = small_setup
+        capsys.readouterr()
+        assert run_cli("xmatch", "--leading", str(a_idx), "--other", str(b_idx),
+                       "--radius", "30arcmin", "--out", os.devnull, "--stats", os.devnull) == 0
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_fifo_output_is_not_cut(self, writers, tmp_path):
+        fresh, fifo = tmp_path / "fresh", tmp_path / "fifo"
+        writers["csv"](fresh)
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        writers["csv"](fifo)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received == [fresh.read_bytes()]
 
 
 class TestWorkerLimit:

@@ -214,6 +214,32 @@ class TestRunXmatch:
             assert pairs == baseline
             assert sum(s.rows_returned for s in rep.workers) == len(pairs)
 
+    def test_merge_equals_one_sort_of_all_pairs(self):
+        # ids shuffled, so every worker's leading ids interleave with the
+        # others'; the other catalog covers only dec >= 1, so a contiguous
+        # 2-worker plan has a busy worker 0 that finds no pairs
+        rng = np.random.default_rng(64)
+        ra, dec = rng.uniform(0.0, 2.0, 3000), rng.uniform(-10.0, 10.0, 3000)
+        leading = build_index("lead", CFG, rng.permutation(3000).astype(np.uint64), ra, dec)
+        ra, dec = rng.uniform(0.0, 2.0, 1500), rng.uniform(1.0, 10.0, 1500)
+        other = build_index("oth", CFG, rng.permutation(1500).astype(np.uint64), ra, dec)
+        spec = MatchSpec(radius=3 * ARCMIN)
+        a, b, sep, _ = queries._crossmatch_arrays(
+            leading.ids, leading.ra, leading.dec, other, spec.radius
+        )
+        expected = MatchTable.from_unsorted(a, b, sep)
+        assert len(np.unique(expected.leading_ids)) < len(expected)
+        hist = histogram(leading)
+        for workers in (1, 2, 3, 4):
+            for strategy in STRATEGIES:
+                plan = make_plan(strategy, CFG.zone_count, workers, hist)
+                pairs, rep = run_xmatch(leading, other, spec, plan)
+                assert pairs == expected
+                assert pairs.leading_ids.dtype == np.uint64
+                if (strategy, workers) == ("contiguous", 2):
+                    no_pairs = rep.workers[0]
+                    assert no_pairs.elapsed_s > 0 and no_pairs.rows_returned == 0
+
     def test_pairs_exactly_once_across_100_randomized_runs(self):
         rng = np.random.default_rng(62)
         for _ in range(25):
