@@ -525,11 +525,14 @@ def _open_output(path: str | Path | None, mode: str = "w") -> Iterator[IO]:
     the file, created if missing. Every file zonequery writes is opened here.
 
     An existing file is overwritten in place and, for a regular file, cut to
-    the bytes written, so it ends up as a fresh write would leave it. Opening
-    with O_TRUNC instead costs tens of milliseconds per file on some
-    filesystems, even for a file of a few hundred bytes. Devices and FIFOs,
-    such as /dev/null, are written but not cut. An OSError that names no
-    file, such as a full disk on write, is raised again naming ``path``."""
+    the bytes written, so it ends up as a fresh write would leave it. A
+    process killed before the cut (or a power loss) can leave the old file's
+    tail after the new bytes. Opening with O_TRUNC, and also writing a
+    temporary file and renaming it over the old one, cost far more on some
+    filesystems (measured on ext4 mounted with discard; see CHANGES.md).
+    Devices and FIFOs, such as /dev/null, are written but not cut. An OSError
+    that names no file, such as a full disk on write, is raised again naming
+    ``path``."""
     if path is None or path == "-":
         yield sys.stdout if mode == "w" else sys.stdout.buffer
         return

@@ -850,6 +850,24 @@ class TestOutputPaths:
         piped.write_bytes(capsysbinary.readouterr().out)
         assert _snapshot_members(piped) == _snapshot_members(a_idx)
 
+    def test_snapshot_to_a_pipe_loads(self, small_setup, tmp_path):
+        # a pipe is not seekable, so the archive is written another way
+        # (data descriptors) than to a file or a redirected stdout
+        a_csv, _, a_idx, _ = small_setup
+        proc = subprocess.run(
+            [sys.executable, "-m", "zonequery.cli", "ingest", "--in", str(a_csv), "--out", "-"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.returncode == 0, proc.stderr
+        piped = tmp_path / "piped.idx"
+        piped.write_bytes(proc.stdout)
+        assert piped.read_bytes() != a_idx.read_bytes()
+        loaded, stored = load_index(piped), load_index(a_idx)
+        for column in ("ids", "ra", "dec", "mags", "zone_starts"):
+            np.testing.assert_array_equal(getattr(loaded, column), getattr(stored, column))
+        assert (loaded.name, loaded.cfg, loaded.bands) == (stored.name, stored.cfg, stored.bands)
+
     def test_dev_null_output(self, small_setup, capsys):
         _, _, a_idx, b_idx = small_setup
         capsys.readouterr()
