@@ -532,12 +532,16 @@ def _open_output(path: str | Path | None, mode: str = "w") -> Iterator[IO]:
     filesystems (measured on ext4 mounted with discard; see CHANGES.md).
     Devices and FIFOs, such as /dev/null, are written but not cut. An OSError
     that names no file, such as a full disk on write, is raised again naming
-    ``path``."""
-    if path is None or path == "-":
-        yield sys.stdout if mode == "w" else sys.stdout.buffer
-        return
+    ``path``, or "<stdout>"; stdout is flushed here so that its errors are
+    raised here too."""
+    to_stdout = path is None or path == "-"
     text = {"encoding": "utf-8", "newline": "\n"} if mode == "w" else {}
     try:
+        if to_stdout:
+            out = sys.stdout if mode == "w" else sys.stdout.buffer
+            yield out
+            out.flush()
+            return
         # O_BINARY (Windows only): no newline translation below Python's own
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
         with open(fd, mode, **text) as fh:
@@ -550,7 +554,8 @@ def _open_output(path: str | Path | None, mode: str = "w") -> Iterator[IO]:
     except OSError as exc:
         if exc.filename is not None or exc.errno is None:
             raise
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+        name = "<stdout>" if to_stdout else os.fspath(path)
+        raise OSError(exc.errno, exc.strerror, name) from exc
 
 
 def _write_csv(path: str | Path | None, header: str, row_format: str, columns) -> None:

@@ -8,11 +8,13 @@ the GIL and so caps how far the join scales with threads. A worker owns the
 row ranges of its plan's zone runs within the zones the query can touch (the
 other catalog, for cross-matches, is shared read-only by everyone); workers
 never talk to each other. A cross-match worker sorts its own pairs, in its
-own thread, and the coordinator merges the sorted runs with one stable sort
-on the leading id; a scan or cone coordinator sorts the concatenated rows by
-id. Either way the result is bit-identical for any worker count or strategy.
-All three queries run through one executor, ``_execute``, and one join
-kernel: a cone is a cross-match whose leading catalog is its one centre.
+own thread, with one argsort of a (leading rank, other rank) uint64 key
+(``MatchTable.from_unsorted``), and the coordinator merges the sorted runs
+with one stable sort on the leading id; a scan or cone coordinator sorts the
+concatenated rows by id. Either way the result is bit-identical for any
+worker count or strategy. All three queries run through one executor,
+``_execute``, and one join kernel: a cone is a cross-match whose leading
+catalog is its one centre.
 """
 
 from __future__ import annotations

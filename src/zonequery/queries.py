@@ -139,8 +139,33 @@ class MatchTable(abc.Sequence):
     def from_unsorted(
         cls, leading_ids: np.ndarray, other_ids: np.ndarray, separation: np.ndarray
     ) -> MatchTable:
-        """The pairs of three equal-length columns, sorted into canonical order."""
-        order = np.lexsort((other_ids, leading_ids))
+        """The pairs of three equal-length columns, sorted into canonical order.
+        The (leading_id, other_id) pairs must be distinct, as a join's are.
+
+        The sort is one argsort of a uint64 key, cheaper than a two-key
+        lexsort: the high 32 bits hold the dense rank of the leading id,
+        the low 32 bits the pair's position in an argsort of the other ids.
+        Distinct pairs never tie on other id inside one leading id, so the key
+        orders exactly as (leading_id, other_id) does, for any uint64 ids, up
+        to 2**32 - 1 pairs."""
+        n = len(leading_ids)
+        if n >= 1 << 32:
+            raise ValueError(f"{n} pairs: one sort key orders at most 2**32 - 1")
+        by_lead = np.argsort(leading_ids)
+        # the dense rank, written over the sorted ids it is counted from
+        rank = leading_ids[by_lead]
+        new_value = rank[1:] != rank[:-1]
+        rank[:1] = 0
+        np.cumsum(new_value, out=rank[1:])
+        key = np.empty(n, dtype=np.uint64)
+        key[by_lead] = rank
+        del by_lead, rank, new_value  # free each temporary before the next is made
+        key <<= np.uint64(32)
+        by_other = np.argsort(other_ids)
+        key[by_other] |= np.arange(n, dtype=np.uint64)
+        del by_other
+        order = np.argsort(key)
+        del key
         return cls(leading_ids[order], other_ids[order], separation[order])
 
     def take(self, rows: np.ndarray) -> MatchTable:
@@ -256,33 +281,42 @@ def _zone_join(
     radius (+ DEC_PAD_DEG) in dec alone, and an exact separation filter
     decides on the rest. Each (zone offset, window segment, leading row)
     triple is a needle: a key range located by binary search on the
-    composite (zone, ra) sort key. The needles are built up front, in that
-    order, and searched and expanded in one pass of array calls; a join is
-    split into several passes only to hold at most JOIN_CHUNK_ROWS needles
-    each: a cone reaching up to JOIN_CHUNK_ROWS / 3 zones takes one pass, a
-    full chunk of leading rows one per zone offset.
+    composite (zone, ra) sort key. Zone offsets count from each row's own
+    zone, zone(dec), so for one offset the target zone rises with the
+    leading rows' (zone, ra) order: the needles of leading rows in index
+    order arrive almost sorted, and the binary searches stay in cache. The
+    needles are built up front, in (offset, segment, row) order, and
+    searched and expanded in one pass of array calls; a join is split into
+    several passes only to hold at most JOIN_CHUNK_ROWS needles each: a cone
+    reaching up to JOIN_CHUNK_ROWS / 3 zones takes one pass, a full chunk of
+    leading rows one per zone offset. Offsets with no needle are skipped.
     ``candidate_sink``, when given, receives the pre-filter (lead_rows,
     other_rows) stream, and ``candidates`` counts it.
     """
     if len(lead_ra) == 0 or len(key) == 0:
         return _NO_ROWS, _NO_ROWS, np.empty(0), 0
-    # zone_of_array clamps to [0, zone_count), which covers dec +- r past a pole
-    z_lo = zone_of_array(lead_dec - radius, cfg)
-    z_hi = zone_of_array(lead_dec + radius, cfg)
+    # zones of dec, dec - r and dec + r in one call; zone_of_array clamps to
+    # [0, zone_count), which covers dec +- r past a pole
+    own, below, above = zone_of_array(lead_dec + np.array([[0.0], [-radius], [radius]]), cfg)
     obj, seg_lo, seg_hi = _window_segments(lead_ra, ra_halfwidth_array(radius, lead_dec))
-    first, span = z_lo[obj], (z_hi - z_lo)[obj]
-    n_offsets = int(span.max()) + 1
+    below, above = (below - own)[obj], (above - own)[obj]
+    own = own[obj]
+    # |zone(dec +- r) - zone(dec)| <= floor(r / h) + 1, and one more for the
+    # rounding of dec +- r: a bound from scalars, not from reductions
+    reach = min(int(radius / cfg.height_deg) + 2, cfg.zone_count - 1)
     step = max(1, JOIN_CHUNK_ROWS // len(obj))
 
     lead_parts: list[np.ndarray] = []
     cand_parts: list[np.ndarray] = []
-    for k0 in range(0, n_offsets, step):
-        offsets = np.arange(k0, min(k0 + step, n_offsets))[:, None]
+    for k0 in range(-reach, reach + 1, step):
+        offsets = np.arange(k0, min(k0 + step, reach + 1))[:, None]
         # needle positions in the (offset, segment) grid, row-major: by zone
         # offset, then segment and leading row
-        flat = np.flatnonzero(span >= offsets)
+        flat = np.flatnonzero((below <= offsets) & (offsets <= above))
+        if flat.size == 0:
+            continue
         j = flat % len(obj) if len(offsets) > 1 else flat
-        base = (first + offsets).ravel()[flat].astype(np.float64) * KEY_BAND
+        base = (own + offsets).ravel()[flat].astype(np.float64) * KEY_BAND
         li, ci = _expand(key, obj[j], base + seg_lo[j], base + seg_hi[j])
         lead_parts.append(li)
         cand_parts.append(ci)
@@ -420,8 +454,10 @@ def brute_force_crossmatch(a: ZoneIndex, b: ZoneIndex, radius: float) -> MatchTa
         lead_parts.append(a.ids[rows][ia])
         other_parts.append(b.ids[ib])
         sep_parts.append(sep[ia, ib])
-    columns = (np.concatenate(p) for p in (lead_parts, other_parts, sep_parts))
-    return MatchTable.from_unsorted(*columns)
+    lead, other, sep = (np.concatenate(p) for p in (lead_parts, other_parts, sep_parts))
+    # a two-key sort of its own, so the oracle does not share the join's sort
+    order = np.lexsort((other, lead))
+    return MatchTable(lead[order], other[order], sep[order])
 
 
 def best_matches(pairs: MatchTable) -> MatchTable:

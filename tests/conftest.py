@@ -13,7 +13,7 @@ from zonequery import ZoneConfig, build_index
 from zonequery import catalog
 from zonequery.catalog import KEY_BAND, IngestError, ZoneIndex, _parse_header
 from zonequery.partition import PartitionPlan
-from zonequery.queries import DEC_PAD_DEG, WINDOW_PAD_DEG
+from zonequery.queries import DEC_PAD_DEG, WINDOW_PAD_DEG, MatchTable
 from zonequery.sphere import ra_halfwidth_array, separation_deg, zone_of_array
 
 
@@ -103,6 +103,14 @@ def assert_same_pairs(got, expected, sep_tol=1e-9):
     exp_sep = {(p.leading_id, p.other_id): p.separation for p in expected}
     for p in got:
         assert abs(p.separation - exp_sep[(p.leading_id, p.other_id)]) <= sep_tol
+
+
+def match_table_reference(leading_ids, other_ids, separation):
+    """A MatchTable of three columns in canonical order, sorted with the
+    two-key ``np.lexsort`` that ``MatchTable.from_unsorted`` once used: the
+    reference order for its one-key sort."""
+    order = np.lexsort((other_ids, leading_ids))
+    return MatchTable(leading_ids[order], other_ids[order], separation[order])
 
 
 def scan_reference(index, f):
@@ -290,9 +298,12 @@ def zone_join_reference(
     """The per-offset ``queries._zone_join`` that one search pass per join
     replaced, kept as its reference: one pair of binary searches per (zone
     offset, window segment), so its outputs and candidate stream, order
-    included, are what the one-pass kernel must reproduce."""
+    included, are what the one-pass kernel must reproduce. Zone offsets
+    count from each row's own zone, zone(dec), and run over the range the
+    rows' own dec +- radius spans, found by reductions."""
     if len(lead_ra) == 0 or len(key) == 0:
         return _NO_ROWS, _NO_ROWS, np.empty(0), 0
+    z_own = zone_of_array(lead_dec, cfg)
     z_lo = zone_of_array(lead_dec - radius, cfg)
     z_hi = zone_of_array(lead_dec + radius, cfg)
     alpha = ra_halfwidth_array(radius, lead_dec)
@@ -300,10 +311,11 @@ def zone_join_reference(
 
     lead_parts = []
     cand_parts = []
-    for k in range(int((z_hi - z_lo).max()) + 1):
-        zone_k = z_lo + k
+    for k in range(int((z_lo - z_own).min()), int((z_hi - z_own).max()) + 1):
+        zone_k = z_own + k
         for obj_idx, seg_lo, seg_hi in segments:
-            act = np.nonzero(zone_k[obj_idx] <= z_hi[obj_idx])[0]
+            zone = zone_k[obj_idx]
+            act = np.nonzero((z_lo[obj_idx] <= zone) & (zone <= z_hi[obj_idx]))[0]
             if act.size == 0:
                 continue
             obj = obj_idx[act]

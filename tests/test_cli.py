@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zonequery import cli, load_index, plan_contiguous, run_xmatch, save_index
-from zonequery.catalog import _CHUNK_ROWS, _format_rows, _write_csv
+from zonequery.catalog import _CHUNK_ROWS, SnapshotFormatError, _format_rows, _write_csv
 from zonequery.cli import main, parse_angle, parse_footprint
 from zonequery.cli import MAX_WORKERS, UsageError
 from zonequery.executor import ExecutionReport, WorkerStats
@@ -185,6 +185,26 @@ class TestExitCodes:
             "'/dev/full'\n"
         )
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["--out", "-"],
+        ["--out", os.devnull, "--stats", "-"],
+    ], ids=["out", "stats"])
+    def test_stdout_write_error_names_stdout(self, small_setup, argv):
+        _, _, a_idx, _ = small_setup
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "zonequery.cli", "scan", "--index", str(a_idx), *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"zonequery: data error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: "
+            "'<stdout>'\n"
+        )
+
     def test_radius_over_cap_is_usage_error(self, small_setup, tmp_path, capsys):
         _, _, a_idx, b_idx = small_setup
         code = run_cli(
@@ -335,6 +355,45 @@ class TestCorruptSnapshot:
                        "--radius", "1deg", "--out", str(tmp_path / "c.csv")) == 2
         err = capsys.readouterr().err
         assert err == f"zonequery: data error: {v1}: snapshot version 1, expected 2\n"
+
+
+class TestLoadPair:
+    """xmatch loads --leading, then --other: a bad input exits 2 with the
+    message of loading it alone, and when both are bad the leading file is
+    named."""
+
+    @staticmethod
+    def load_error(path):
+        with pytest.raises(SnapshotFormatError) as info:
+            load_index(path)
+        return f"zonequery: data error: {info.value}\n"
+
+    def xmatch(self, capsys, tmp_path, leading, other):
+        capsys.readouterr()
+        code = run_cli("xmatch", "--leading", str(leading), "--other", str(other),
+                       "--radius", "1arcmin", "--out", str(tmp_path / "x.csv"))
+        return code, capsys.readouterr().err
+
+    @pytest.fixture()
+    def files(self, small_setup, tmp_path):
+        _, _, a_idx, b_idx = small_setup
+        bad = tmp_path / "bad.npz"
+        shutil.copyfile(b_idx, bad)
+        _corrupt(bad, "truncated")
+        return {"good": a_idx, "other": b_idx, "bad": bad, "missing": tmp_path / "no.npz"}
+
+    @pytest.mark.parametrize("leading, other, named", [
+        ("missing", "other", "missing"),
+        ("good", "bad", "bad"),
+        ("good", "missing", "missing"),
+        ("bad", "missing", "bad"),
+        ("missing", "bad", "missing"),
+    ], ids=["leading-missing", "other-corrupt", "other-missing", "both-bad", "both-bad-swapped"])
+    def test_bad_input_exits_2_naming_it(self, files, capsys, tmp_path, leading, other,
+                                         named):
+        code, err = self.xmatch(capsys, tmp_path, files[leading], files[other])
+        assert code == 2
+        assert err == self.load_error(files[named])
 
 
 class TestGenIngestScan:
@@ -655,6 +714,10 @@ class TestXmatchCommand:
         _, _, a_idx, _ = small_setup
         twin = tmp_path / "twin.npz"
         shutil.copyfile(a_idx, twin)
+        # two more paths to the same file: through "..", and a hard link
+        (tmp_path / "sub").mkdir()
+        linked = tmp_path / "linked.npz"
+        os.link(a_idx, linked)
         loads = []
         real_load = cli.load_index
 
@@ -664,14 +727,14 @@ class TestXmatchCommand:
 
         monkeypatch.setattr(cli, "load_index", counting_load)
         outs = []
-        for other in (a_idx, twin):
+        for other in (a_idx, tmp_path / "sub" / ".." / a_idx.name, linked, twin):
             loads.clear()
             out = tmp_path / f"{command}.out"
             assert run_cli(command, "--leading", str(a_idx), "--other", str(other),
                            "--radius", "30arcmin", "--out", str(out)) == 0
             outs.append((len(loads), out.read_bytes()))
-        assert [n for n, _ in outs] == [1, 2]
-        assert outs[0][1] == outs[1][1]
+        assert [n for n, _ in outs] == [1, 1, 1, 2]
+        assert len({data for _, data in outs}) == 1
 
 
 class TestConeCommand:

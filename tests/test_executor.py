@@ -30,10 +30,16 @@ from zonequery import (
 )
 from zonequery import queries
 from zonequery.executor import _shares
-from zonequery.queries import MAX_MATCH_RADIUS_DEG, MatchTable, brute_force_crossmatch
+from zonequery.queries import MAX_MATCH_RADIUS_DEG, brute_force_crossmatch
 from zonequery.synth import Clustered, DecBand, SyntheticSpec, generate_index
 
-from conftest import random_sky, scan_reference, scenario_pair, shares_reference
+from conftest import (
+    match_table_reference,
+    random_sky,
+    scan_reference,
+    scenario_pair,
+    shares_reference,
+)
 
 CFG = ZoneConfig()
 ARCMIN = 1.0 / 60.0
@@ -227,7 +233,7 @@ class TestRunXmatch:
         a, b, sep, _ = queries._crossmatch_arrays(
             leading.ids, leading.ra, leading.dec, other, spec.radius
         )
-        expected = MatchTable.from_unsorted(a, b, sep)
+        expected = match_table_reference(a, b, sep)
         assert len(np.unique(expected.leading_ids)) < len(expected)
         hist = histogram(leading)
         for workers in (1, 2, 3, 4):
@@ -312,7 +318,7 @@ class TestChunkedJoin:
         expected = brute_force_crossmatch(a, b, radius)
         assert pairs == expected
         assert pairs == whole
-        assert MatchTable.from_unsorted(*unordered[:3]) == expected
+        assert match_table_reference(*unordered[:3]) == expected
         scanned = sum(s.rows_scanned for s in rep.workers)
         assert scanned == sum(s.rows_scanned for s in whole_rep.workers)
 

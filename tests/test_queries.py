@@ -7,7 +7,7 @@ from collections import abc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zonequery import (
@@ -35,6 +35,8 @@ from zonequery.sphere import MIN_ZONE_HEIGHT_DEG, separation_deg
 from conftest import (
     assert_same_pairs,
     best_matches_reference,
+    match_table_reference,
+    offset_points,
     zone_join_reference,
     pair_keys,
     random_sky,
@@ -357,14 +359,66 @@ class TestBruteForce:
         )
 
 
-def table_of(rows):
-    """A MatchTable of (leading_id, other_id, separation) rows, in any order."""
+def columns_of(rows):
+    """(leading_ids, other_ids, separation) arrays of (leading_id, other_id,
+    separation) rows."""
     lead, other, sep = zip(*rows) if rows else ((), (), ())
-    return MatchTable.from_unsorted(
+    return (
         np.array(lead, dtype=np.uint64),
         np.array(other, dtype=np.uint64),
         np.array(sep, dtype=np.float64),
     )
+
+
+def table_of(rows):
+    """A MatchTable of (leading_id, other_id, separation) rows, in any order,
+    sorted by the lexsort reference rather than the code under test."""
+    return match_table_reference(*columns_of(rows))
+
+
+# ids at the edges of the uint64 range and of the sort key's 32-bit halves
+_EDGE_IDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 2, 2**64 - 1])
+
+
+class TestFromUnsorted:
+    """The one-key sort of ``MatchTable.from_unsorted`` orders distinct pairs
+    exactly as a two-key lexsort does."""
+
+    @given(
+        st.lists(
+            st.tuples(_EDGE_IDS | st.integers(0, 2**64 - 1), _EDGE_IDS, st.floats(0.0, 1.0)),
+            unique_by=lambda row: row[:2],
+            max_size=80,
+        )
+    )
+    @example([])
+    @example([(2**64 - 1, 2**32, 0.5)])
+    # every leading id with every other id, out of order
+    @example([(a, b, 0.0) for b in (3, 2**64 - 1, 2**32) for a in (7, 2**32, 0)][::-1])
+    @settings(max_examples=300, deadline=None)
+    def test_equals_lexsort(self, rows):
+        columns = columns_of(rows)
+        got = MatchTable.from_unsorted(*columns)
+        expected = match_table_reference(*columns)
+        for mine, theirs in zip(dataclasses.astuple(got), dataclasses.astuple(expected)):
+            assert mine.dtype == theirs.dtype
+            assert np.array_equal(mine, theirs)
+
+    def test_more_pairs_than_16_bits_hold(self):
+        # ranks and positions above 2**18: a low half of 16 bits would spill
+        # positions into the ranks
+        rng = np.random.default_rng(7)
+        n = 300_000
+        pairs = np.unique(rng.integers(0, 2**18, (n, 2), dtype=np.uint64), axis=0)
+        pairs = pairs[rng.permutation(len(pairs))] << np.uint64(40)
+        columns = (pairs[:, 0].copy(), pairs[:, 1].copy(), rng.uniform(0.0, 1.0, len(pairs)))
+        assert MatchTable.from_unsorted(*columns) == match_table_reference(*columns)
+
+    def test_refuses_more_pairs_than_the_key_holds(self):
+        # broadcast views: 2**32 rows without the memory
+        huge = np.broadcast_to(np.uint64(0), (2**32,))
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            MatchTable.from_unsorted(huge, huge, np.broadcast_to(0.0, (2**32,)))
 
 
 class TestMatchTable:
@@ -565,6 +619,46 @@ class TestOnePassJoin:
         got, got_stream = _join_outputs(_zone_join, *lead, 180.0, index)
         ref, ref_stream = _join_outputs(zone_join_reference, *lead, 180.0, index)
         assert got[3] == ref[3] == 500
+        assert all(np.array_equal(m, t) for m, t in zip(got[:3], ref[:3]))
+        assert all(np.array_equal(m, t) for m, t in zip(got_stream[0], ref_stream[0]))
+
+    @pytest.mark.parametrize(
+        "height, radius",
+        [
+            (ARCSEC, 0.0),
+            (ARCSEC, 0.5 * ARCSEC),
+            (ARCSEC, ARCSEC),
+            (ARCSEC, 7.5 * ARCSEC),
+            (ARCSEC, 0.02),
+            (4 * ARCMIN, 0.0),
+            (4 * ARCMIN, 4 * ARCMIN),
+            (4 * ARCMIN, 1.0),
+            (0.5, 0.0),
+            (0.5, 180.0),
+        ],
+    )
+    def test_own_zone_edges(self, height, radius):
+        """Leading rows at the poles (own zone clamped), exactly on zone
+        edges and one ulp either side, with radii of zero, of under, at and
+        above the zone height, and of 180 degrees."""
+        cfg = ZoneConfig(height)
+        rng = np.random.default_rng(9)
+        edges = np.array([1, 2, cfg.zone_count // 2, cfg.zone_count - 1]) * height - 90.0
+        lead_dec = np.concatenate(
+            ([-90.0, 90.0], edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf))
+        )
+        lead_ra = rng.uniform(0.0, 360.0, len(lead_dec))
+        # other rows: copies of the leading rows, rows around them, and rows
+        # on the same zone edges
+        near_ra, near_dec = offset_points(
+            rng, np.repeat(lead_ra, 20), np.repeat(lead_dec, 20), 1.5 * max(radius, ARCSEC)
+        )
+        ra = np.concatenate((lead_ra, near_ra, rng.uniform(0.0, 360.0, len(edges))))
+        dec = np.concatenate((lead_dec, near_dec, edges))
+        index = index_from("other", ra, dec, cfg=cfg)
+        got, got_stream = _join_outputs(_zone_join, lead_ra, lead_dec, radius, index)
+        ref, ref_stream = _join_outputs(zone_join_reference, lead_ra, lead_dec, radius, index)
+        assert got[3] == ref[3] > 0
         assert all(np.array_equal(m, t) for m, t in zip(got[:3], ref[:3]))
         assert all(np.array_equal(m, t) for m, t in zip(got_stream[0], ref_stream[0]))
 
