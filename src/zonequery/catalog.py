@@ -230,30 +230,21 @@ def ingest_csv(
     ``on_reject``, in line order; more than 1% rejected rows aborts with
     IngestError. Empty magnitude fields mean missing and are stored as NaN.
 
-    Plain lines (see ``_certify``) are parsed in bulk; every other line goes
-    through the per-row checks of ``_check_row``, which alone words the
-    reject messages. A file holding a quote, CR, NUL or non-ASCII byte, whose
-    records need not be its lines, goes through them record by record.
+    A record is one line, ended by LF, CRLF or a lone CR, after a leading
+    UTF-8 byte-order mark. Plain lines (see ``_certify``) are parsed in bulk;
+    every other line goes through ``_check_row``, which alone words the
+    reject messages.
     """
     path = Path(path)
     if bands is not None and len(set(bands)) != len(bands):
         raise IngestError(f"repeated band names in {list(bands)}")
     try:
         with path.open("rb") as fh:
-            rows = _read_plain(fh, path, bands)
-        if rows is None:
-            # utf-8-sig: a byte-order mark, as some spreadsheet tools write,
-            # is not part of the first header name
-            with path.open(newline="", encoding="utf-8-sig") as fh:
-                reader = csv.reader(fh)
-                rows = _Rows(path, _header(reader, path), bands)
-                rows.check(reader, range(2, sys.maxsize))
+            rows = _read(fh, path, bands)
     except FileNotFoundError:
         raise IngestError(f"no such file: {path}") from None
     except OSError as exc:
         raise IngestError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
 
     ids, ra, dec, mags, rejects = rows.resolve()
     if on_reject is not None:
@@ -270,16 +261,33 @@ def ingest_csv(
     )
 
 
-def _not_utf8(path: Path) -> IngestError:
-    """The error for a file that is not UTF-8 text, naming the line of its
-    first undecodable byte."""
-    data = path.read_bytes()
+def _fields(text: bytes, line_nos: Sequence[int], path: Path) -> Iterator[list | None]:
+    """The fields of each LF-separated line of ``text``, the k-th being line
+    ``line_nos[k]``, by the csv module's rules; None for a line that ends
+    inside a quoted field, as a record never spans lines. Bytes that are not
+    UTF-8 text and csv errors, such as a field over the csv module's size
+    limit, raise an IngestError naming their line."""
     try:
-        data.decode("utf-8")
+        lines = text.decode().split("\n") if line_nos else []
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        return IngestError(f"{path}: line {line}: not UTF-8 text (byte 0x{data[exc.start]:02x})")
-    return IngestError(f"{path}: not UTF-8 text")
+        n, byte = line_nos[text.count(b"\n", 0, exc.start)], text[exc.start]
+        raise IngestError(f"{path}: line {n}: not UTF-8 text (byte 0x{byte:02x})") from None
+    quoted = [k for k, line in enumerate(lines) if '"' in line] if b'"' in text else []
+    start = 0
+    try:
+        # a line without a quote is one record: one reader takes each run of them
+        for k in [*quoted, len(lines)]:
+            reader = csv.reader(lines[start:k])
+            yield from reader
+            start = k
+            if k < len(lines):
+                # this reader goes on to the empty line only from inside quotes
+                reader = csv.reader((lines[k], ""))
+                row = next(reader)
+                yield row if reader.line_num == 1 else None
+                start = k + 1
+    except csv.Error as exc:
+        raise IngestError(f"{path}: line {line_nos[start + reader.line_num - 1]}: {exc}") from None
 
 
 def _check_row(
@@ -342,27 +350,26 @@ class _Rows:
         """Non-empty data records read."""
         return sum(len(part[0]) for part in self.parts) + len(self.rejected)
 
-    def check(self, reader, line_nos: Sequence[int]) -> None:
-        """Run the per-row checks on the rows of a csv reader, the k-th row
-        being line ``line_nos[k]``. A csv error, such as a field over the csv
-        module's size limit, becomes an IngestError naming its line."""
+    def check(self, text: bytes, line_nos: Sequence[int]) -> None:
+        """Run the per-row checks on the LF-separated lines of ``text``, each
+        one record (see ``_fields``), the k-th being line ``line_nos[k]``. A
+        line that ends inside a quoted field is rejected and claims no id."""
         lines, ids, ras, decs, mags = [], [], [], [], []
-        k = 0
-        try:
-            for k, row in enumerate(reader, start=1):
-                if not row:
-                    continue
-                obj_id, reason, values = _check_row(row, self.n_cols, self.bands, self.col_idx)
-                if reason is None:
-                    lines.append(line_nos[k - 1])
-                    ids.append(obj_id)
-                    ras.append(values[0])
-                    decs.append(values[1])
-                    mags.append(values[2])
-                else:
-                    self.rejected.append((line_nos[k - 1], obj_id, reason))
-        except csv.Error as exc:
-            raise IngestError(f"{self.path}: line {line_nos[k]}: {exc}") from None
+        for line_no, row in zip(line_nos, _fields(text, line_nos, self.path)):
+            if row is None:
+                self.rejected.append((line_no, None, "line ends inside a quoted field"))
+                continue
+            if not row:
+                continue
+            obj_id, reason, values = _check_row(row, self.n_cols, self.bands, self.col_idx)
+            if reason is None:
+                lines.append(line_no)
+                ids.append(obj_id)
+                ras.append(values[0])
+                decs.append(values[1])
+                mags.append(values[2])
+            else:
+                self.rejected.append((line_no, obj_id, reason))
         self.parts.append((
             np.array(lines, np.int64), np.array(ids, np.uint64), np.array(ras, np.float64),
             np.array(decs, np.float64),
@@ -404,56 +411,51 @@ class _Rows:
                 [f"line {line_no}: {reason}" for line_no, reason in rejects])
 
 
-def _header(reader, path: Path) -> list[str]:
-    """The stripped header fields, the first row of a csv reader."""
-    try:
-        row = next(reader, None)
-    except csv.Error as exc:
-        raise IngestError(f"{path}: line 1: {exc}") from None
-    if row is None:
-        raise IngestError(f"{path}: empty file, missing header")
-    return [c.strip() for c in row]
-
-
-def _read_plain(fh, path: Path, bands: Sequence[str] | None) -> _Rows | None:
-    """Read a binary file whose records are its lines, in blocks of about
-    _BLOCK_BYTES; None for an empty file, and as soon as a block holds a
-    quote, CR, NUL or non-ASCII byte, which csv parsing would treat
-    differently."""
+def _read(fh, path: Path, bands: Sequence[str] | None) -> _Rows:
+    """Read a binary catalog file in blocks of about _BLOCK_BYTES, after a
+    leading byte-order mark, with each line end made an LF."""
+    if fh.peek(3).startswith(b"\xef\xbb\xbf"):
+        fh.read(3)
     rows = None
     line_no = 2
     for buf in _blocks(fh):
-        if not buf.isascii() or b'"' in buf or b"\r" in buf or b"\0" in buf:
-            return None
+        buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in buf else buf
         if rows is None:
             cut = buf.index(b"\n")
-            rows = _Rows(path, _header(csv.reader([buf[:cut].decode()]), path), bands)
+            header = next(_fields(buf[:cut], [1], path))
+            if header is None:
+                raise IngestError(f"{path}: line 1: line ends inside a quoted field")
+            rows = _Rows(path, [c.strip() for c in header], bands)
             buf = buf[cut + 1 :]
         line_no = _read_block(buf, line_no, rows)
+    if rows is None:
+        raise IngestError(f"{path}: empty file, missing header")
     return rows
 
 
 def _blocks(fh) -> Iterator[bytes]:
-    """A binary file in blocks of about _BLOCK_BYTES that end on a line
-    boundary; a newline is added after a last line that lacks one."""
-    rest = b""
+    """A binary file in blocks of about _BLOCK_BYTES that end on a line end
+    (LF, CRLF or a lone CR); an LF is added after the last one. Each chunk
+    read is searched once, so a file with few or no LFs takes linear time."""
+    held: list[bytes] = []
     while chunk := fh.read(_BLOCK_BYTES):
-        buf = rest + chunk
-        cut = buf.rfind(b"\n") + 1
-        rest = buf[cut:]
+        # a CR at the end of the chunk may be the first half of a CRLF
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
         if cut:
-            yield buf[:cut]
-    if rest:
+            yield b"".join([*held, memoryview(chunk)[:cut]])
+            held = []
+        held.append(chunk[cut:])
+    if rest := b"".join(held):
         yield rest + b"\n"
 
 
 def _read_block(buf: bytes, first_line: int, rows: _Rows) -> int:
-    """Add the lines of ``buf`` (plain ASCII, ending with a newline), the
+    """Add the lines of ``buf`` (ending with an LF, and holding no CR), the
     first being line ``first_line``, to ``rows``; the next line's number.
 
     Certified lines are parsed by one ``np.loadtxt`` and range-tested as
     arrays; the lines that fail either, or the whole block when ``loadtxt``
-    raises, go through the per-row checks."""
+    raises, go through the per-row checks one line at a time."""
     starts, ends, plain = _certify(buf, rows.n_cols, csv.field_size_limit())
     if plain.any():
         # runs of consecutive certified lines, newlines included
@@ -477,8 +479,8 @@ def _read_block(buf: bytes, first_line: int, rows: _Rows) -> int:
                 (first_line + lines[good], ids[good], ra[good], dec[good], mags[good])
             )
     rest = np.flatnonzero(~plain)
-    texts = [buf[a:b].decode() for a, b in zip(starts[rest].tolist(), ends[rest].tolist())]
-    rows.check(csv.reader(texts), (first_line + rest).tolist())
+    text = b"\n".join(buf[a:b] for a, b in zip(starts[rest].tolist(), ends[rest].tolist()))
+    rows.check(text, (first_line + rest).tolist())
     return first_line + len(ends)
 
 

@@ -168,7 +168,4 @@ def ra_halfwidth_array(radius: float, dec: np.ndarray) -> np.ndarray:
     touches a pole (|dec| + radius >= 90).
     """
     reach = np.abs(dec) + radius
-    out = np.full(np.shape(dec), 180.0)
-    narrow = reach < 90.0
-    out[narrow] = np.minimum(radius / np.cos(np.radians(reach[narrow])), 180.0)
-    return out
+    return np.where(reach < 90.0, np.minimum(radius / np.cos(np.radians(reach)), 180.0), 180.0)

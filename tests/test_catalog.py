@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import math
 import struct
 import warnings
@@ -193,9 +194,10 @@ _PERFBENCH_BAD = (
 @st.composite
 def _catalog_text(draw):
     """(file bytes, bands argument) of a small catalog CSV mixing plain
-    lines with every kind of bad or loose line. Two in five files also
-    hold a byte-order mark, CRLF line ends, a quoted field or non-ASCII
-    text, which make every line go through the per-row checks."""
+    lines with every kind of bad or loose line. About two in five files
+    also hold a byte-order mark, CRLF or CR-only line ends, a line of quoted
+    fields or non-ASCII text; the last two send their lines through the
+    per-row checks."""
     n_bands = draw(st.integers(0, 3))
     names = ["r", "g", "i"][:n_bands]
     header = ",".join(["id", "ra", "dec", *names])
@@ -220,7 +222,9 @@ def _catalog_text(draw):
         plain.map(",".join), plain.map(",".join), one_off.map(",".join),
         one_off.map(",".join), loose.map(",".join), perfbench, other,
     ), max_size=40))
-    special = draw(st.sampled_from(["", "", "", "", "", "", "bom", "crlf", "quote", "non-ascii"]))
+    special = draw(st.sampled_from(
+        ["", "", "", "", "", "", "", "bom", "crlf", "cr", "quote", "non-ascii"]
+    ))
     if special == "quote" and lines:
         at = draw(st.integers(0, len(lines) - 1))
         lines[at] = ",".join(f'"{f}"' for f in lines[at].split(","))
@@ -229,6 +233,8 @@ def _catalog_text(draw):
     text = "\n".join([header, *lines]) + draw(st.sampled_from(["\n", ""]))
     if special == "crlf":
         text = text.replace("\n", "\r\n")
+    elif special == "cr":
+        text = text.replace("\n", "\r")
     elif special == "bom":
         text = "\ufeff" + text
     bands = draw(st.one_of(st.none(), st.permutations(names).flatmap(
@@ -321,6 +327,80 @@ class TestBulkIngest:
         log: list[str] = []
         assert ingest_csv(f, on_reject=log.append).total_count == 299
         assert log == ["line 152: unparseable coordinates '--1','1.5'"]
+
+
+class TestOneRecordPerLine:
+    """A record is one physical line, whatever its quotes or line end; the
+    reference's csv records may span lines, so these cases are tested alone."""
+
+    @staticmethod
+    def _ingest(tmp_path, data: bytes):
+        f = tmp_path / "c.csv"
+        f.write_bytes(data)
+        log: list[str] = []
+        return ingest_csv(f, on_reject=log.append), log
+
+    def test_reject_after_multi_line_quote_names_its_physical_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(catalog, "MAX_REJECT_FRACTION", 1.0)
+        index, log = self._ingest(tmp_path, b'id,ra,dec\n1,2,3\n"2\n",3,4\n5,6,95\n7,8,9\n')
+        assert index.ids.tolist() == [1, 7]
+        assert log == [
+            "line 3: line ends inside a quoted field",
+            "line 4: line ends inside a quoted field",
+            "line 5: dec 95.0 outside [-90, 90]",
+        ]
+
+    def test_id_with_line_end_inside_quotes_is_not_read(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(catalog, "MAX_REJECT_FRACTION", 1.0)
+        index, log = self._ingest(tmp_path, b'id,ra,dec\n"1\n",2,3\n4,5,6\n')
+        assert index.ids.tolist() == [4]
+        assert log == [
+            "line 2: line ends inside a quoted field",
+            "line 3: line ends inside a quoted field",
+        ]
+
+    def test_open_quote_at_end_of_file_is_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(catalog, "MAX_REJECT_FRACTION", 1.0)
+        # the open line claims no id: a later row with its id is kept
+        index, log = self._ingest(tmp_path, b'id,ra,dec\n1,2,3\n2,"3,4\n2,3,4\n5,"6,7')
+        assert index.ids.tolist() == [1, 2]
+        assert log == [
+            "line 3: line ends inside a quoted field",
+            "line 5: line ends inside a quoted field",
+        ]
+
+    def test_non_utf8_byte_in_a_later_block_names_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(catalog, "_BLOCK_BYTES", 64)
+        rows = [f"{i},{i}.5,1.5" for i in range(100)]
+        f = tmp_path / "c.csv"
+        f.write_bytes(("id,ra,dec\n" + "\r\n".join(rows[:80])).encode()
+                      + b"\r\n80,\xe9,1.5\r\n" + "\r\n".join(rows[81:]).encode())
+        with pytest.raises(IngestError) as info:
+            ingest_csv(f)
+        assert str(info.value) == f"{f}: line 82: not UTF-8 text (byte 0xe9)"
+
+    @pytest.mark.parametrize("data, error", [
+        (b"\xef\xbb\xbf", "empty file, missing header"),
+        (b'id,ra,"dec\n1,2,3\n', "line 1: line ends inside a quoted field"),
+    ], ids=["bom-only", "open-quote"])
+    def test_file_without_a_header(self, tmp_path, data, error):
+        f = tmp_path / "c.csv"
+        f.write_bytes(data)
+        with pytest.raises(IngestError) as info:
+            ingest_csv(f)
+        assert str(info.value) == f"{f}: {error}"
+
+    def test_cr_only_stream_is_split_into_blocks(self, monkeypatch):
+        monkeypatch.setattr(catalog, "_BLOCK_BYTES", 16)
+        data = b"1,2.5,3\r" * 20 + b"4,5,6"
+        blocks = list(catalog._blocks(io.BytesIO(data)))
+        assert len(blocks) > 1 and all(b.endswith((b"\r", b"\n")) for b in blocks)
+        assert b"".join(blocks) == data + b"\n"
+
+    def test_crlf_is_never_split_between_blocks(self, monkeypatch):
+        monkeypatch.setattr(catalog, "_BLOCK_BYTES", 4)
+        blocks = list(catalog._blocks(io.BytesIO(b"1,2\r\n3,4\r\n5,6\r")))
+        assert blocks == [b"1,2\r\n", b"3,4\r\n", b"5,6\r\n"]
 
 
 class TestIndexStructure:

@@ -244,6 +244,18 @@ class TestRaHalfwidth:
         assert _halfwidth(1.0, 60.0) == pytest.approx(expected)
         assert _halfwidth(1.0, 60.0) == pytest.approx(2.0627, abs=5e-5)
         assert _halfwidth(1.0, -60.0) == _halfwidth(1.0, 60.0)
+        # bit for bit the masked form it replaced, which took the cosine of
+        # the rows that reach no pole only
+        rng = np.random.default_rng(9)
+        decs = [random_sky(rng, 5000)[1], random_sky(rng, 5000, 30.0, 34.0)[1],
+                np.array([89.99]), np.array([-90.0, 0.0, 90.0])]
+        for radius in (60 * ARCSEC, 1.0, 179.0):
+            for dec in decs:
+                reach = np.abs(dec) + radius
+                masked = np.full(len(dec), 180.0)
+                narrow = reach < 90.0
+                masked[narrow] = np.minimum(radius / np.cos(np.radians(reach[narrow])), 180.0)
+                assert ra_halfwidth_array(radius, dec).tobytes() == masked.tobytes()
 
     def test_no_pair_missed_near_dec_60(self):
         rng = np.random.default_rng(7)
