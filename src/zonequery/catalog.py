@@ -25,6 +25,7 @@ import zipfile
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import IO, Callable, Iterator, Sequence
@@ -105,6 +106,8 @@ class ZoneIndex:
     """A catalog reorganized into declination zones.
 
     Immutable after construction; safe to read from any number of threads.
+    ``ra_key`` is built on first access; threads that race there may each
+    build it, the same array, and one of them is kept.
     """
 
     def __init__(
@@ -126,8 +129,14 @@ class ZoneIndex:
         self.dec = dec
         self.mags = mags
         self.zone_starts = zone_starts
-        zone_base = np.arange(cfg.zone_count, dtype=np.float64) * KEY_BAND
-        self.ra_key = np.repeat(zone_base, np.diff(zone_starts)) + ra
+
+    @cached_property
+    def ra_key(self) -> np.ndarray:
+        """zone * KEY_BAND + ra per row: sorted, as the rows are, over the
+        whole catalog. Only an index searched by a cone or as the other side
+        of a cross-match needs it, so it is not built before."""
+        zone_base = np.arange(self.cfg.zone_count, dtype=np.float64) * KEY_BAND
+        return np.repeat(zone_base, np.diff(self.zone_starts)) + self.ra
 
     @property
     def total_count(self) -> int:
@@ -513,11 +522,187 @@ def _certify(buf: bytes, n_cols: int, max_len: int) -> tuple[np.ndarray, np.ndar
 
 def _format_rows(row_format: str, columns: Sequence) -> Iterator[str]:
     """The rows of ``columns`` (equal-length arrays or tuples; none for no
-    rows), each formatted by ``row_format``, one string per _CHUNK_ROWS rows."""
+    rows), each formatted by ``row_format``, one string per _CHUNK_ROWS rows.
+
+    A format of ``%d`` and ``%.12g`` fields joined by commas and ended by a
+    newline, such as a cross-match's ``%d,%d,%.12g\\n``, is written by numpy
+    digit arithmetic (``_format_numeric``); its ``%d`` columns must hold
+    unsigned 64-bit integers. Every other format, such as one with ``%r``, is
+    applied by ``%`` to the rows as Python objects. Both give the bytes of
+    ``%``."""
+    fields = row_format[:-1].split(",")
+    numeric = row_format.endswith("\n") and set(fields) <= {"%d", "%.12g"}
     for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
         chunk = [col[start : start + _CHUNK_ROWS] for col in columns]
+        if numeric:
+            yield _format_numeric(fields, chunk)
+            continue
         rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk))
         yield row_format * len(chunk[0]) % tuple(chain.from_iterable(rows))
+
+
+# Tables of _format_numeric. A field is laid out in fixed-width machine words
+# whose unused bytes are NUL, and the NULs are deleted from the chunk's bytes
+# at the end, so a table entry is a whole word and no byte is ever shifted.
+# A word built from bytes is read back as the same bytes on any byte order.
+
+
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """The word tables of 4-digit groups, ``(_INT_WORDS, _SIG_WORDS)``."""
+    group = np.arange(10000, dtype=np.int32)[:, None]
+    place = 10 ** np.arange(3, -1, -1, dtype=np.int32)  # of each digit, left to right
+    ascii_digits = (group // place % 10 + ord("0")).astype(np.uint8)
+    int_words = np.zeros((3, 10000, 4), np.uint8)
+    int_words[1] = ascii_digits * ((group >= place) | (place == 1))
+    int_words[2] = ascii_digits
+    sig_words = np.zeros((2, 10000, 8), np.uint8)
+    sig_words[:, :, ::2] = ascii_digits
+    sig_words[1, :, ::2] *= group % (10 * place) != 0  # a nonzero digit here or right of it
+    return int_words.view(np.uint32).ravel(), sig_words.view(np.uint64).ravel()
+
+
+# 4-digit groups of a %d field, as uint32 words, at 10000 * kind + group: kind 0
+# for a group left of the first digit (all NUL), 1 for the group holding it
+# (its leading zeros NUL; "0" for 0), 2 for any later group. 4 of a %.12g
+# field's 12 significant digits, as uint64 words: each digit followed by a NUL
+# byte that may become the decimal point; at 10000 * kind + group, kind 1
+# with trailing zeros NUL.
+_INT_WORDS, _SIG_WORDS = _digit_words()
+# 10**k, exact as doubles for k <= 22
+_POW10 = np.array([float(10**k) for k in range(23)])
+# the decimal exponents e of a %.12g value the digit path writes, as e + 11: a
+# scale 10**(11 - e) within 10**+-22
+_EXPONENTS = range(-11, 34)
+
+
+def _fixed(e: int) -> bool:
+    """Whether %.12g prints a value of decimal exponent e in fixed notation."""
+    return -4 <= e < 12
+
+
+def _words(strings: Iterator[bytes], width: int, dtype) -> np.ndarray:
+    """Byte strings, each NUL-padded to ``width`` bytes, as machine words."""
+    return np.frombuffer(b"".join(s.ljust(width, b"\0") for s in strings), dtype)
+
+
+# sign and leading "0.0..." of fixed notation with e < 0, at e + 11 (+ 45 for "-")
+_LEAD_WORDS = _words(
+    (sign + (b"0." + b"0" * (-e - 1) if _fixed(e) and e < 0 else b"") for sign in (b"\0", b"-")
+     for e in _EXPONENTS), 8, np.uint64,
+)
+# "e+dd" of exponent notation, at e + 11
+_SUFFIX_WORDS = _words((b"" if _fixed(e) else b"e%+03d" % e for e in _EXPONENTS), 8, np.uint64)
+# per significant-digit word (3, e + 11): "0" in each digit byte left of the
+# point in fixed notation; OR-ed in, it restores integer zeros a strip removed
+_INT_ZERO_WORDS = np.ascontiguousarray(_words(
+    (b"0\0" * (e + 1) if _fixed(e) and e >= 0 else b"" for e in _EXPONENTS), 24, np.uint64,
+).reshape(-1, 3).T)
+# the digit after which the point goes (0 in exponent notation), at e + 11;
+# -1 for fixed notation with e < 0, whose point is in the lead
+_POINT_AFTER = np.array([(-1 if e < 0 else e) if _fixed(e) else 0 for e in _EXPONENTS])
+_COMMA_WORD, _NEWLINE_WORD = _words((b",", b"\n"), 4, np.uint32)
+
+
+def _format_numeric(fields: Sequence[str], columns: Sequence) -> str:
+    """One chunk of rows whose ``fields`` are each ``%d`` or ``%.12g``,
+    separated by commas and ended by newlines, with the bytes ``%`` gives.
+    Each field becomes a block of uint32 words per row, followed by one
+    separator word; the row matrix's NUL bytes are deleted at the end."""
+    n = len(columns[0])
+    values, widths = [], []
+    for field, col in zip(fields, columns):
+        if field == "%d":
+            q = np.asarray(col, dtype=np.uint64)
+            values.append(q)
+            widths.append(-(-len(str(int(q.max()))) // 4))
+        else:
+            values.append(np.asarray(col, dtype=np.float64))
+            widths.append(10)
+    words = np.empty((n, sum(widths) + len(widths)), np.uint32)  # every word is written
+    end = 0
+    for field, v, width in zip(fields, values, widths):
+        block = words[:, end : end + width]
+        if field == "%d":
+            _format_int(v, block)
+        else:
+            sig = np.empty((n, 5), np.uint64)
+            _format_g12(v, sig)
+            block[...] = sig.view(np.uint32)
+        words[:, end + width] = _COMMA_WORD
+        end += width + 1
+    words[:, -1] = _NEWLINE_WORD
+    return words.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _format_int(q: np.ndarray, out: np.ndarray) -> None:
+    """Write ``%d`` of the uint64 values ``q`` into the uint32 words ``out``,
+    one per 4 digits (the widest value's count, rounded up), left to right.
+    The arithmetic stays in uint64: numpy 1.x turns uint64 mixed with a
+    signed integer into float64, which loses digits."""
+    width = out.shape[1]
+    rest = q
+    for k in range(width - 1, -1, -1):
+        above = rest // np.uint64(10000)
+        group = (rest - above * np.uint64(10000)).astype(np.intp)
+        # digits right of this group; a value of more holds digits in or left of it
+        right = 10 ** (4 * (width - 1 - k))
+        kind = (q >= np.uint64(right)).astype(np.intp) if k < width - 1 else 1
+        if k > 0:
+            kind += q >= np.uint64(right * 10000)
+        out[:, k] = _INT_WORDS[group + 10000 * kind]
+        rest = above
+
+
+def _format_g12(x: np.ndarray, out: np.ndarray) -> None:
+    """Write ``%.12g`` of the float64 values ``x`` into the uint64 words
+    ``out`` (n, 5): sign and lead, 12 significant digits with their point
+    slots, and the exponent suffix.
+
+    With e = floor(log10 |x|), |x| is scaled by the exact double 10**(11 - e)
+    in one multiplication or division, so the scaled value s is within 1.2e-4
+    of the exact product while s < 1e12. Where s is at least 1e-3 from a
+    half-integer, rint(s) is the exact product rounded, as %g rounds it; where
+    also 1e11 <= s and rint(s) < 1e12, that is the 12-digit mantissa and e the
+    exponent %g prints (s just above 1e11 with the exact product just below
+    is the carry of 99..9.5, which %g too prints as 1 and e). Every other
+    value, NaN, an infinity, and e outside [-11, 33] included, is written by
+    ``%``; 0 is "0" and -0 "-0"."""
+    a = np.abs(x)
+    with np.errstate(all="ignore"):
+        e = np.floor(np.log10(a))
+        ok = np.abs(11 - e) <= 22
+        scale = 11 - np.where(ok, e, 11).astype(np.intp)
+        p = _POW10[np.abs(scale)]
+        s = a * p
+        np.divide(a, p, out=s, where=scale < 0)
+        m = np.rint(s)
+        exact = ok & (s >= 1e11) & (m < 1e12) & (np.abs(s - np.floor(s) - 0.5) > 1e-3)
+    zero = a == 0
+    exact |= zero
+    m[~exact | zero] = 0
+    at = 22 - scale  # e + 11
+    at[~exact | zero] = 11  # zero prints as e = 0 with no significant digit
+    mant = m.astype(np.uint64)
+    hi = mant // np.uint64(100000000)
+    low8 = mant - hi * np.uint64(100000000)
+    mid = low8 // np.uint64(10000)
+    lo = low8 - mid * np.uint64(10000)
+    lo_zero = lo == 0
+    out[:, 0] = _LEAD_WORDS[at + 45 * np.signbit(x)]
+    out[:, 1] = _SIG_WORDS[hi.astype(np.intp) + 10000 * (lo_zero & (mid == 0))]
+    out[:, 2] = _SIG_WORDS[mid.astype(np.intp) + 10000 * lo_zero]
+    out[:, 3] = _SIG_WORDS[lo.astype(np.intp) + 10000]
+    for k in range(3):
+        out[:, 1 + k] |= _INT_ZERO_WORDS[k][at]
+    out[:, 4] = _SUFFIX_WORDS[at]
+    # a point after digit d when a nonzero digit follows: m not a multiple of 10**(11 - d)
+    after = _POINT_AFTER[at]
+    q = m / _POW10[11 - np.maximum(after, 0)]
+    rows = np.flatnonzero((q != np.floor(q)) & (after >= 0))
+    out.view(np.uint8)[rows, 9 + 2 * after[rows]] = ord(".")
+    bad = np.flatnonzero(~exact)
+    if len(bad):
+        out[bad] = _words((b"%.12g" % v for v in x[bad].tolist()), 40, np.uint64).reshape(-1, 5)
 
 
 @contextmanager

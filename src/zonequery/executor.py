@@ -218,11 +218,12 @@ def run_cone(
     _check_plan(index, plan)
     dec = q.center.dec
     band = zone_of_array(np.array([dec - q.radius, dec + q.radius]), index.cfg)
+    ra_key = index.ra_key  # built here, if not yet, rather than by racing workers
 
     def work(ranges: Ranges) -> tuple:
         rows, sep, candidates = _cone_join(
             q,
-            _take(index.ra_key, ranges),
+            _take(ra_key, ranges),
             _take(index.ra, ranges),
             _take(index.dec, ranges),
             index.cfg,
@@ -245,6 +246,7 @@ def run_xmatch(
     exactly once."""
     check_same_zones(leading.cfg, other.cfg)
     _check_plan(leading, plan)
+    other.ra_key  # built here, if not yet, rather than by racing workers
 
     def work(ranges: Ranges) -> tuple:
         a, b, sep, candidates = _crossmatch_arrays(

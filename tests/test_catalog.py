@@ -17,12 +17,15 @@ from hypothesis import strategies as st
 
 from zonequery import (
     IngestError,
+    MatchSpec,
     SnapshotFormatError,
     ZoneConfig,
     build_index,
     histogram,
     ingest_csv,
     load_index,
+    plan_contiguous,
+    run_xmatch,
     save_index,
     zone_of,
 )
@@ -453,6 +456,17 @@ class TestIndexStructure:
             expected = zone.astype(np.float64) * catalog.KEY_BAND + index.ra
             assert index.ra_key.dtype == np.float64
             assert index.ra_key.tobytes() == expected.tobytes()
+
+    def test_ra_key_built_on_first_use(self):
+        """Only the searched side of a cross-match builds its ra_key."""
+        rng = np.random.default_rng(25)
+        lead, other = (
+            build_index(name, CFG, np.arange(2000, dtype=np.uint64), *random_sky(rng, 2000))
+            for name in ("lead", "other")
+        )
+        assert "ra_key" not in vars(lead) and "ra_key" not in vars(other)
+        run_xmatch(lead, other, MatchSpec(radius=1.0), plan_contiguous(CFG.zone_count, 2))
+        assert "ra_key" not in vars(lead) and "ra_key" in vars(other)
 
     def test_duplicate_ids_rejected_by_build(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -806,6 +806,88 @@ class TestCsvFormatter:
         assert cone == "".join(f"{i},{x:.12g}\n" for i, x in rows)
 
 
+def _float_of_bits(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+_TIES = st.builds(  # 13 significant digits ending in 5, from 1e-30 to 1e30
+    lambda m, k, sign: sign * float(f"{m}5e{k}"),
+    st.integers(10**11, 10**12 - 1), st.integers(-42, 18), st.sampled_from([1, -1]),
+)
+_POWERS = st.builds(  # powers of ten, their neighbours, and times 1 +- 5e-13
+    lambda k, how: how(float(f"1e{k}")),
+    st.integers(-30, 30),
+    st.sampled_from([
+        lambda p: p, lambda p: np.nextafter(p, 0.0), lambda p: np.nextafter(p, np.inf),
+        lambda p: p * (1 + 5e-13), lambda p: p * (1 - 5e-13), lambda p: -p,
+    ]),
+)
+_SPECIALS = st.builds(lambda k: float(f"9.999999999995e{k}"), st.integers(-30, 30))
+_SPECIALS = _SPECIALS | st.sampled_from([
+    5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0,
+    float("nan"), -float("nan"), float("inf"), -float("inf"),
+])
+_ANY_FLOAT = st.integers(0, 2**64 - 1).map(_float_of_bits) | _TIES | _POWERS | _SPECIALS
+
+
+def _percent(row_format, columns) -> list[str]:
+    """The rows formatted one at a time by ``%``: the byte reference."""
+    return [row_format % row for row in zip(*(
+        c.tolist() if isinstance(c, np.ndarray) else c for c in columns
+    ))]
+
+
+def _rows_of(chunks) -> list[str]:
+    """The rows of formatted chunks, so that a failure names the first wrong row."""
+    return "".join(chunks).splitlines(keepends=True)
+
+
+class TestNumericFormatter:
+    """%d and %.12g rows, written by digit arithmetic, equal %."""
+
+    @given(
+        st.lists(st.tuples(_U64, _U64, _ANY_FLOAT), min_size=1, max_size=30),
+        _LENGTHS, st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pair_and_cone_rows(self, pool, n, as_arrays):
+        rows = _tile(pool, n)
+        ids, others, seps = ([r[k] for r in rows] for k in range(3))
+        if as_arrays:  # as xmatch passes them; cone passes tuples
+            ids, others, seps = np.array(ids, np.uint64), np.array(others, np.uint64), np.array(seps)
+        else:
+            ids, others, seps = tuple(ids), tuple(others), tuple(seps)
+        for row_format, columns in (
+            ("%d,%d,%.12g\n", (ids, others, seps)), ("%d,%.12g\n", (ids, seps)),
+        ):
+            chunks = list(_format_rows(row_format, columns))
+            assert len(chunks) == -(-n // CHUNK)
+            assert _rows_of(chunks) == _percent(row_format, columns)
+
+    def test_adversarial_values(self):
+        rng = np.random.default_rng(14)
+        m = rng.integers(10**11, 10**12, 30000)
+        k = rng.integers(-42, 19, 30000)
+        powers = np.array([float(f"1e{e}") for e in range(-320, 309)])
+        values = np.concatenate([
+            rng.integers(0, 2**64, 30000, dtype=np.uint64).view(np.float64),
+            [float(f"{a}5e{b}") for a, b in zip(m.tolist(), k.tolist())],
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            powers * (1 + 5e-13), powers * (1 - 5e-13),
+            [float(f"9.999999999995e{e}") for e in range(-320, 308)],
+            [float(f"9.99999999999{d}e{e}") for d in (499, 501) for e in range(-30, 31)],
+            rng.uniform(0.0, 1.0, 30000) ** 8, rng.integers(0, 10**14, 30000).astype(np.float64),
+            [5e-324, 0.0, np.nan, np.inf],
+        ])
+        values = np.concatenate([values, -values])
+        ids = rng.integers(0, 2**64, len(values), dtype=np.uint64)
+        ids[:3] = (0, 2**63, 2**64 - 1)
+        for row_format, columns in (
+            ("%d,%.12g\n", (ids, values)), ("%.12g,%d,%.12g\n", (values, ids, values[::-1])),
+        ):
+            assert _rows_of(_format_rows(row_format, columns)) == _percent(row_format, columns)
+
+
 def _write_pairs_per_row(path, pairs) -> None:
     """The per-row xmatch writer the CLI once had: the byte reference."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
