@@ -13,14 +13,19 @@ own thread, with one argsort of a (leading rank, other rank) uint64 key
 with one stable sort on the leading id; a scan or cone coordinator sorts the
 concatenated rows by id. Either way the result is bit-identical for any
 worker count or strategy. All three queries run through one executor,
-``_execute``, and one join kernel: a cone is a cross-match whose leading
-catalog is its one centre.
+``_execute``. A cone's needles (its zone band and ra window segments) are
+built once per query, from scalars, in the calling thread; each worker only
+searches, expands and filters them against its rows, with the search,
+expansion and exact filter of the cross-match kernel. A worker's share is
+found by bisecting the plan's cached run table, so a narrow band costs its
+few runs, not array calls.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
@@ -36,11 +41,12 @@ from .queries import (
     Ranges,
     ScanFilter,
     _by_id,
-    _cone_join,
+    _cone_needles,
+    _cone_rows,
     _crossmatch_arrays,
     _take,
 )
-from .sphere import check_same_zones, zone_of_array
+from .sphere import check_same_zones
 
 __all__ = [
     "WorkerStats",
@@ -139,14 +145,15 @@ def _shares(
 ) -> list[list[tuple[int, int]]]:
     """Per worker, the non-empty row ranges of its runs of consecutive zones
     within [z_lo, z_hi]. Runs come in zone order, so each share is
-    key-sorted. Run edges are found with array calls and only the runs are
-    walked in Python: a full band of 1 arcsec zones costs its runs, not its
-    648,000 zones."""
-    owners = plan.assignment[z_lo : z_hi + 1]
-    edges = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist(), len(owners)]
-    bounds = zone_starts[z_lo : z_hi + 2][edges].tolist()
+    key-sorted. The runs meeting the band are found by bisecting the plan's
+    cached run table and only they are walked: a band costs its runs, not
+    its zones."""
+    run_starts, run_workers = plan.run_table
+    first, end = bisect_right(run_starts, z_lo) - 1, bisect_right(run_starts, z_hi)
+    edges = [z_lo, *run_starts[first + 1 : end], z_hi + 1]
+    bounds = zone_starts[edges].tolist()
     shares: list[list[tuple[int, int]]] = [[] for _ in range(plan.worker_count)]
-    for worker, start, stop in zip(owners[edges[:-1]].tolist(), bounds, bounds[1:]):
+    for worker, start, stop in zip(run_workers[first:end], bounds, bounds[1:]):
         if stop > start:
             shares[worker].append((start, stop))
     return shares
@@ -172,7 +179,8 @@ def _execute(
     """Run ``work`` over each worker's share of the zone band, one thread per
     worker with rows; a worker without rows gets an all-zero stats row and no
     thread, and a lone busy worker runs in the calling thread. The workers'
-    result columns are concatenated, then ``merge``d."""
+    result columns are concatenated (unless one worker returned them), then
+    ``merge``d."""
     t0 = time.perf_counter()
     shares = _shares(plan, zone_starts, *band)
     busy = [w for w, ranges in enumerate(shares) if ranges]
@@ -187,7 +195,11 @@ def _execute(
         stats[w] = row
     # no busy worker: typed empty columns for the merge
     results = [result for result, _ in done] or [work([(0, 0)])[0]]
-    merged = merge(*(np.concatenate(parts) for parts in zip(*results)))
+    if len(results) == 1:
+        columns = results[0]
+    else:
+        columns = [np.concatenate(parts) for parts in zip(*results)]
+    merged = merge(*columns)
     return merged, ExecutionReport(tuple(stats), time.perf_counter() - t0)
 
 
@@ -214,23 +226,19 @@ def run_cone(
     index: ZoneIndex, q: ConeQuery, plan: PartitionPlan
 ) -> tuple[list[tuple[int, float]], ExecutionReport]:
     """Parallel cone search over the zones of dec +- radius; row ranges are
-    disjoint so the merged union needs no dedup."""
+    disjoint so the merged union needs no dedup. The needles are built once,
+    here; each worker searches them in its own rows."""
     _check_plan(index, plan)
-    dec = q.center.dec
-    band = zone_of_array(np.array([dec - q.radius, dec + q.radius]), index.cfg)
+    band, needles = _cone_needles(q, index.cfg)
     ra_key = index.ra_key  # built here, if not yet, rather than by racing workers
 
     def work(ranges: Ranges) -> tuple:
-        rows, sep, candidates = _cone_join(
-            q,
-            _take(ra_key, ranges),
-            _take(index.ra, ranges),
-            _take(index.dec, ranges),
-            index.cfg,
+        rows, sep, candidates = _cone_rows(
+            q, needles, _take(ra_key, ranges), _take(index.ra, ranges), _take(index.dec, ranges)
         )
         return (_take(index.ids, ranges)[rows], sep), candidates, len(rows)
 
-    return _execute(plan, index.zone_starts, tuple(band.tolist()), work, _by_id)
+    return _execute(plan, index.zone_starts, band, work, _by_id)
 
 
 def run_xmatch(

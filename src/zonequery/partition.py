@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,14 @@ class PartitionPlan:
         starts = np.concatenate(([0], cuts))
         stops = np.concatenate((cuts, [a.size]))
         return list(zip(starts.tolist(), stops.tolist(), a[starts].tolist()))
+
+    @cached_property
+    def run_table(self) -> tuple[list[int], list[int]]:
+        """The first zone of each run and its worker, as two lists in zone
+        order, for ``bisect``; built on first use (the assignment is never
+        modified after construction)."""
+        runs = self.runs()
+        return [start for start, _, _ in runs], [worker for _, _, worker in runs]
 
     def to_json(self) -> str:
         payload = {

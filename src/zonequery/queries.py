@@ -6,8 +6,10 @@ oracle used to verify them.
 * zone_crossmatch: all-pairs radius join driven by the leading catalog's
   slices, taken in chunks of rows; each chunk is joined against the
   zone-local slice of the other index, the zones its dec +- radius reaches.
-* cone_search: the same zone join, with the cone's centre as a one-row
-  leading catalog.
+* cone_search: the same search, expansion and exact filter, on needles
+  built once per cone from scalars: the zone band zone(dec - r)..zone(dec +
+  r), the half-width r / cos(|dec| + r) and the padded ra window, split at
+  0/360, computed with the arithmetic the join applies per row.
 * brute_force_crossmatch: O(n*m) exhaustive comparison, the correctness
   oracle; zone_crossmatch must reproduce its output exactly.
 
@@ -29,8 +31,10 @@ from .sphere import (
     SkyPoint,
     ZoneConfig,
     check_same_zones,
+    ra_halfwidth,
     ra_halfwidth_array,
     separation_deg,
+    zone_of,
     zone_of_array,
 )
 
@@ -67,6 +71,9 @@ MAX_MATCH_RADIUS_DEG = 10.0
 BRUTE_FORCE_PAIR_LIMIT = 10**8
 
 CandidateSink = Callable[[np.ndarray, np.ndarray], None]
+
+# (leading row, key range lo, key range hi) columns, one entry per needle
+Needles = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # [start, stop) row ranges of an array, in order
 Ranges = Sequence[tuple[int, int]]
@@ -198,24 +205,53 @@ class MatchTable(abc.Sequence):
 
 
 def _by_id(ids: np.ndarray, values: np.ndarray) -> list[tuple[int, float]]:
-    """(id, value) rows in ascending id order."""
+    """(id, value) rows in ascending id order, as Python ints and floats."""
     order = np.argsort(ids)
-    return [(int(i), float(v)) for i, v in zip(ids[order], values[order])]
+    return list(zip(ids[order].tolist(), values[order].tolist()))
 
 
-def _cone_join(
-    q: ConeQuery, key: np.ndarray, ra: np.ndarray, dec: np.ndarray, cfg: ZoneConfig
+def _cone_needles(q: ConeQuery, cfg: ZoneConfig) -> tuple[tuple[int, int], Needles]:
+    """A cone's zone band (z_lo, z_hi) and its needles, those of a one-row
+    :func:`_zone_join` in the same (zone, window segment) order, computed
+    from scalars: the zone band with ``zone_of_array``'s clamping, the
+    half-width with :func:`ra_halfwidth`, and the segments of
+    :func:`_window_segments`, each with the same arithmetic as the join's
+    array form, so the key ranges are equal to the last bit."""
+    ra, dec, radius = q.center.ra, q.center.dec, q.radius
+    band = zone_of(max(dec - radius, -90.0), cfg), zone_of(min(dec + radius, 90.0), cfg)
+    alpha = ra_halfwidth(radius, dec)
+    w_lo = ra - alpha - WINDOW_PAD_DEG
+    w_hi = ra + alpha + WINDOW_PAD_DEG
+    if w_hi - w_lo >= 360.0:
+        segments = [(0.0, 360.0)]
+    else:
+        segments = [(max(w_lo, 0.0), min(w_hi, 360.0))]
+        if w_lo < 0.0:
+            segments.append((w_lo + 360.0, 360.0))
+        if w_hi > 360.0:
+            segments.append((0.0, w_hi - 360.0))
+    seg_lo, seg_hi = np.array(segments).T
+    base = np.arange(band[0], band[1] + 1, dtype=np.float64)[:, None] * KEY_BAND
+    lo, hi = (base + seg_lo).ravel(), (base + seg_hi).ravel()
+    return band, (np.zeros(lo.size, dtype=np.intp), lo, hi)
+
+
+def _cone_rows(
+    q: ConeQuery, needles: Needles, key: np.ndarray, ra: np.ndarray, dec: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """A cone as a one-row zone join: (rows, separations, candidates)."""
-    _, rows, sep, candidates = _zone_join(
-        np.array([q.center.ra]), np.array([q.center.dec]), q.radius, key, ra, dec, cfg
-    )
-    return rows, sep, candidates
+    """The rows of a key-sorted run (``ZoneIndex.ra_key`` or runs of it)
+    within a cone, from its :func:`_cone_needles`: (rows, separations,
+    candidates), unsorted."""
+    li, ci = _expand(key, *needles)
+    center = np.array([q.center.ra]), np.array([q.center.dec])
+    _, rows, sep = _exact_filter(li, ci, *center, ra, dec, q.radius)
+    return rows, sep, len(ci)
 
 
 def cone_search(index: ZoneIndex, q: ConeQuery) -> list[tuple[int, float]]:
     """All objects within q.radius of q.center as (id, separation), by id."""
-    rows, sep, _ = _cone_join(q, index.ra_key, index.ra, index.dec, index.cfg)
+    _, needles = _cone_needles(q, index.cfg)
+    rows, sep, _ = _cone_rows(q, needles, index.ra_key, index.ra, index.dec)
     return _by_id(index.ids[rows], sep)
 
 
@@ -326,13 +362,29 @@ def _zone_join(
     del lead_parts, cand_parts  # free the passes' parts before filtering
     if candidate_sink is not None:
         candidate_sink(li, ci)
-    candidates = int(li.size)
+    return (*_exact_filter(li, ci, lead_ra, lead_dec, ra, dec, radius), int(li.size))
+
+
+def _exact_filter(
+    li: np.ndarray,
+    ci: np.ndarray,
+    lead_ra: np.ndarray,
+    lead_dec: np.ndarray,
+    ra: np.ndarray,
+    dec: np.ndarray,
+    radius: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidate pairs (leading row ``li``, other row ``ci``) within
+    ``radius``, as (lead_rows, other_rows, separations). A |delta dec| test
+    first drops the pairs farther than radius + DEC_PAD_DEG in dec alone;
+    the separation, computed on gathered full-length columns (numpy's
+    vector loops, whatever the leading side's length), decides the rest."""
     lead_d, other_d = lead_dec[li], dec[ci]
     near = np.abs(lead_d - other_d) <= radius + DEC_PAD_DEG
     li, ci = li[near], ci[near]
     sep = separation_deg(lead_ra[li], lead_d[near], ra[ci], other_d[near])
     keep = sep <= radius
-    return li[keep], ci[keep], sep[keep], candidates
+    return li[keep], ci[keep], sep[keep]
 
 
 def _take(col: np.ndarray, ranges: Ranges) -> np.ndarray:

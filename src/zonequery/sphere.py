@@ -169,3 +169,10 @@ def ra_halfwidth_array(radius: float, dec: np.ndarray) -> np.ndarray:
     """
     reach = np.abs(dec) + radius
     return np.where(reach < 90.0, np.minimum(radius / np.cos(np.radians(reach)), 180.0), 180.0)
+
+
+def ra_halfwidth(radius: float, dec: float) -> float:
+    """Scalar form of :func:`ra_halfwidth_array`; same arithmetic, same
+    result, for the one centre of a cone."""
+    reach = abs(dec) + radius
+    return min(radius / math.cos(math.radians(reach)), 180.0) if reach < 90.0 else 180.0

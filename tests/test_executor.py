@@ -31,6 +31,7 @@ from zonequery import (
 from zonequery import queries
 from zonequery.executor import _shares
 from zonequery.queries import MAX_MATCH_RADIUS_DEG, brute_force_crossmatch
+from zonequery.sphere import separation_deg, zone_of_array
 from zonequery.synth import Clustered, DecBand, SyntheticSpec, generate_index
 
 from conftest import (
@@ -38,7 +39,9 @@ from conftest import (
     random_sky,
     scan_reference,
     scenario_pair,
+    scenario_positions,
     shares_reference,
+    zone_join_reference,
 )
 
 CFG = ZoneConfig()
@@ -75,6 +78,7 @@ class TestRunScan:
         f = ScanFilter("r", 9.0, 10.0)
         rows, rep = run_scan(catalog, f, plan_contiguous(CFG.zone_count, 1))
         assert rows == scan_reference(catalog, f)
+        assert all(type(i) is int and type(m) is float for i, m in rows)
         assert rep.worker_count == 1
 
     def test_invariant_across_workers_and_strategies(self, catalog):
@@ -189,6 +193,158 @@ class TestRunCone:
         keep = sep <= q.radius
         oracle = sorted(zip(catalog.ids[keep].tolist(), sep[keep].tolist()))
         assert [(i, s) for i, s in rows] == [(int(i), float(s)) for i, s in oracle]
+
+
+def cone_reference(index, q, plan):
+    """The rows and per-worker (rows_scanned, rows_returned) of a cone: the
+    one-row ``conftest.zone_join_reference`` over each worker's share of
+    the zones of dec +- radius (``conftest.shares_reference``)."""
+    dec, radius = q.center.dec, q.radius
+    band = zone_of_array(np.array([dec - radius, dec + radius]), index.cfg).tolist()
+    shares = shares_reference(plan, index.zone_starts, *band)
+    rows, counters = [], []
+    for ranges in shares:
+        if not ranges:
+            counters.append((0, 0))
+            continue
+        ids, key, ra, dec_ = (
+            np.concatenate([c[a:b] for a, b in ranges])
+            for c in (index.ids, index.ra_key, index.ra, index.dec)
+        )
+        _, hit, sep, candidates = zone_join_reference(
+            np.array([q.center.ra]), np.array([dec]), radius, key, ra, dec_, index.cfg
+        )
+        rows += zip(ids[hit].tolist(), sep.tolist())
+        counters.append((candidates, len(hit)))
+    return sorted(rows), counters, shares
+
+
+def assert_cone_equals_reference(index, q, plan):
+    """``run_cone`` under ``plan`` gives the reference's rows and each
+    worker's counters, and the ids and separations of brute force."""
+    rows, rep = run_cone(index, q, plan)
+    expected, counters, shares = cone_reference(index, q, plan)
+    assert rows == expected, (plan.strategy, plan.worker_count)
+    assert [(s.rows_scanned, s.rows_returned) for s in rep.workers] == counters
+    sep = separation_deg(index.ra, index.dec, q.center.ra, q.center.dec)
+    keep = sep <= q.radius
+    assert [i for i, _ in rows] == sorted(index.ids[keep].tolist())
+    brute = dict(zip(index.ids[keep].tolist(), sep[keep].tolist()))
+    assert np.allclose([s for _, s in rows], [brute[i] for i, _ in rows], rtol=0, atol=1e-12)
+    assert all(type(i) is int and type(s) is float for i, s in rows)
+    return rows, rep, shares
+
+
+@pytest.fixture(scope="module")
+def cone_sky():
+    """Full sky plus clusters at both poles, across the 0/360 wrap and on
+    zone boundaries."""
+    rng = np.random.default_rng(65)
+    parts = [scenario_positions(rng, kind, n, CFG) for kind, n in (
+        ("random", 3000), ("polar", 400), ("wrap", 400), ("boundary", 200),
+    )]
+    ra, dec = (np.concatenate(c) for c in zip(*parts))
+    return build_index("sky", CFG, np.arange(len(ra), dtype=np.uint64), ra, dec)
+
+
+_PLANS_1_TO_4 = [(s, w) for s in STRATEGIES for w in (1, 2, 3, 4)]
+
+
+class TestConeEquivalence:
+    """``run_cone`` builds a cone's needles once and each worker searches,
+    expands and filters them in its own rows: its rows equal the one-row
+    reference join's and brute force's, and each worker's ``rows_scanned``
+    the reference's candidates in that worker's share, under every strategy
+    at 1-4 workers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ra=st.sampled_from([0.0, float(np.nextafter(360.0, 0.0)), 0.01, 359.99])
+        | st.floats(0.0, 360.0, exclude_max=True),
+        dec=st.sampled_from([-90.0, 90.0, 0.0, 89.5, -89.5])
+        | st.floats(-90.0, 90.0),
+        radius=st.sampled_from([0.0, ARCMIN, 0.5]) | st.floats(0.0, 3.0),
+    )
+    def test_equals_reference_and_brute_force(self, cone_sky, ra, dec, radius):
+        q = ConeQuery(SkyPoint(ra, dec), radius)
+        hist = histogram(cone_sky)
+        for strategy, workers in _PLANS_1_TO_4:
+            plan = make_plan(strategy, CFG.zone_count, workers, hist)
+            assert_cone_equals_reference(cone_sky, q, plan)
+        rows = cone_search(cone_sky, q)
+        assert rows == run_cone(cone_sky, q, plan)[0]
+        assert all(type(i) is int and type(s) is float for i, s in rows)
+
+    @pytest.mark.parametrize("strategy, workers", _PLANS_1_TO_4)
+    def test_fixed_cones(self, cone_sky, strategy, workers):
+        plan = make_plan(strategy, CFG.zone_count, workers, histogram(cone_sky))
+        for q in TestRunCone.CONES + (
+            ConeQuery(SkyPoint(0.0, 0.0), 0.3),  # wraps on both sides of 0/360
+            ConeQuery(SkyPoint(180.0, 89.9), 0.1),  # |dec| + r exactly 90
+            ConeQuery(SkyPoint(float(cone_sky.ra[5]), float(cone_sky.dec[5])), 0.0),
+        ):
+            rows, _, _ = assert_cone_equals_reference(cone_sky, q, plan)
+        assert len(rows) == 1  # the last cone: radius 0 on a stored object
+
+    def test_full_sky_at_coarse_zones(self):
+        cfg = ZoneConfig(0.5)
+        ra, dec = random_sky(np.random.default_rng(66), 600)
+        index = build_index("coarse", cfg, np.arange(600, dtype=np.uint64), ra, dec)
+        for strategy, workers in _PLANS_1_TO_4:
+            plan = make_plan(strategy, cfg.zone_count, workers, histogram(index))
+            for dec0 in (-90.0, 0.0, 90.0):
+                rows, rep, _ = assert_cone_equals_reference(
+                    index, ConeQuery(SkyPoint(359.5, dec0), 180.0), plan
+                )
+                assert len(rows) == 600
+                assert sum(s.rows_scanned for s in rep.workers) == 600
+
+    def test_empty_index(self):
+        empty = build_index("empty", CFG, np.empty(0, dtype=np.uint64), np.empty(0), np.empty(0))
+        for strategy, workers in _PLANS_1_TO_4:
+            plan = make_plan(strategy, CFG.zone_count, workers, histogram(empty))
+            for q in TestRunCone.CONES:
+                rows, rep = run_cone(empty, q, plan)
+                assert rows == [] and cone_search(empty, q) == []
+                assert all(s == WorkerStats(s.worker, 0.0, s.cpu_s, 0, 0) for s in rep.workers)
+
+    def test_empty_zones(self):
+        # rows only at dec 10-12: a cone at dec -30 finds no rows in its
+        # zones, one at dec 9.5 reaches both empty and filled zones
+        rng = np.random.default_rng(67)
+        ra, dec = random_sky(rng, 5000, 10.0, 12.0)
+        index = build_index("strip", CFG, np.arange(5000, dtype=np.uint64), ra, dec)
+        for strategy, workers in _PLANS_1_TO_4:
+            plan = make_plan(strategy, CFG.zone_count, workers, histogram(index))
+            rows, rep, shares = assert_cone_equals_reference(
+                index, ConeQuery(SkyPoint(40.0, -30.0), 2.0), plan
+            )
+            assert rows == [] and not any(shares)
+            rows, _, _ = assert_cone_equals_reference(
+                index, ConeQuery(SkyPoint(40.0, 9.5), 1.5), plan
+            )
+            assert rows
+
+    def test_band_across_a_worker_boundary(self):
+        # dec 0 is zone 1350, the edge between two contiguous workers
+        rng = np.random.default_rng(68)
+        ra, dec = rng.uniform(99.0, 101.0, 2000), rng.uniform(-1.0, 1.0, 2000)
+        index = build_index("patch", CFG, np.arange(2000, dtype=np.uint64), ra, dec)
+        plan = plan_contiguous(CFG.zone_count, 2)
+        _, rep, shares = assert_cone_equals_reference(
+            index, ConeQuery(SkyPoint(100.0, 0.0), 0.5), plan
+        )
+        assert all(shares) and all(s.rows_scanned > 0 for s in rep.workers)
+
+    def test_round_robin_many_ranges_per_worker(self):
+        rng = np.random.default_rng(69)
+        ra, dec = rng.uniform(195.0, 205.0, 3000), rng.uniform(17.0, 23.0, 3000)
+        index = build_index("patch", CFG, np.arange(3000, dtype=np.uint64), ra, dec)
+        plan = make_plan("round_robin", CFG.zone_count, 3)
+        rows, _, shares = assert_cone_equals_reference(
+            index, ConeQuery(SkyPoint(200.0, 20.0), 2.0), plan
+        )
+        assert rows and min(len(ranges) for ranges in shares) > 10
 
 
 class TestShares:
