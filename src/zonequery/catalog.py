@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .sphere import ZoneConfig, ZoneId, normalize_ra_array, zone_of_array
 
@@ -57,6 +58,8 @@ _SNAPSHOT_COLUMNS = {"ids": np.uint64, "ra": np.float64, "dec": np.float64, "mag
 _SNAPSHOT_MEMBERS = frozenset(
     {"version", "name", "height_deg", "bands", "zone_starts", *_SNAPSHOT_COLUMNS}
 )
+# the .npy header readers of the format versions load_index(mags=False) streams
+_NPY_HEADERS = {(1, 0): npy.read_array_header_1_0, (2, 0): npy.read_array_header_2_0}
 
 # fraction of rejected rows above which ingestion fails outright
 MAX_REJECT_FRACTION = 0.01
@@ -783,12 +786,15 @@ def save_index(index: ZoneIndex, path: str | Path) -> None:
         )
 
 
-def load_index(path: str | Path) -> ZoneIndex:
+def load_index(path: str | Path, *, mags: bool = True) -> ZoneIndex:
     """Load a snapshot.
 
     The snapshot is checked in O(n), plus one sort of the ids, and used as
     stored. Any unreadable, corrupt or inconsistent file, or one of another
-    version, raises SnapshotFormatError.
+    version, raises SnapshotFormatError. With ``mags=False`` the magnitudes
+    are read and checked as fully, with the same errors, but not kept: the
+    index has no bands and an (n, 0) ``mags``, which is all a cone or a
+    cross-match needs.
     """
     path = Path(path)
     if not path.exists():
@@ -807,23 +813,26 @@ def load_index(path: str | Path) -> ZoneIndex:
             name = str(data["name"])
             cfg = ZoneConfig(float(data["height_deg"]))
             bands = tuple(str(b) for b in data["bands"])
-            return _checked_snapshot(path, data, name, cfg, bands)
+            return _checked_snapshot(path, data, name, cfg, bands, mags)
     except SnapshotFormatError:
         raise
     # a damaged archive surfaces as BadZipFile (also a bad member CRC-32),
     # EOFError (empty file) or zlib.error (a damaged compressed member); a
-    # scalar member of the wrong shape as TypeError
+    # scalar member of the wrong shape as TypeError; a member header claiming
+    # more elements than can be allocated as MemoryError
     except (
-        OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile, zlib.error
+        OSError, ValueError, TypeError, KeyError, EOFError, MemoryError,
+        zipfile.BadZipFile, zlib.error,
     ) as exc:
         raise SnapshotFormatError(f"{path}: unreadable snapshot ({exc})") from exc
 
 
 def _checked_snapshot(
-    path: Path, data, name: str, cfg: ZoneConfig, bands: tuple[str, ...]
+    path: Path, data, name: str, cfg: ZoneConfig, bands: tuple[str, ...], keep_mags: bool
 ) -> ZoneIndex:
     """Wrap a snapshot's stored index after checking every invariant
-    build_index establishes; the first broken one raises SnapshotFormatError."""
+    build_index establishes; the first broken one raises SnapshotFormatError.
+    Without ``keep_mags`` the index has no bands and no magnitudes."""
 
     def bad(reason: str) -> SnapshotFormatError:
         return SnapshotFormatError(f"{path}: corrupt snapshot: {reason}")
@@ -834,8 +843,13 @@ def _checked_snapshot(
             f"missing members {sorted(_SNAPSHOT_MEMBERS - members)}, "
             f"unexpected members {sorted(members - _SNAPSHOT_MEMBERS)}"
         )
-    columns = {key: data[key] for key in _SNAPSHOT_COLUMNS}
+    columns = {
+        key: data[key] if keep_mags or key != "mags" else _read_through(data, key)
+        for key in _SNAPSHOT_COLUMNS
+    }
     for key, dtype in _SNAPSHOT_COLUMNS.items():
+        if not isinstance(columns[key], np.ndarray):  # np.load's bytes for a non-.npy member
+            raise bad(f"{key} is not a .npy array")
         if columns[key].dtype != dtype:
             raise bad(f"{key} has dtype {columns[key].dtype}, expected {np.dtype(dtype)}")
     ids, ra, dec, mags = columns.values()
@@ -845,7 +859,11 @@ def _checked_snapshot(
     if mags.shape != (n, len(bands)):
         raise bad(f"mags has shape {mags.shape}, expected {(n, len(bands))}")
     stored_starts = data["zone_starts"]
-    if stored_starts.dtype.kind not in "iu" or stored_starts.shape != (cfg.zone_count + 1,):
+    if (
+        not isinstance(stored_starts, np.ndarray)
+        or stored_starts.dtype.kind not in "iu"
+        or stored_starts.shape != (cfg.zone_count + 1,)
+    ):
         raise bad(f"zone_starts must be {cfg.zone_count + 1} integers")
     if stored_starts[0] != 0 or stored_starts[-1] != n:
         raise bad(f"zone_starts must run from 0 to {n}")
@@ -861,4 +879,30 @@ def _checked_snapshot(
         raise bad("zone_starts disagree with the zones of dec")
     if _has_duplicates(ids):
         raise bad("duplicate object ids")
+    if not keep_mags:
+        bands, mags = (), np.empty((n, 0))
     return ZoneIndex(name, cfg, bands, ids, ra, dec, mags, zone_starts)
+
+
+def _read_through(data, key: str) -> np.ndarray:
+    """A float64 member of the archive ``data`` (an ``np.load`` NpzFile)
+    read to its end without being kept: zipfile checks its CRC-32 and its
+    decompression on the way, and a zero-stride array of the stored shape
+    stands in for it. Pieces are read as ``np.load`` reads them, so a short
+    member fails with its message; a member that is not a plain float64
+    .npy array goes through ``np.load`` itself, errors and all."""
+    name = key if key in data.zip.namelist() else key + ".npy"  # np.load's lookup
+    info = data.zip.getinfo(name)
+    with data.zip.open(info) as fp:
+        magic = fp.read(len(npy.MAGIC_PREFIX)) == npy.MAGIC_PREFIX
+        fp.seek(0)
+        read_header = _NPY_HEADERS.get(npy.read_magic(fp) if magic else None)
+        shape, _, dtype = read_header(fp) if read_header else ((), False, None)
+        nbytes = 8 * math.prod(shape)
+        plain = dtype == np.float64 and min(shape, default=0) >= 0 and nbytes <= info.file_size
+        for start in range(0, nbytes if plain else 0, npy.BUFFER_SIZE):
+            size = min(npy.BUFFER_SIZE, nbytes - start)
+            got = len(fp.read(size))
+            if got != size:
+                raise ValueError(f"EOF: reading array data, expected {size} bytes got {got}")
+    return np.broadcast_to(np.float64(0.0), shape) if plain else data[key]

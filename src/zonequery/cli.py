@@ -134,13 +134,14 @@ def _normalize_strategy(text: str) -> str:
 
 
 def _load_pair(leading: str, other: str) -> tuple[ZoneIndex, ZoneIndex]:
-    """Load the two indexes of a cross-match; a self-match loads its file once."""
-    lead = load_index(leading)
+    """Load the two indexes of a cross-match, without magnitudes; a
+    self-match loads its file once."""
+    lead = load_index(leading, mags=False)
     try:
         same = os.path.samefile(leading, other)
     except OSError:  # other is missing; its own load reports that
         same = False
-    return lead, (lead if same else load_index(other))
+    return lead, (lead if same else load_index(other, mags=False))
 
 
 def _plan_for(index: ZoneIndex, strategy: str, workers: int):
@@ -199,7 +200,7 @@ def _cmd_plan(args) -> int:
     strategy = _normalize_strategy(args.strategy)
     if args.format == "table" and not args.report:
         raise UsageError("--format table requires --report")
-    index = load_index(args.index)
+    index = load_index(args.index, mags=False)
     plan = _plan_for(index, strategy, args.workers)
     if not args.report:
         print(plan.to_json())
@@ -207,7 +208,7 @@ def _cmd_plan(args) -> int:
     # the leading choices: the index, and --other when given
     choices = [(index, plan)]
     if args.other:
-        other = load_index(args.other)
+        other = load_index(args.other, mags=False)
         check_same_zones(index.cfg, other.cfg)
         choices.append((other, _plan_for(other, strategy, args.workers)))
     payload, tables = {}, []
@@ -247,7 +248,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_cone(args) -> int:
-    index = load_index(args.index)
+    index = load_index(args.index, mags=False)
     strategy = _normalize_strategy(args.strategy)
     plan = _plan_for(index, strategy, args.workers)
     try:

@@ -1,13 +1,15 @@
 """Fan a query out over W workers and merge results deterministically.
 
-Workers are in-process threads over immutable shared indexes; the heavy
-lifting inside each worker is vectorized array work, most of which releases
-the GIL, which is what makes threads worth having here. Not all of it does:
-``np.repeat``, which expands candidate ranges in ``queries._expand``, holds
-the GIL and so caps how far the join scales with threads. A worker owns the
-row ranges of its plan's zone runs within the zones the query can touch (the
-other catalog, for cross-matches, is shared read-only by everyone); workers
-never talk to each other. A cross-match worker sorts its own pairs, in its
+Workers are in-process threads over immutable shared indexes: the first
+worker with rows runs in the calling thread, each other busy worker in a
+pool thread, and an idle one nowhere. The heavy lifting inside each worker
+is vectorized array work, most of which releases the GIL, which is what
+makes threads worth having here. Not all of it does: ``np.repeat``, which
+expands candidate ranges in ``queries._expand``, holds the GIL and so caps
+how far the join scales with threads. A worker owns the row ranges of its
+plan's zone runs within the zones the query can touch (the other catalog,
+for cross-matches, is shared read-only by everyone); workers never talk to
+each other. A cross-match worker sorts its own pairs, in its
 own thread, with one argsort of a (leading rank, other rank) uint64 key
 (``MatchTable.from_unsorted``), and the coordinator merges the sorted runs
 with one stable sort on the leading id; a scan or cone coordinator sorts the
@@ -176,23 +178,27 @@ def _execute(
     work: Work,
     merge: Callable,
 ):
-    """Run ``work`` over each worker's share of the zone band, one thread per
-    worker with rows; a worker without rows gets an all-zero stats row and no
-    thread, and a lone busy worker runs in the calling thread. The workers'
-    result columns are concatenated (unless one worker returned them), then
-    ``merge``d."""
+    """Run ``work`` over each worker's share of the zone band. The first
+    worker with rows runs in the calling thread and each other one in a pool
+    thread, so a query starts one thread fewer than it has busy workers:
+    each new thread gets a malloc arena of its own, memory the process
+    keeps. A worker without rows gets an all-zero stats row and no thread.
+    The workers' result columns are concatenated (unless one worker
+    returned them), then ``merge``d."""
     t0 = time.perf_counter()
     shares = _shares(plan, zone_starts, *band)
     busy = [w for w, ranges in enumerate(shares) if ranges]
-    stats = [WorkerStats(w, 0.0, _IDLE_CPU, 0, 0) for w in range(plan.worker_count)]
     if len(busy) > 1:
-        with ThreadPoolExecutor(max_workers=len(busy)) as pool:
-            futures = [pool.submit(_timed, w, work, shares[w]) for w in busy]
-            done = [fut.result() for fut in futures]
+        with ThreadPoolExecutor(max_workers=len(busy) - 1) as pool:
+            futures = [pool.submit(_timed, w, work, shares[w]) for w in busy[1:]]
+            done = [_timed(busy[0], work, shares[busy[0]])]
+            done += [fut.result() for fut in futures]
     else:
         done = [_timed(w, work, shares[w]) for w in busy]
-    for w, (_, row) in zip(busy, done):
-        stats[w] = row
+    rows = {w: row for w, (_, row) in zip(busy, done)}
+    stats = tuple(
+        rows.get(w) or WorkerStats(w, 0.0, _IDLE_CPU, 0, 0) for w in range(plan.worker_count)
+    )
     # no busy worker: typed empty columns for the merge
     results = [result for result, _ in done] or [work([(0, 0)])[0]]
     if len(results) == 1:
@@ -200,7 +206,7 @@ def _execute(
     else:
         columns = [np.concatenate(parts) for parts in zip(*results)]
     merged = merge(*columns)
-    return merged, ExecutionReport(tuple(stats), time.perf_counter() - t0)
+    return merged, ExecutionReport(stats, time.perf_counter() - t0)
 
 
 def run_scan(

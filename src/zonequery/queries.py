@@ -243,6 +243,8 @@ def _cone_rows(
     within a cone, from its :func:`_cone_needles`: (rows, separations,
     candidates), unsorted."""
     li, ci = _expand(key, *needles)
+    if ci.size == 0:  # half of a cone batch's cones: skip the filter's array calls
+        return _NO_ROWS, np.empty(0), 0
     center = np.array([q.center.ra]), np.array([q.center.dec])
     _, rows, sep = _exact_filter(li, ci, *center, ra, dec, q.radius)
     return rows, sep, len(ci)

@@ -7,6 +7,7 @@ import gc
 import io
 import math
 import struct
+import tracemalloc
 import warnings
 import zipfile
 
@@ -784,3 +785,233 @@ class TestSnapshotV2:
         path.write_bytes(bytes(raw))
         with pytest.raises(SnapshotFormatError, match="unreadable"):
             load_index(path)
+
+
+def _load_error(path, **kwargs) -> str | None:
+    try:
+        load_index(path, **kwargs)
+    except SnapshotFormatError as exc:
+        return str(exc)
+    return None
+
+
+def _mags_float32(m):
+    m["mags"] = m["mags"].astype(np.float32)
+
+
+def _mags_big_endian(m):
+    m["mags"] = m["mags"].astype(">f8")
+
+
+def _mags_object(m):
+    m["mags"] = m["mags"].astype(object)
+
+
+def _mags_one_dimensional(m):
+    m["mags"] = m["mags"][:, 0].copy()
+
+
+def _write_raw_members(path, raw: dict, compression=zipfile.ZIP_STORED) -> None:
+    with zipfile.ZipFile(path, "w", compression) as zf:
+        for name, data in raw.items():
+            zf.writestr(name, data)
+
+
+def _raw_members(path) -> dict:
+    with zipfile.ZipFile(path) as zf:
+        return {name: zf.read(name) for name in zf.namelist()}
+
+
+def _npy_bytes(array, version) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, array, version=version)
+    return buf.getvalue()
+
+
+class TestLoadWithoutMags:
+    """``load_index(path, mags=False)`` reads and checks the magnitudes but
+    does not keep them; every broken file fails exactly as a full load."""
+
+    @pytest.fixture()
+    def built(self):
+        rng = np.random.default_rng(29)
+        ra, dec = random_sky(rng, 700)
+        mags = rng.uniform(5, 15, (700, 3))
+        ids = rng.permutation(10_000)[:700].astype(np.uint64)
+        return build_index("nomags", CFG, ids, ra, dec, mags, ("r", "g", "i"))
+
+    def assert_same_load(self, path, expect_error=True):
+        full, lean = _load_error(path), _load_error(path, mags=False)
+        assert lean == full
+        assert (full is not None) == expect_error
+
+    @pytest.mark.parametrize("compressed", [False, True])
+    def test_good_snapshot_keeps_everything_but_mags(self, built, tmp_path, compressed):
+        path = tmp_path / "good.idx"
+        save_index(built, path)
+        if compressed:
+            members = _members(path)
+            with path.open("wb") as fh:
+                np.savez_compressed(fh, **members)
+        lean = load_index(path, mags=False)
+        for attr in ("ids", "ra", "dec", "zone_starts", "ra_key"):
+            assert np.array_equal(getattr(lean, attr), getattr(built, attr))
+        assert (lean.name, lean.cfg) == ("nomags", CFG)
+        assert lean.bands == ()
+        assert lean.mags.shape == (built.total_count, 0)
+        assert lean.mags.dtype == np.float64
+        with pytest.raises(ValueError, match="unknown band"):
+            lean.band_column("r")
+
+    def test_empty_index(self, tmp_path):
+        empty = build_index("e", CFG, np.empty(0, dtype=np.uint64), np.empty(0), np.empty(0))
+        path = tmp_path / "empty.idx"
+        save_index(empty, path)
+        lean = load_index(path, mags=False)
+        assert lean.total_count == 0 and lean.bands == () and lean.mags.shape == (0, 0)
+
+    @pytest.mark.parametrize("breaker", [
+        _swap_rows, _tied_ra_ids_reversed, _shift_zone_start, _duplicate_id,
+        _dec_out_of_range, _dec_nan, _ra_is_360, _ids_int64, _drop_zone_starts,
+        _mags_one_band_short, _mags_float32, _mags_big_endian, _mags_object,
+        _mags_one_dimensional,
+    ])
+    def test_each_broken_file_gives_the_full_load_message(self, built, tmp_path, breaker):
+        path = tmp_path / "broken.idx"
+        save_index(built, path)
+        members = _members(path)
+        breaker(members)
+        _write_members(path, members)
+        self.assert_same_load(path)
+
+    @pytest.mark.parametrize("damage", ["empty", "half", "not a zip", "version", "ra crc"])
+    def test_damaged_file(self, built, tmp_path, damage):
+        path = tmp_path / "damaged.idx"
+        save_index(built, path)
+        raw = path.read_bytes()
+        if damage == "version":
+            members = _members(path)
+            members["version"] = np.array(1, dtype=np.int64)
+            _write_members(path, members)
+            raw = path.read_bytes()
+        elif damage == "ra crc":
+            at = raw.find(built.ra.tobytes()) + 8 * 100 + 3
+            raw = raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1:]
+        else:
+            raw = {"empty": b"", "half": raw[: len(raw) // 2], "not a zip": b"not a zip"}[damage]
+        path.write_bytes(raw)
+        self.assert_same_load(path)
+
+    @pytest.mark.parametrize("compression", [zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED])
+    @pytest.mark.parametrize("where", [0.0, 0.5, 0.999])
+    def test_damaged_mags_member(self, built, tmp_path, compression, where):
+        path = tmp_path / "damaged.idx"
+        save_index(built, path)
+        _write_raw_members(path, _raw_members(path), compression)
+        raw = bytearray(path.read_bytes())
+        with zipfile.ZipFile(path) as zf:
+            info = zf.getinfo("mags.npy")
+        name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+        data_at = info.header_offset + 30 + name_len + extra_len
+        # past the 128-byte .npy header when stored: a damaged magnitude
+        skip = 128 if compression == zipfile.ZIP_STORED else 0
+        at = skip + int((info.compress_size - skip - 1) * where)
+        raw[data_at + at] ^= 0x20
+        path.write_bytes(bytes(raw))
+        self.assert_same_load(path)
+        assert "unreadable" in _load_error(path, mags=False)
+
+    @pytest.mark.parametrize("cut", [8, 100, 50_000])
+    def test_short_mags_member(self, tmp_path, cut):
+        # a well-formed archive whose mags member ends before its header
+        # says; 288,000 bytes of magnitudes take two of np.load's pieces
+        rng = np.random.default_rng(31)
+        ra, dec = random_sky(rng, 12_000)
+        wide = build_index(
+            "wide", CFG, np.arange(12_000, dtype=np.uint64), ra, dec,
+            rng.uniform(5, 15, (12_000, 3)), ("r", "g", "i"),
+        )
+        path = tmp_path / "short.idx"
+        save_index(wide, path)
+        raw = _raw_members(path)
+        raw["mags.npy"] = raw["mags.npy"][:-cut]
+        _write_raw_members(path, raw)
+        self.assert_same_load(path)
+        assert "EOF: reading array data" in _load_error(path, mags=False)
+
+    @pytest.mark.parametrize("member, reason", [
+        ("ids", "ids is not a .npy array"),
+        ("mags", "mags is not a .npy array"),
+        ("zone_starts", f"zone_starts must be {CFG.zone_count + 1} integers"),
+    ])
+    def test_member_not_npy(self, built, tmp_path, member, reason):
+        # np.load hands back the raw bytes of a member without the .npy magic
+        path = tmp_path / "raw.idx"
+        save_index(built, path)
+        raw = _raw_members(path)
+        raw[f"{member}.npy"] = b"not an array"
+        _write_raw_members(path, raw)
+        self.assert_same_load(path)
+        assert f"corrupt snapshot: {reason}" in _load_error(path)
+
+    @pytest.mark.parametrize("version", [(2, 0), (3, 0)])
+    def test_other_npy_versions(self, built, tmp_path, version):
+        # 2.0 is streamed, 3.0 goes through np.load: both load, both checked
+        path = tmp_path / "v.idx"
+        save_index(built, path)
+        raw = _raw_members(path)
+        raw["mags.npy"] = _npy_bytes(built.mags, version)
+        _write_raw_members(path, raw)
+        self.assert_same_load(path, expect_error=False)
+        assert load_index(path, mags=False).mags.shape == (built.total_count, 0)
+        raw["mags.npy"] = _npy_bytes(built.mags[:, :2], version)
+        _write_raw_members(path, raw)
+        self.assert_same_load(path)
+
+    @pytest.mark.parametrize("shape", [(-700, 3), (-700, -3), (10**15, 3)])
+    def test_impossible_mags_shape(self, built, tmp_path, shape):
+        # negative lengths, and one no allocation can hold, in the .npy
+        # header of an otherwise intact member
+        path = tmp_path / "shape.idx"
+        save_index(built, path)
+        raw = _raw_members(path)
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False, "shape": shape}
+        )
+        raw["mags.npy"] = header.getvalue() + built.mags.tobytes()
+        _write_raw_members(path, raw)
+        self.assert_same_load(path)
+        assert "unreadable snapshot" in _load_error(path, mags=False)
+
+    def test_unsupported_npy_version(self, built, tmp_path):
+        path = tmp_path / "v9.idx"
+        save_index(built, path)
+        raw = _raw_members(path)
+        npy_bytes = bytearray(raw["mags.npy"])
+        npy_bytes[6] = 9  # the major version byte after the magic prefix
+        raw["mags.npy"] = bytes(npy_bytes)
+        _write_raw_members(path, raw)
+        self.assert_same_load(path)
+        assert "format version" in _load_error(path, mags=False)
+
+    def test_magnitudes_are_not_held(self, tmp_path):
+        rng = np.random.default_rng(30)
+        n = 50_000
+        ra, dec = random_sky(rng, n)
+        index = build_index(
+            "wide", CFG, np.arange(n, dtype=np.uint64), ra, dec,
+            rng.uniform(5, 15, (n, 8)), tuple("abcdefgh"),
+        )
+        path = tmp_path / "wide.idx"
+        save_index(index, path)
+        del index
+        peaks = {}
+        for mags in (True, False):
+            tracemalloc.start()
+            loaded = load_index(path, mags=mags)
+            peaks[mags] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            del loaded
+        # the 3.2 MB magnitude matrix is never allocated
+        assert peaks[True] - peaks[False] > 3.0e6

@@ -6,6 +6,7 @@ import errno
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import threading
@@ -312,6 +313,12 @@ def _corrupt(path, kind: str) -> None:
         raw = bytearray()
     elif kind == "truncated":
         raw = raw[: len(raw) // 2]
+    elif kind == "mags_crc":  # one flipped byte in the middle of the magnitudes
+        with zipfile.ZipFile(path) as zf:
+            info = zf.getinfo("mags.npy")
+        # a local file header is 30 bytes, then the name and the extra field
+        name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+        raw[info.header_offset + 30 + name_len + extra_len + info.compress_size // 2] ^= 0x01
     else:  # one flipped byte in the middle of the column data
         raw[len(raw) // 2] ^= 0x01
     path.write_bytes(bytes(raw))
@@ -329,7 +336,7 @@ def _query_commands(idx, tmp_path):
 
 
 class TestCorruptSnapshot:
-    @pytest.mark.parametrize("kind", ["empty", "truncated", "crc"])
+    @pytest.mark.parametrize("kind", ["empty", "truncated", "crc", "mags_crc"])
     @pytest.mark.parametrize("command", ["plan", "scan", "cone", "xmatch"])
     def test_query_exits_2_with_one_line(self, small_setup, tmp_path, capsys,
                                          command, kind):
@@ -342,6 +349,30 @@ class TestCorruptSnapshot:
         err = capsys.readouterr().err
         assert err.startswith("zonequery: data error: ")
         assert err.count("\n") == 1
+        if kind == "mags_crc":
+            assert err == (
+                f"zonequery: data error: {bad}: unreadable snapshot "
+                "(Bad CRC-32 for file 'mags.npy')\n"
+            )
+
+    def test_only_scan_keeps_magnitudes(self, small_setup, tmp_path, monkeypatch):
+        _, _, a_idx, b_idx = small_setup
+        commands = _query_commands(str(a_idx), tmp_path)
+        commands["xmatch"][4] = str(b_idx)  # --other: two loads
+        commands["plan --other"] = commands["plan"] + ["--report", "--other", str(b_idx)]
+        keeps = []
+        real_load = cli.load_index
+
+        def recording_load(path, **kwargs):
+            keeps.append(kwargs.get("mags", True))
+            return real_load(path, **kwargs)
+
+        monkeypatch.setattr(cli, "load_index", recording_load)
+        for command, argv in commands.items():
+            keeps.clear()
+            assert run_cli(*argv) == 0
+            expected = {"scan": [True], "xmatch": [False, False], "plan --other": [False] * 2}
+            assert keeps == expected.get(command, [False]), command
 
     def test_v1_snapshot_exits_2_with_one_line(self, tmp_path, capsys):
         v1 = tmp_path / "v1.idx"
@@ -721,9 +752,9 @@ class TestXmatchCommand:
         loads = []
         real_load = cli.load_index
 
-        def counting_load(path):
+        def counting_load(path, **kwargs):
             loads.append(path)
-            return real_load(path)
+            return real_load(path, **kwargs)
 
         monkeypatch.setattr(cli, "load_index", counting_load)
         outs = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -436,6 +437,74 @@ class TestRunXmatch:
         # dec 60-61 lives in zone ~2250, worker 3 of 4
         assert scanned[3] == max(scanned)
         assert scanned[0] == 0
+
+
+class TestCallingThread:
+    """The first busy worker runs in the calling thread and every other busy
+    worker in a pool thread; results and per-worker stats do not depend on
+    where a worker ran."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("workers", (1, 2, 3, 4))
+    def test_xmatch(self, xmatch_pair, monkeypatch, workers, strategy):
+        from zonequery import executor
+
+        leading, other = xmatch_pair
+        spec = MatchSpec(radius=ARCMIN)
+        plan = make_plan(strategy, CFG.zone_count, workers, histogram(leading))
+        shares = shares_reference(plan, leading.zone_starts, 0, CFG.zone_count - 1)
+        counters = []
+        for ranges in shares:
+            if not ranges:
+                counters.append((0, 0))
+                continue
+            a, _, _, candidates = queries._crossmatch_arrays(
+                leading.ids, leading.ra, leading.dec, other, spec.radius, ranges=ranges
+            )
+            counters.append((candidates, len(a)))
+        threads = {}
+        real = executor._crossmatch_arrays
+
+        def recording(*args, ranges, **kwargs):
+            threads[tuple(ranges)] = threading.get_ident()
+            return real(*args, ranges=ranges, **kwargs)
+
+        monkeypatch.setattr(executor, "_crossmatch_arrays", recording)
+        pairs, rep = run_xmatch(leading, other, spec, plan)
+        busy = [w for w, ranges in enumerate(shares) if ranges]
+        ran_in = [threads[tuple(shares[w])] for w in busy]
+        assert len(threads) == len(busy) >= 1
+        assert ran_in[0] == threading.get_ident()
+        assert threading.get_ident() not in ran_in[1:]
+        assert pairs == zone_crossmatch(list(leading.slices()), other, spec)
+        assert [s.worker for s in rep.workers] == list(range(workers))
+        assert [(s.rows_scanned, s.rows_returned) for s in rep.workers] == counters
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("workers", (1, 2, 3, 4))
+    def test_cone(self, catalog, monkeypatch, workers, strategy):
+        # dec 0 is zone 1350: a contiguous 4-worker plan has busy workers 1
+        # and 2, and idle workers 0 and 3
+        from zonequery import executor
+
+        q = ConeQuery(SkyPoint(100.0, 0.0), 2.0)
+        plan = make_plan(strategy, CFG.zone_count, workers, histogram(catalog))
+        threads = []
+        real = executor._cone_rows
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(executor, "_cone_rows", recording)
+        _, rep, shares = assert_cone_equals_reference(catalog, q, plan)
+        busy = [w for w, ranges in enumerate(shares) if ranges]
+        assert len(threads) == len(busy) >= 1
+        # the calling thread runs first, so its call is recorded first unless
+        # a pool thread got there sooner; either way it runs exactly one
+        assert threads.count(threading.get_ident()) == 1
+        idle = [s for s in rep.workers if s.worker not in busy]
+        assert all(s == WorkerStats(s.worker, 0.0, s.cpu_s, 0, 0) for s in idle)
 
 
 class TestChunkedJoin:
