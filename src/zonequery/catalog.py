@@ -170,8 +170,13 @@ def build_index(
 
     ra must be finite and is normalized into [0, 360); dec must already be
     within [-90, +90].
-    Rows are ordered by (zone, ra, id); the id tie-break makes rebuilds
-    byte-deterministic.
+    Rows are ordered by (zone, ra, id), a total order since ids are unique,
+    so the index does not depend on the input's row order. One argsort of
+    the key ``zone * KEY_BAND + ra`` does the ordering: rounding is monotone
+    and ra < 360 < KEY_BAND, so the key never falls along (zone, ra) and
+    only rows with equal keys can be out of place. Those rows alone are
+    then put in (zone, ra, id) order by one lexsort; keys rise from one tie
+    run to the next, so each run keeps its positions.
     """
     ids = np.ascontiguousarray(ids, dtype=np.uint64)
     ra = np.ascontiguousarray(ra, dtype=np.float64)
@@ -192,9 +197,17 @@ def build_index(
         raise ValueError(f"duplicate object ids in catalog {name!r}")
 
     zone = zone_of_array(dec, cfg)
-    order = np.lexsort((ids, ra, zone))
-    ids, ra, dec, zone, mags = ids[order], ra[order], dec[order], zone[order], mags[order]
-    zone_starts = np.searchsorted(zone, np.arange(cfg.zone_count + 1))
+    key = zone * KEY_BAND + ra
+    order = np.argsort(key)
+    key = key[order]
+    same = key[1:] == key[:-1]
+    del key
+    if same.any():
+        tied = np.flatnonzero(np.append(same, False) | np.insert(same, 0, False))
+        rows = order[tied]
+        order[tied] = rows[np.lexsort((ids[rows], ra[rows], zone[rows]))]
+    zone_starts = np.concatenate(([0], np.cumsum(np.bincount(zone, minlength=cfg.zone_count))))
+    ids, ra, dec, mags = ids[order], ra[order], dec[order], mags[order]
     return ZoneIndex(name, cfg, bands, ids, ra, dec, mags, zone_starts)
 
 
@@ -389,10 +402,12 @@ class _Rows:
         ))
 
     def resolve(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[str]]:
-        """``(ids, ra, dec, mags, reject messages)``, rows and messages in
-        line order. Per id the first row that passes every other check wins,
-        and every later row with that id is rejected as a duplicate, whatever
-        else is wrong with it; a row rejected for another reason claims no id."""
+        """``(ids, ra, dec, mags, reject messages)``, messages in line
+        order; rows in no promised order, as build_index orders them by
+        (zone, ra, id) whatever order they come in. Per id the first row
+        that passes every other check wins, and every later row with that id
+        is rejected as a duplicate, whatever else is wrong with it; a row
+        rejected for another reason claims no id."""
         lines, ids, ra, dec, mags = (np.concatenate(c) for c in zip(*self.parts))
         claimed = [(line_no, obj_id) for line_no, obj_id, _ in self.rejected if obj_id is not None]
         n = len(lines)
@@ -418,7 +433,6 @@ class _Rows:
         ]
         rejects.sort()
         keep = np.flatnonzero(~dup[:n])
-        keep = keep[np.argsort(lines[keep])]
         return (ids[keep], ra[keep], dec[keep], mags[keep],
                 [f"line {line_no}: {reason}" for line_no, reason in rejects])
 

@@ -32,7 +32,7 @@ from zonequery import (
 )
 from zonequery import catalog
 from zonequery.queries import WINDOW_PAD_DEG, _zone_join
-from zonequery.sphere import ra_halfwidth_array, zone_of_array
+from zonequery.sphere import normalize_ra_array, ra_halfwidth_array, zone_of_array
 
 from conftest import ingest_csv_reference, random_sky
 
@@ -494,6 +494,119 @@ class TestIndexStructure:
         ra, dec = random_sky(rng, 4000)
         index = build_index("t", CFG, np.arange(4000, dtype=np.uint64), ra, dec)
         assert sum(len(s) for s in index.slices()) == index.total_count == 4000
+
+
+def _lexsort_index(name, cfg, ids, ra, dec, mags, bands) -> catalog.ZoneIndex:
+    """The index as build_index defined it with one three-key lexsort: the
+    oracle of its row order and zone offsets."""
+    ids = np.asarray(ids, dtype=np.uint64)
+    ra = normalize_ra_array(np.asarray(ra, dtype=np.float64))
+    dec = np.asarray(dec, dtype=np.float64)
+    mags = np.asarray(mags, dtype=np.float64).reshape(len(ids), len(bands))
+    zone = zone_of_array(dec, cfg)
+    order = np.lexsort((ids, ra, zone))
+    zone_starts = np.searchsorted(zone[order], np.arange(cfg.zone_count + 1))
+    return catalog.ZoneIndex(
+        name, cfg, tuple(bands), ids[order], ra[order], dec[order], mags[order], zone_starts
+    )
+
+
+_FINE = ZoneConfig(1 / 3600)
+# declination at the middle of zone 600,001 of 1-arcsec zones
+_HIGH_DEC = -90.0 + 600_001.5 / 3600
+
+
+def _order_case(kind: str, rng: np.random.Generator):
+    """(cfg, ids, ra, dec) of one row order case; ids unique and shuffled."""
+    if kind == "empty":
+        return CFG, np.empty(0), np.empty(0), np.empty(0)
+    if kind == "one":
+        return CFG, np.array([7]), np.array([123.5]), np.array([-12.0])
+    if kind == "equal_ra":
+        # one zone, one ra, so all rows are one tie run: only ids order them
+        ra, dec = np.full(40, 10.0), np.full(40, 0.02)
+    elif kind == "key_collision":
+        # distinct ra 1e-9 deg apart, whose keys near 3e8 round together
+        ra = 100.0 + np.arange(40) * 1e-9
+        dec = np.full(40, _HIGH_DEC)
+        return _FINE, rng.permutation(10_000)[:40], rng.permutation(ra), dec
+    elif kind == "signed_zero":
+        ra, dec = np.array([0.0, -0.0] * 10), np.full(20, 5.0)
+    elif kind == "band_end":
+        # keys of the last float below 360 round up to the band's end
+        ra = np.array([np.nextafter(360.0, 0.0), 360.0 - 1e-9, 0.0, 359.0] * 10)
+        return _FINE, rng.permutation(10_000)[:40], ra, np.full(40, _HIGH_DEC)
+    elif kind == "runs":
+        # ten tie runs of 2 to 11 rows at one position each, in several
+        # zones, separated by untied rows
+        ra, dec = random_sky(rng, 300)
+        for k, size in enumerate(range(2, 12)):
+            ra[30 * k : 30 * k + size] = ra[30 * k]
+            dec[30 * k : 30 * k + size] = dec[30 * k]
+    else:
+        raise AssertionError(kind)
+    return CFG, rng.permutation(10_000)[: len(ra)], ra, dec
+
+
+class TestRowOrder:
+    """build_index's order is the total (zone, ra, id) order that a
+    three-key lexsort gives, whatever order its input rows come in."""
+
+    KINDS = ["empty", "one", "equal_ra", "key_collision", "signed_zero", "band_end", "runs"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_order_equals_lexsort(self, kind, tmp_path):
+        rng = np.random.default_rng(self.KINDS.index(kind))
+        cfg, ids, ra, dec = _order_case(kind, rng)
+        mags = rng.uniform(5, 15, (len(ids), 2))
+        built = build_index("o", cfg, ids, ra, dec, mags, ("r", "g"))
+        oracle = _lexsort_index("o", cfg, ids, ra, dec, mags, ("r", "g"))
+        for attr in ("ids", "ra", "dec", "mags", "zone_starts"):
+            got, want = getattr(built, attr), getattr(oracle, attr)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
+        save_index(built, tmp_path / "built.idx")
+        save_index(oracle, tmp_path / "oracle.idx")
+        assert _raw_members(tmp_path / "built.idx") == _raw_members(tmp_path / "oracle.idx")
+
+    @pytest.mark.parametrize("kind", ["equal_ra", "key_collision", "band_end", "runs"])
+    def test_cases_tie_in_the_key(self, kind):
+        """Each of these cases reaches the lexsort of tied rows."""
+        cfg, ids, ra, dec = _order_case(kind, np.random.default_rng(0))
+        base = zone_of_array(dec, cfg) * catalog.KEY_BAND
+        key = np.sort(base + ra)
+        assert np.any(key[1:] == key[:-1])
+        if kind == "key_collision":
+            assert len(np.unique(key)) < len(np.unique(ra))
+        if kind == "band_end":
+            assert np.all(base + np.nextafter(360.0, 0.0) == base + 360.0)
+
+    def test_permuted_columns_give_the_same_snapshot(self, tmp_path):
+        rng = np.random.default_rng(31)
+        _, ids, ra, dec = _order_case("runs", rng)
+        mags = rng.uniform(5, 15, (len(ids), 1))
+        snapshots = []
+        perms = [np.arange(len(ids)), *(rng.permutation(len(ids)) for _ in range(3))]
+        for k, perm in enumerate(perms):
+            index = build_index("p", CFG, ids[perm], ra[perm], dec[perm], mags[perm], ("r",))
+            save_index(index, tmp_path / f"{k}.idx")
+            snapshots.append(_raw_members(tmp_path / f"{k}.idx"))
+        assert all(s == snapshots[0] for s in snapshots[1:])
+
+    def test_shuffled_csv_lines_give_the_same_snapshot(self, tmp_path):
+        rng = np.random.default_rng(32)
+        ra, dec = random_sky(rng, 2000)
+        # fifty positions shared by ten rows each, so ids break ties
+        ra[:500], dec[:500] = np.repeat(ra[:50], 10), np.repeat(dec[:50], 10)
+        ids = rng.permutation(10**6)[:2000]
+        rows = [f"{ids[i]},{float(ra[i])!r},{float(dec[i])!r},{i % 13}.5" for i in range(2000)]
+        rows[5] = "oops,1.0,2.0,3.0"  # one reject, well under the 1% limit
+        snapshots = []
+        for k in range(3):
+            f = write_rows(tmp_path / f"{k}.csv", rows, header="id,ra,dec,r")
+            save_index(ingest_csv(f, name="cat"), tmp_path / f"{k}.idx")
+            snapshots.append(_raw_members(tmp_path / f"{k}.idx"))
+            rows = [rows[i] for i in rng.permutation(len(rows))]
+        assert all(s == snapshots[0] for s in snapshots[1:])
 
 
 class TestRaScan:
