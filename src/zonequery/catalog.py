@@ -23,12 +23,12 @@ import stat
 import sys
 import zipfile
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 from numpy.lib import format as npy
@@ -256,9 +256,12 @@ def ingest_csv(
     IngestError. Empty magnitude fields mean missing and are stored as NaN.
 
     A record is one line, ended by LF, CRLF or a lone CR, after a leading
-    UTF-8 byte-order mark. Plain lines (see ``_certify``) are parsed in bulk;
-    every other line goes through ``_check_row``, which alone words the
-    reject messages.
+    UTF-8 byte-order mark. Plain lines (see ``_certify``), empty magnitudes
+    included, are parsed in bulk; every other line goes through
+    ``_check_row``, which alone words the reject messages. The data of a
+    regular file is parsed in one process per CPU, each on its own byte
+    range (see ``_read``); the result, the messages and the errors are
+    those of one process, and no process outlives the call.
     """
     path = Path(path)
     if bands is not None and len(set(bands)) != len(bands):
@@ -438,33 +441,169 @@ class _Rows:
 
 
 def _read(fh, path: Path, bands: Sequence[str] | None) -> _Rows:
-    """Read a binary catalog file in blocks of about _BLOCK_BYTES, after a
-    leading byte-order mark, with each line end made an LF."""
-    if fh.peek(3).startswith(b"\xef\xbb\xbf"):
-        fh.read(3)
-    rows = None
-    line_no = 2
-    for buf in _blocks(fh):
-        buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in buf else buf
-        if rows is None:
-            cut = buf.index(b"\n")
-            header = next(_fields(buf[:cut], [1], path))
-            if header is None:
-                raise IngestError(f"{path}: line 1: line ends inside a quoted field")
-            rows = _Rows(path, [c.strip() for c in header], bands)
-            buf = buf[cut + 1 :]
-        line_no = _read_block(buf, line_no, rows)
-    if rows is None:
+    """Read a binary catalog file: a leading byte-order mark is dropped, the
+    header line read, and the data lines are read in blocks of about
+    _BLOCK_BYTES, with each line end made an LF.
+
+    The data is cut into parts (``_cuts``), each parsed by a process of its
+    own (``_read_parts``); with one part it is read on from the header's
+    block in this process. The rows, the reject messages and the errors do
+    not depend on the number of parts."""
+    start = len(fh.read(3)) if fh.peek(3).startswith(b"\xef\xbb\xbf") else 0
+    blocks = _blocks(fh)
+    raw = next(blocks, None)
+    if raw is None:
         raise IngestError(f"{path}: empty file, missing header")
+    buf = _lf(raw)
+    cut = buf.index(b"\n")
+    header = next(_fields(buf[:cut], [1], path))
+    if header is None:
+        raise IngestError(f"{path}: line 1: line ends inside a quoted field")
+    rows = _Rows(path, [c.strip() for c in header], bands)
+    bounds = _cuts(fh, start + cut + (2 if raw.startswith(b"\r\n", cut) else 1))
+    if len(bounds) > 2:
+        del raw, buf  # the first block is not held through the parse
+        _read_parts(fh, path, bounds, rows)
+    else:
+        line_no = _read_block(buf[cut + 1 :], 2, rows)
+        del raw, buf
+        _read_lines(blocks, line_no, rows)
     return rows
 
 
-def _blocks(fh) -> Iterator[bytes]:
-    """A binary file in blocks of about _BLOCK_BYTES that end on a line end
-    (LF, CRLF or a lone CR); an LF is added after the last one. Each chunk
-    read is searched once, so a file with few or no LFs takes linear time."""
+def _lf(buf: bytes) -> bytes:
+    """``buf`` with each line end (CRLF or a lone CR) made an LF."""
+    return buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in buf else buf
+
+
+def _read_lines(blocks: Iterable[bytes], line_no: int, rows: _Rows) -> None:
+    """Add the lines of ``blocks`` (from ``_blocks``), the first being line
+    ``line_no``, to ``rows``."""
+    for buf in blocks:
+        line_no = _read_block(_lf(buf), line_no, rows)
+
+
+def _cuts(fh, start: int) -> list[int]:
+    """The byte offsets that cut the data of a catalog file, its bytes from
+    ``start`` on, into parts to parse in separate processes: ``[start, ...,
+    end]``, or [] when the file is not a regular one (a FIFO cannot be
+    split), ``os.fork`` is missing, or another thread runs (a forked child
+    could wait forever on a lock that thread held).
+
+    There are P parts: as many as the CPUs this process may run on, but no
+    more than the whole _BLOCK_BYTES blocks in the data. The k-th cut falls
+    just after the first LF at or after k/P of the data, so no line and no
+    CRLF is split; a cut with no LF before the end is dropped."""
+    import threading
+
+    info = os.fstat(fh.fileno())
+    if not (stat.S_ISREG(info.st_mode) and hasattr(os, "fork")) or threading.active_count() > 1:
+        return []
+    end = info.st_size
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parts = min(cpus or 1, (end - start) // _BLOCK_BYTES)
+    cuts = set()
+    for k in range(1, parts):
+        at = start + (end - start) * k // parts
+        while chunk := os.pread(fh.fileno(), 1 << 16, at):
+            if (lf := chunk.find(b"\n")) >= 0:
+                cuts.add(at + lf + 1)
+                break
+            at += len(chunk)
+    return [start, *sorted(c for c in cuts if c < end), end]
+
+
+def _read_parts(fh, path: Path, bounds: list[int], rows: _Rows) -> None:
+    """Add the data lines of a catalog file to ``rows``, part k being its
+    bytes from ``bounds[k]`` to ``bounds[k + 1]`` (see ``_cuts``).
+
+    This process reads part 0 through ``fh``; every other part is read by an
+    ``os.fork``ed child (``_read_part``), which sends back its rows, or its
+    error, pickled through a pipe. The results are added in part order, so
+    the first error in file order is raised. Every child has ended and been
+    reaped when this returns or raises, an interrupt included."""
+    import pickle
+
+    pids: list[int] = []  # children not yet reaped
+    pipes: list[IO[bytes]] = []  # the read end of each child's pipe
+    try:
+        for a, b in zip(bounds[1:], bounds[2:]):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                if (pid := os.fork()) == 0:
+                    for pipe in pipes:  # with no reader left, a write fails at once
+                        pipe.close()
+                    _read_part(w, path, bounds[0], a, b, rows)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        fh.seek(bounds[0])
+        _read_lines(_blocks(fh, bounds[1] - bounds[0]), 2, rows)
+        for pid, pipe in zip(list(pids), pipes):
+            try:
+                result = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                result = None
+            status = os.waitpid(pid, 0)[1]
+            pids.remove(pid)
+            if result is None:
+                end = (f"killed by signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
+                       else f"exit status {os.waitstatus_to_exitcode(status)}")
+                raise IngestError(f"{path}: a parse process ended without a result ({end})")
+            if isinstance(result, BaseException):
+                raise result
+            rows.parts += result[0]
+            rows.rejected += result[1]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if pids:
+            import signal
+
+            for pid in pids:
+                with suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                with suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+
+
+def _read_part(w: int, path: Path, start: int, a: int, b: int, rows: _Rows) -> NoReturn:
+    """In a child process: read the bytes from ``a`` to ``b`` of a catalog
+    file whose data begins at ``start`` into ``rows``, which holds no row
+    yet, on a handle of its own, and write ``(rows.parts, rows.rejected)``,
+    or the error raised, pickled to the pipe ``w``; then exit. The line ends
+    before ``a`` are counted first, by ``_blocks``' rule, so that line
+    numbers, and the errors that name them, are those of the whole file."""
+    import pickle
+
+    try:
+        try:
+            with open(path, "rb") as fh:
+                fh.seek(start)
+                line_no = 2 + sum(
+                    buf.count(b"\n") + buf.count(b"\r") - buf.count(b"\r\n")
+                    for buf in _blocks(fh, a - start)
+                )
+                _read_lines(_blocks(fh, b - a), line_no, rows)
+            result = rows.parts, rows.rejected
+        except BaseException as exc:  # an interrupt too: the parent raises it
+            result = exc
+        with open(w, "wb") as pipe:
+            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)
+
+
+def _blocks(fh, size: int | None = None) -> Iterator[bytes]:
+    """The next ``size`` bytes of a binary file, or all the rest, in blocks
+    of about _BLOCK_BYTES that end on a line end (LF, CRLF or a lone CR); an
+    LF is added after the last one. Each chunk read is searched once, so a
+    file with few or no LFs takes linear time."""
     held: list[bytes] = []
-    while chunk := fh.read(_BLOCK_BYTES):
+    left = math.inf if size is None else size
+    while left and (chunk := fh.read(min(left, _BLOCK_BYTES))):
+        left -= len(chunk)
         # a CR at the end of the chunk may be the first half of a CRLF
         cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
         if cut:
@@ -482,13 +621,16 @@ def _read_block(buf: bytes, first_line: int, rows: _Rows) -> int:
     Certified lines are parsed by one ``np.loadtxt`` and range-tested as
     arrays; the lines that fail either, or the whole block when ``loadtxt``
     raises, go through the per-row checks one line at a time."""
-    starts, ends, plain = _certify(buf, rows.n_cols, csv.field_size_limit())
+    starts, ends, plain, empty = _certify(buf, rows.n_cols, csv.field_size_limit())
     if plain.any():
         # runs of consecutive certified lines, newlines included
         edges = np.diff(plain.astype(np.int8), prepend=0, append=0)
         run_starts = starts[edges[:-1] == 1].tolist()
         run_ends = (ends[np.flatnonzero(edges == -1) - 1] + 1).tolist()
         text = b"".join(buf[a:b] for a, b in zip(run_starts, run_ends))
+        if empty:  # an empty magnitude is read as nan; two passes fill ",,,"
+            text = text.replace(b",,", b",nan,").replace(b",,", b",nan,")
+            text = text.replace(b",\n", b",nan\n")
         dtype = np.dtype([("id", np.uint64), ("ra", np.float64), ("dec", np.float64),
                           ("mags", np.float64, (len(rows.bands),))])
         try:
@@ -498,7 +640,8 @@ def _read_block(buf: bytes, first_line: int, rows: _Rows) -> int:
             plain[:] = False
         else:
             ids, ra, dec, mags = (table[f] for f in dtype.names)
-            good = (dec >= -90.0) & (dec <= 90.0) & np.isfinite(ra) & np.isfinite(mags).all(1)
+            # certified text spells no nan, so a NaN magnitude is an empty field
+            good = (dec >= -90.0) & (dec <= 90.0) & np.isfinite(ra) & ~np.isinf(mags).any(1)
             lines = np.flatnonzero(plain)
             plain[lines[~good]] = False
             rows.parts.append(
@@ -510,12 +653,16 @@ def _read_block(buf: bytes, first_line: int, rows: _Rows) -> int:
     return first_line + len(ends)
 
 
-def _certify(buf: bytes, n_cols: int, max_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(starts, ends, plain)`` per line of ``buf``, which ends with a
-    newline: its byte span and whether it is certified for bulk parsing. A
-    certified line has only bytes from ``0-9 . e E + - ,``, ``n_cols - 1``
-    commas and no empty field, an id of 1 to 19 digits, and at most
-    ``max_len`` bytes, the csv module's field size limit."""
+def _certify(
+    buf: bytes, n_cols: int, max_len: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """``(starts, ends, plain, empty)``: per line of ``buf``, which ends
+    with a newline, its byte span and whether it is certified for bulk
+    parsing, and whether a certified line has an empty field. A certified
+    line has only bytes from ``0-9 . e E + - ,``, ``n_cols - 1`` commas, an
+    id of 1 to 19 digits, no empty ra or dec (an empty magnitude is
+    missing), and at most ``max_len`` bytes, the csv module's field size
+    limit."""
     cls = np.frombuffer(buf.translate(_BYTE_CLASS), dtype=np.uint8)
     ends = np.flatnonzero(cls == _NEWLINE)
     starts = np.concatenate(([0], ends[:-1] + 1))[: len(ends)]
@@ -531,10 +678,12 @@ def _certify(buf: bytes, n_cols: int, max_len: int) -> tuple[np.ndarray, np.ndar
     # no byte of ".eE+-" in the id field
     plain &= np.append(numbers, len(buf))[np.searchsorted(numbers, starts)] > id_end
     after = cls[commas + 1]
-    empty = commas[(after == _COMMA) | (after == _NEWLINE)]  # a comma before an empty field
-    plain[np.searchsorted(ends, empty)] = False
+    empty = np.flatnonzero((after == _COMMA) | (after == _NEWLINE))  # commas before an empty field
+    line = np.searchsorted(ends, commas[empty])
+    # a line's k-th comma (from 0) begins field k + 1: 1 is ra, 2 dec
+    plain[line[empty - first[line] < 2]] = False
     plain[np.searchsorted(ends, np.flatnonzero(cls == _OTHER))] = False
-    return starts, ends, plain
+    return starts, ends, plain, bool(plain[line].any())
 
 
 def _format_rows(row_format: str, columns: Sequence) -> Iterator[str]:

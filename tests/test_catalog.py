@@ -6,7 +6,13 @@ import csv
 import gc
 import io
 import math
+import os
+import signal
 import struct
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 import zipfile
@@ -30,7 +36,8 @@ from zonequery import (
     save_index,
     zone_of,
 )
-from zonequery import catalog
+from zonequery import catalog, cli
+from zonequery.catalog import _check_row
 from zonequery.queries import WINDOW_PAD_DEG, _zone_join
 from zonequery.sphere import normalize_ra_array, ra_halfwidth_array, zone_of_array
 
@@ -221,10 +228,12 @@ def _catalog_text(draw):
     perfbench = st.tuples(st.sampled_from(_PERFBENCH_BAD), st.integers(0, 60)).map(
         lambda t: t[0].format(id=t[1], dup=t[1] // 2, big=2**64 + t[1])
     )
+    # a plain line with every magnitude empty
+    no_mags = plain.map(lambda f: ",".join(f[:3] + [""] * n_bands))
     other = st.sampled_from(["", "   ", "1,2", "1,2,3,4,5,6,7", ",,,", "9,1.5,2.5,3,4,,"])
     lines = draw(st.lists(st.one_of(
         plain.map(",".join), plain.map(",".join), one_off.map(",".join),
-        one_off.map(",".join), loose.map(",".join), perfbench, other,
+        one_off.map(",".join), loose.map(",".join), perfbench, no_mags, other,
     ), max_size=40))
     special = draw(st.sampled_from(
         ["", "", "", "", "", "", "", "bom", "crlf", "cr", "quote", "non-ascii"]
@@ -324,6 +333,36 @@ class TestBulkIngest:
         with pytest.raises(IngestError, match=r"repeated band names in \['r', 'r'\]"):
             ingest_csv(tmp_path / "not-read.csv", bands=["r", "r"])
 
+    def test_empty_magnitudes_stay_on_the_bulk_path(self, tmp_path, monkeypatch):
+        checked: list[str] = []  # the ids of the lines the per-row checks see
+
+        def counted_check_row(row, *args):
+            checked.append(row[0])
+            return _check_row(row, *args)
+
+        monkeypatch.setattr(catalog, "_check_row", counted_check_row)
+        monkeypatch.setattr(catalog, "MAX_REJECT_FRACTION", 1.0)
+        rows = [f"{i},{i}.5,1.5,,{i}.25,," for i in range(300)]
+        rows[100] = "100,100.5,1.5,1e999,,,"  # still a non-finite magnitude
+        rows[200] = "200,,1.5,,1.0,,"  # an empty ra is not certified
+        f = write_rows(tmp_path / "c.csv", rows, header="id,ra,dec,r,g,i,z")
+        log: list[str] = []
+        index = ingest_csv(f, on_reject=log.append)
+        assert checked == ["100", "200"]
+        assert log == ["line 102: non-finite magnitude '1e999' for band r",
+                       "line 202: unparseable coordinates '','1.5'"]
+        assert np.isnan(index.band_column("r")).all()
+        assert index.band_column("g").tolist() == [i + 0.25 for i in range(300)
+                                                   if i not in (100, 200)]
+        assert np.isnan(index.mags[:, 2:]).all()
+
+    def test_only_an_empty_magnitude_is_certified(self):
+        buf = b",1,2,3,4\n1,,2,3,4\n1,2,,3,4\n1,2,3,,4\n1,2,3,4,\n1,2,3,,\n1,2,3,4,5\n"
+        _, _, plain, empty = catalog._certify(buf, 5, 1000)
+        assert plain.tolist() == [False, False, False, True, True, True, True] and empty
+        _, _, plain, empty = catalog._certify(b"1,2,3,4,5\n1,,2,3,4\n", 5, 1000)
+        assert plain.tolist() == [True, False] and not empty
+
     def test_malformed_certified_number_sends_block_to_row_checks(self, tmp_path):
         rows = [f"{i},{i}.5,1.5" for i in range(300)]
         rows[150] = "150,--1,1.5"
@@ -405,6 +444,256 @@ class TestOneRecordPerLine:
         monkeypatch.setattr(catalog, "_BLOCK_BYTES", 4)
         blocks = list(catalog._blocks(io.BytesIO(b"1,2\r\n3,4\r\n5,6\r")))
         assert blocks == [b"1,2\r\n", b"3,4\r\n", b"5,6\r\n"]
+
+
+def _plain_rows(n: int) -> list[str]:
+    return [f"{i},{i * 7.25 % 360!r},{i * 3.5 % 180 - 90!r},{i % 9 + 5.5!r}" for i in range(n)]
+
+
+def _write_bytes(path, rows: list[str], header: str = "id,ra,dec,r"):
+    """An LF-ended catalog. A row may hold the byte 0xe9, which is not
+    UTF-8 text, written in it as an e with an acute accent."""
+    text = header + "\n" + "".join(r + "\n" for r in rows)
+    path.write_bytes(text.encode().replace("\u00e9".encode(), b"\xe9"))
+    return path
+
+
+# a field over the csv module's size limit
+_LONG = "0" * (csv.field_size_limit() + 1)
+
+
+class TestReadInParts:
+    """A catalog's data read in P parts, one process each (``catalog._cuts``
+    and ``_read_parts``), gives what one part gives: the same rows, reject
+    messages and errors, with no process or pipe left behind."""
+
+    @pytest.fixture()
+    def parts(self, monkeypatch):
+        """Sets the CPU count, and so the number of parts of a file of many
+        small blocks, and the block size; the fork calls made are counted.
+        Any share of rows may be rejected."""
+        forks: list[int] = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(catalog, "MAX_REJECT_FRACTION", 1.0)
+
+        def set_parts(p: int, block_bytes: int = 64) -> list[int]:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(p)), raising=False)
+            monkeypatch.setattr(catalog, "_BLOCK_BYTES", block_bytes)
+            forks.clear()
+            return forks
+
+        return set_parts
+
+    @staticmethod
+    def _bounds(path) -> list[int]:
+        data = path.read_bytes()
+        start = 3 if data.startswith(b"\xef\xbb\xbf") else 0
+        with path.open("rb") as fh:
+            return catalog._cuts(fh, data.index(b"\n", start) + 1)
+
+    @staticmethod
+    def _offset(path, line_no: int) -> int:
+        """Where line ``line_no`` of an LF-ended file begins."""
+        return sum(len(line) + 1 for line in path.read_bytes().split(b"\n")[: line_no - 1])
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_same_snapshot_and_rejects_as_one_part(self, tmp_path, parts, p):
+        rows = _plain_rows(600)
+        for at in range(7, 600, 41):
+            rows[at] = _PERFBENCH_BAD[at % 8].format(id=at, dup=at // 2, big=2**64 + at)
+        f = _write_bytes(tmp_path / "c.csv", rows)
+        forks = parts(1)
+        one_log: list[str] = []
+        save_index(ingest_csv(f, on_reject=one_log.append), tmp_path / "one.npz")
+        assert forks == []
+        forks = parts(p)
+        log: list[str] = []
+        save_index(ingest_csv(f, on_reject=log.append), tmp_path / "p.npz")
+        assert len(forks) == p - 1 and len(self._bounds(f)) == p + 1
+        assert log == one_log and len(log) == 15
+        with zipfile.ZipFile(tmp_path / "one.npz") as one, zipfile.ZipFile(tmp_path / "p.npz") as z:
+            assert [(m, one.read(m)) for m in one.namelist()] == [
+                (m, z.read(m)) for m in z.namelist()
+            ]
+
+    def test_duplicate_whose_first_passing_row_is_in_a_later_part(self, tmp_path, parts):
+        rows = _plain_rows(600)
+        rows[10] = "5000,1.5,95,10"  # the first row with id 5000 fails: it claims no id
+        rows[300] = "5000,1.5,2.5,10"  # the first that passes
+        rows[550] = "5000,2.5,3.5,10"
+        f = _write_bytes(tmp_path / "c.csv", rows)
+        forks = parts(3)
+        bounds = self._bounds(f)
+        assert bounds[1] < self._offset(f, 302) < bounds[2] < self._offset(f, 552)
+        log: list[str] = []
+        index = ingest_csv(f, on_reject=log.append)
+        assert len(forks) == 2
+        assert log == ["line 12: dec 95.0 outside [-90, 90]", "line 552: duplicate id 5000"]
+        assert index.ra[index.ids == 5000].tolist() == [1.5]
+
+    @pytest.mark.parametrize("bad, reason", [
+        ("\u00e9", "not UTF-8 text (byte 0xe9)"),
+        (_LONG, "field larger than field limit (131072)"),
+    ], ids=["non-utf8", "long-field"])
+    def test_error_in_part_2_names_its_physical_line(self, tmp_path, parts, bad, reason):
+        rows = _plain_rows(30000)
+        rows[27000] = f"27000,{bad},1.5,2"
+        f = _write_bytes(tmp_path / "c.csv", rows)
+        forks = parts(3, 4096)
+        bounds = self._bounds(f)
+        assert len(bounds) == 4 and bounds[2] < self._offset(f, 27002)
+        with pytest.raises(IngestError) as info:
+            ingest_csv(f)
+        assert len(forks) == 2
+        assert str(info.value) == f"{f}: line 27002: {reason}"
+
+    @pytest.mark.parametrize("early, late", [(3000, 15000), (15000, 27000)],
+                             ids=["parts-0-and-1", "parts-1-and-2"])
+    def test_first_error_in_file_order_wins(self, tmp_path, parts, early, late):
+        rows = _plain_rows(30000)
+        rows[early] = f"{early},\u00e9,1.5,2"
+        rows[late] = f"{late},{_LONG},1.5,2"
+        f = _write_bytes(tmp_path / "c.csv", rows)
+        parts(3, 4096)
+        bounds = self._bounds(f)
+        first = 0 if early == 3000 else 1
+        assert bounds[first] < self._offset(f, early + 2) < bounds[first + 1]
+        assert bounds[first + 1] < self._offset(f, late + 2)
+        with pytest.raises(IngestError) as info:
+            ingest_csv(f)
+        assert str(info.value) == f"{f}: line {early + 2}: not UTF-8 text (byte 0xe9)"
+
+    @pytest.mark.parametrize("ends", ["bom-crlf", "cr-lf-mixed"])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_line_ends_around_a_cut(self, tmp_path, parts, ends, p):
+        rows = _plain_rows(400)
+        for at in range(5, 400, 23):
+            rows[at] = f"{at},1.5,95,10"
+        if ends == "bom-crlf":
+            data = "\ufeffid,ra,dec,r\r\n" + "".join(r + "\r\n" for r in rows)
+        else:  # lone CRs, and an LF and a CRLF every 9 lines
+            data = "id,ra,dec,r\r" + "".join(
+                r + ("\n" if k % 9 == 4 else "\r\n" if k % 9 == 8 else "\r")
+                for k, r in enumerate(rows)
+            )
+        f = tmp_path / "c.csv"
+        f.write_bytes(data.encode())
+        parts(1)
+        one = _outcome(ingest_csv, f, None)
+        forks = parts(p)
+        assert _outcome(ingest_csv, f, None) == one == _outcome(ingest_csv_reference, f, None)
+        assert len(forks) == p - 1
+        assert one[0][:2] == ["line 7: dec 95.0 outside [-90, 90]",
+                              "line 30: dec 95.0 outside [-90, 90]"]
+
+    def test_child_killed_mid_parse_is_one_data_error(self, tmp_path, parts, monkeypatch,
+                                                       capsys):
+        f = _write_bytes(tmp_path / "c.csv", _plain_rows(600))
+        parent = os.getpid()
+        read_block = catalog._read_block
+
+        def killed_in_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return read_block(*args)
+
+        monkeypatch.setattr(catalog, "_read_block", killed_in_child)
+        forks = parts(2)
+        assert cli.main(["ingest", "--in", str(f), "--out", str(tmp_path / "c.npz")]) == 2
+        assert len(forks) == 1
+        assert capsys.readouterr().err == (
+            f"zonequery: data error: {f}: a parse process ended without a result "
+            f"(killed by signal {int(signal.SIGKILL)})\n"
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_fifo_is_read_in_one_part(self, tmp_path, parts):
+        f = _write_bytes(tmp_path / "c.csv", _plain_rows(600))
+        fifo = tmp_path / "fifo" / "c.csv"
+        fifo.parent.mkdir()
+        os.mkfifo(fifo)
+        forks = parts(2)
+        writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', str(f), str(fifo)])
+        try:
+            assert _outcome(ingest_csv, fifo, None) == _outcome(ingest_csv, f, None)
+        finally:
+            writer.wait()
+        assert len(forks) == 1  # the regular file's read alone
+
+    def test_children_of_a_killed_ingest_end_on_their_own(self, tmp_path):
+        f = _write_bytes(tmp_path / "c.csv", _plain_rows(3000))
+        # the parent kills itself once it has forked, before it reads a line
+        script = """if True:
+            import os, signal, sys
+            from zonequery import catalog
+            catalog._BLOCK_BYTES = 64
+            os.sched_getaffinity = lambda pid: {0, 1, 2}
+            parent, read_block = os.getpid(), catalog._read_block
+            def read_block_or_die(*args):
+                if os.getpid() == parent:
+                    os.kill(parent, signal.SIGKILL)
+                return read_block(*args)
+            catalog._read_block = read_block_or_die
+            catalog.ingest_csv(sys.argv[1])
+        """
+        proc = subprocess.Popen([sys.executable, "-c", script, str(f)], start_new_session=True,
+                                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+        deadline = time.monotonic() + 60
+        with pytest.raises(ProcessLookupError):
+            while time.monotonic() < deadline:
+                os.killpg(proc.pid, 0)  # the children are still in the group
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGKILL)
+
+    def test_call_from_a_second_thread_does_not_fork(self, tmp_path, parts):
+        f = _write_bytes(tmp_path / "c.csv", _plain_rows(600))
+        forks = parts(2)
+        outcome = {}
+        thread = threading.Thread(target=lambda: outcome.update(got=_outcome(ingest_csv, f, None)))
+        thread.start()
+        thread.join()
+        assert forks == []
+        assert outcome["got"] == _outcome(ingest_csv, f, None)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("end", ["return", "error", "interrupt", "killed"])
+    def test_no_child_or_pipe_outlives_the_read(self, tmp_path, parts, monkeypatch, end):
+        rows = _plain_rows(600)
+        if end == "error":
+            rows[450] = "450,\u00e9,1.5,2"
+        f = _write_bytes(tmp_path / "c.csv", rows)
+        parent = os.getpid()
+        read_block = catalog._read_block
+
+        def read_block_or_stop(*args):
+            if os.getpid() == parent and end == "interrupt":
+                raise KeyboardInterrupt
+            if os.getpid() != parent and end == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return read_block(*args)
+
+        monkeypatch.setattr(catalog, "_read_block", read_block_or_stop)
+        forks = parts(3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                ingest_csv(f)
+            except (IngestError, KeyboardInterrupt) as exc:
+                assert end != "return", exc
+            else:
+                assert end == "return"
+            gc.collect()
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestIndexStructure:
