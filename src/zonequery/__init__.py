@@ -11,8 +11,6 @@ from .sphere import (
     DEFAULT_ZONE_HEIGHT_DEG,
     SkyPoint,
     ZoneConfig,
-    angular_separation,
-    zone_dec_range,
     zone_of,
 )
 from .catalog import (

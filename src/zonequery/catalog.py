@@ -105,6 +105,7 @@ class ZoneSlice:
         return len(self.ids)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class ZoneIndex:
     """A catalog reorganized into declination zones.
 
@@ -113,25 +114,14 @@ class ZoneIndex:
     build it, the same array, and one of them is kept.
     """
 
-    def __init__(
-        self,
-        name: str,
-        cfg: ZoneConfig,
-        bands: tuple[str, ...],
-        ids: np.ndarray,
-        ra: np.ndarray,
-        dec: np.ndarray,
-        mags: np.ndarray,
-        zone_starts: np.ndarray,
-    ) -> None:
-        self.name = name
-        self.cfg = cfg
-        self.bands = bands
-        self.ids = ids
-        self.ra = ra
-        self.dec = dec
-        self.mags = mags
-        self.zone_starts = zone_starts
+    name: str
+    cfg: ZoneConfig
+    bands: tuple[str, ...]
+    ids: np.ndarray
+    ra: np.ndarray
+    dec: np.ndarray
+    mags: np.ndarray
+    zone_starts: np.ndarray
 
     @cached_property
     def ra_key(self) -> np.ndarray:
@@ -244,7 +234,6 @@ def ingest_csv(
     path: str | Path,
     bands: Sequence[str] | None = None,
     cfg: ZoneConfig = ZoneConfig(),
-    name: str | None = None,
     on_reject: Callable[[str], None] | None = None,
 ) -> ZoneIndex:
     """Ingest a catalog CSV and build its zone index.
@@ -284,9 +273,7 @@ def ingest_csv(
             f"{path}: {len(rejects)}/{rows.total} rows rejected (> "
             f"{MAX_REJECT_FRACTION:.0%}): {shown}"
         )
-    return build_index(
-        name if name is not None else path.stem, cfg, ids, ra, dec, mags, rows.bands
-    )
+    return build_index(path.stem, cfg, ids, ra, dec, mags, rows.bands)
 
 
 def _fields(text: bytes, line_nos: Sequence[int], path: Path) -> Iterator[list | None]:

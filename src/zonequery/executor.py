@@ -62,8 +62,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WorkerStats:
-    """What one worker did: wall clock, CPU if the platform provides it,
-    and row counters.
+    """What one worker did: wall clock, the CPU time of its thread, and row
+    counters.
 
     ``rows_scanned`` counts the rows a scan visits, and the candidates a cone
     or cross-match examines before the exact separation filter. A worker
@@ -73,7 +73,7 @@ class WorkerStats:
 
     worker: int | str
     elapsed_s: float
-    cpu_s: float | None
+    cpu_s: float
     rows_scanned: int
     rows_returned: int
 
@@ -84,15 +84,14 @@ _COUNTERS = ("elapsed_s", "cpu_s", "rows_scanned", "rows_returned")
 
 def aggregate(stats: Sequence[WorkerStats]) -> tuple[WorkerStats, WorkerStats]:
     """Component-wise maximum and arithmetic mean over worker rows, as rows
-    labelled "MAX" and "AVG"; cpu_s is None unless every worker has one."""
+    labelled "MAX" and "AVG"."""
     if not stats:
         raise ValueError("aggregate needs at least one worker row")
     max_row, avg_row = {}, {}
     for name in _COUNTERS:
         values = [getattr(s, name) for s in stats]
-        known = None not in values
-        max_row[name] = max(values) if known else None
-        avg_row[name] = sum(values) / len(values) if known else None
+        max_row[name] = max(values)
+        avg_row[name] = sum(values) / len(values)
     return WorkerStats("MAX", **max_row), WorkerStats("AVG", **avg_row)
 
 
@@ -133,10 +132,6 @@ def _check_plan(index: ZoneIndex, plan: PartitionPlan) -> None:
         )
 
 
-# wall clock is mandatory; per-thread CPU only where the platform has it
-_HAS_THREAD_CPU = hasattr(time, "thread_time")
-_IDLE_CPU = 0.0 if _HAS_THREAD_CPU else None
-
 # work(a worker's share, its Ranges in zone order)
 #   -> (result columns, rows_scanned, rows_returned)
 Work = Callable[[Ranges], tuple]
@@ -164,10 +159,10 @@ def _shares(
 def _timed(worker: int, work: Work, ranges: Ranges):
     """Run one worker's share and wrap the counters it reports."""
     t0 = time.perf_counter()
-    c0 = time.thread_time() if _HAS_THREAD_CPU else None
+    c0 = time.thread_time()
     result, scanned, returned = work(ranges)
     elapsed = time.perf_counter() - t0
-    cpu = time.thread_time() - c0 if c0 is not None else None
+    cpu = time.thread_time() - c0
     return result, WorkerStats(worker, elapsed, cpu, scanned, returned)
 
 
@@ -196,9 +191,7 @@ def _execute(
     else:
         done = [_timed(w, work, shares[w]) for w in busy]
     rows = {w: row for w, (_, row) in zip(busy, done)}
-    stats = tuple(
-        rows.get(w) or WorkerStats(w, 0.0, _IDLE_CPU, 0, 0) for w in range(plan.worker_count)
-    )
+    stats = tuple(rows.get(w) or WorkerStats(w, 0.0, 0.0, 0, 0) for w in range(plan.worker_count))
     # no busy worker: typed empty columns for the merge
     results = [result for result, _ in done] or [work([(0, 0)])[0]]
     if len(results) == 1:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -149,15 +149,7 @@ class WorkloadReport:
     imbalance: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "counts": list(self.counts),
-                "max_count": self.max_count,
-                "avg_count": self.avg_count,
-                "imbalance": self.imbalance,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     def to_text(self) -> str:
         lines = [f"{'worker':>8}  {'objects':>12}"]

@@ -325,9 +325,11 @@ def _zone_join(
     order arrive almost sorted, and the binary searches stay in cache. The
     needles are built up front, in (offset, segment, row) order, and
     searched and expanded in one pass of array calls; a join is split into
-    several passes only to hold at most JOIN_CHUNK_ROWS needles each: a cone
-    reaching up to JOIN_CHUNK_ROWS / 3 zones takes one pass, a full chunk of
-    leading rows one per zone offset. Offsets with no needle are skipped.
+    several passes only to hold at most JOIN_CHUNK_ROWS needles each: a full
+    chunk of leading rows takes one pass per zone offset, and a chunk of few
+    rows with a wide reach takes many offsets per pass (one pass per offset
+    would give a one-row join at 1" zones and r = 180 deg about 1.3 million
+    passes). Offsets with no needle are skipped.
     ``candidate_sink``, when given, receives the pre-filter (lead_rows,
     other_rows) stream, and ``candidates`` counts it.
     """
@@ -462,15 +464,12 @@ def zone_crossmatch(
     leading_slices: Sequence[ZoneSlice],
     other: ZoneIndex,
     spec: MatchSpec,
-    candidate_sink: CandidateSink | None = None,
 ) -> MatchTable:
     """All (leading, other) pairs within spec.radius, ascending by
     (leading_id, other_id).
 
     Each qualifying pair appears exactly once because every leading object
     lives in exactly one slice and its window segments are disjoint.
-    ``candidate_sink``, when given, receives the pre-filter candidate id
-    stream (for completeness instrumentation).
     """
     for zone_slice in leading_slices:
         check_same_zones(zone_slice.cfg, other.cfg)
@@ -480,9 +479,7 @@ def zone_crossmatch(
     lead_ids = np.concatenate([s.ids for s in leading_slices])
     lead_ra = np.concatenate([s.ra for s in leading_slices])
     lead_dec = np.concatenate([s.dec for s in leading_slices])
-    a, b, sep, _ = _crossmatch_arrays(
-        lead_ids, lead_ra, lead_dec, other, spec.radius, candidate_sink
-    )
+    a, b, sep, _ = _crossmatch_arrays(lead_ids, lead_ra, lead_dec, other, spec.radius)
     return MatchTable.from_unsorted(a, b, sep)
 
 

@@ -21,8 +21,6 @@ __all__ = [
     "ZoneConfig",
     "normalize_ra",
     "zone_of",
-    "zone_dec_range",
-    "angular_separation",
 ]
 
 DEFAULT_ZONE_HEIGHT_DEG = 4.0 / 60.0  # 4 arcminutes
@@ -122,16 +120,6 @@ def zone_of_array(dec: np.ndarray, cfg: ZoneConfig) -> np.ndarray:
     return np.minimum(np.maximum(z, 0), cfg.zone_count - 1)
 
 
-def zone_dec_range(zone: ZoneId, cfg: ZoneConfig) -> tuple[float, float]:
-    """Declination range [lo, hi) covered by ``zone``; last zone closed at +90."""
-    if not 0 <= zone < cfg.zone_count:
-        raise ValueError(f"zone {zone} outside [0, {cfg.zone_count})")
-    lo = zone * cfg.height_deg - 90.0
-    if zone == cfg.zone_count - 1:
-        return lo, 90.0
-    return lo, (zone + 1) * cfg.height_deg - 90.0
-
-
 def separation_deg(
     ra1: np.ndarray | float,
     dec1: np.ndarray | float,
@@ -151,11 +139,6 @@ def separation_deg(
     sr = np.sin(0.5 * np.radians(np.subtract(ra2, ra1)))
     h = sd * sd + np.cos(phi1) * np.cos(phi2) * (sr * sr)
     return 2.0 * np.degrees(np.arcsin(np.minimum(1.0, np.sqrt(h))))
-
-
-def angular_separation(p: SkyPoint, q: SkyPoint) -> float:
-    """Great-circle distance between two sky positions, in [0, 180] degrees."""
-    return float(separation_deg(p.ra, p.dec, q.ra, q.dec))
 
 
 def ra_halfwidth_array(radius: float, dec: np.ndarray) -> np.ndarray:

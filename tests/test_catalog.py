@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import gc
 import io
 import math
@@ -758,6 +759,12 @@ class TestIndexStructure:
         run_xmatch(lead, other, MatchSpec(radius=1.0), plan_contiguous(CFG.zone_count, 2))
         assert "ra_key" not in vars(lead) and "ra_key" in vars(other)
 
+    def test_fields_cannot_be_assigned(self):
+        ids = np.arange(3, dtype=np.uint64)
+        index = build_index("t", CFG, ids, *random_sky(np.random.default_rng(26), 3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            index.ids = ids
+
     def test_duplicate_ids_rejected_by_build(self):
         with pytest.raises(ValueError, match="duplicate"):
             build_index(
@@ -891,8 +898,11 @@ class TestRowOrder:
         rows[5] = "oops,1.0,2.0,3.0"  # one reject, well under the 1% limit
         snapshots = []
         for k in range(3):
-            f = write_rows(tmp_path / f"{k}.csv", rows, header="id,ra,dec,r")
-            save_index(ingest_csv(f, name="cat"), tmp_path / f"{k}.idx")
+            # each copy is cat.csv, in a directory of its own: the index is
+            # named after the file's stem, and that name is in the snapshot
+            (tmp_path / str(k)).mkdir()
+            f = write_rows(tmp_path / str(k) / "cat.csv", rows, header="id,ra,dec,r")
+            save_index(ingest_csv(f), tmp_path / f"{k}.idx")
             snapshots.append(_raw_members(tmp_path / f"{k}.idx"))
             rows = [rows[i] for i in rng.permutation(len(rows))]
         assert all(s == snapshots[0] for s in snapshots[1:])

@@ -139,8 +139,7 @@ class TestRunCone:
                     band = zones[(zones >= lo) & (zones <= hi)]
                     if sizes[band].sum() == 0:
                         idle_rows += 1
-                        assert s == WorkerStats(s.worker, 0.0, s.cpu_s, 0, 0)
-                        assert s.cpu_s in (0.0, None)
+                        assert s == WorkerStats(s.worker, 0.0, 0.0, 0, 0)
         assert len(cone_search(catalog, cones[-1])) == 1
         assert idle_rows > 0
 
@@ -168,8 +167,7 @@ class TestRunCone:
         rows, rep = run_cone(catalog, q, plan_contiguous(CFG.zone_count, 2))
         assert rows == cone_search(catalog, q) and len(rows) > 0
         idle, busy = rep.workers
-        assert idle == WorkerStats(0, 0.0, idle.cpu_s, 0, 0)
-        assert idle.cpu_s in (0.0, None)
+        assert idle == WorkerStats(0, 0.0, 0.0, 0, 0)
         assert busy.rows_scanned > 0 and busy.rows_returned == len(rows)
         assert busy.elapsed_s > 0.0
         assert rep.max_row.rows_scanned == busy.rows_scanned
@@ -307,7 +305,7 @@ class TestConeEquivalence:
             for q in TestRunCone.CONES:
                 rows, rep = run_cone(empty, q, plan)
                 assert rows == [] and cone_search(empty, q) == []
-                assert all(s == WorkerStats(s.worker, 0.0, s.cpu_s, 0, 0) for s in rep.workers)
+                assert all(s == WorkerStats(s.worker, 0.0, 0.0, 0, 0) for s in rep.workers)
 
     def test_empty_zones(self):
         # rows only at dec 10-12: a cone at dec -30 finds no rows in its
@@ -504,7 +502,7 @@ class TestCallingThread:
         # a pool thread got there sooner; either way it runs exactly one
         assert threads.count(threading.get_ident()) == 1
         idle = [s for s in rep.workers if s.worker not in busy]
-        assert all(s == WorkerStats(s.worker, 0.0, s.cpu_s, 0, 0) for s in idle)
+        assert all(s == WorkerStats(s.worker, 0.0, 0.0, 0, 0) for s in idle)
 
 
 class TestChunkedJoin:

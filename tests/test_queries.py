@@ -250,14 +250,11 @@ class TestZoneCrossmatch:
         rng = np.random.default_rng(49)
         a, b = scenario_pair(rng, "polar", 500, 500, 0.5, CFG)
         seen: set[tuple[int, int]] = set()
-        got = zone_crossmatch(
-            list(a.slices()),
-            b,
-            MatchSpec(radius=0.5),
-            candidate_sink=lambda la, ob: seen.update(
-                zip(la.tolist(), ob.tolist())
-            ),
+        queries._crossmatch_arrays(
+            a.ids, a.ra, a.dec, b, 0.5,
+            candidate_sink=lambda la, ob: seen.update(zip(la.tolist(), ob.tolist())),
         )
+        got = zone_crossmatch(list(a.slices()), b, MatchSpec(radius=0.5))
         true_pairs = pair_keys(brute_force_crossmatch(a, b, 0.5))
         assert true_pairs <= seen
         assert pair_keys(got) == true_pairs

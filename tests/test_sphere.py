@@ -9,13 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from zonequery import (
-    SkyPoint,
-    ZoneConfig,
-    angular_separation,
-    zone_dec_range,
-    zone_of,
-)
+from zonequery import SkyPoint, ZoneConfig, zone_of
 from zonequery.queries import WINDOW_PAD_DEG, _window_segments
 from zonequery.sphere import (
     MIN_ZONE_HEIGHT_DEG,
@@ -96,31 +90,11 @@ class TestZoneOf:
         assert all(zone_of(float(d), CFG) == z for d, z in zip(dec, vec))
 
 
-class TestZoneDecRange:
-    def test_fixtures(self):
-        lo, hi = zone_dec_range(0, CFG)
-        assert lo == -90.0 and hi == pytest.approx(-90.0 + CFG.height_deg)
-        lo, hi = zone_dec_range(1350, CFG)
-        assert lo == 0.0 and hi == pytest.approx(CFG.height_deg)
-
-    def test_last_zone_closed_at_pole(self):
-        lo, hi = zone_dec_range(2699, CFG)
-        assert lo == pytest.approx(89.0 + 56.0 / 60.0)
-        assert hi == 90.0
-        assert zone_of(90.0, CFG) == 2699
-
-    def test_invalid_zone_rejected(self):
-        for z in (-1, 2700):
-            with pytest.raises(ValueError):
-                zone_dec_range(z, CFG)
-
-    def test_ranges_tile_the_sphere(self):
-        for z in range(0, CFG.zone_count, 97):
-            lo, hi = zone_dec_range(z, CFG)
-            assert lo < hi
-            if z:
-                assert lo == zone_dec_range(z - 1, CFG)[1]
-        assert zone_dec_range(CFG.zone_count - 1, CFG)[1] == 90.0
+def _dec_range(zone, cfg):
+    """Declination range [lo, hi) of ``zone`` by the module docstring's
+    definition; the last zone is closed at +90."""
+    last = zone == cfg.zone_count - 1
+    return zone * cfg.height_deg - 90.0, 90.0 if last else (zone + 1) * cfg.height_deg - 90.0
 
 
 def _zones_overlapping_oracle(dec_lo, dec_hi, cfg):
@@ -129,7 +103,7 @@ def _zones_overlapping_oracle(dec_lo, dec_hi, cfg):
     dec_hi = min(max(dec_hi, -90.0), 90.0)
     hits = []
     for z in range(cfg.zone_count):
-        lo, hi = zone_dec_range(z, cfg)
+        lo, hi = _dec_range(z, cfg)
         closed_top = z == cfg.zone_count - 1
         if lo <= dec_hi and (dec_lo < hi or (closed_top and dec_lo <= hi)):
             hits.append(z)
@@ -145,7 +119,7 @@ def _zone_band(dec_lo, dec_hi, cfg):
 
 class TestZonesOverlapping:
     def test_band_within_one_zone(self):
-        lo, hi = zone_dec_range(1000, CFG)
+        lo, hi = _dec_range(1000, CFG)
         mid = (lo + hi) / 2
         assert _zone_band(mid, mid, CFG) == [1000]
 
@@ -169,31 +143,29 @@ class TestZonesOverlapping:
 
 class TestAngularSeparation:
     def test_coincident(self):
-        p = SkyPoint(42.0, 17.0)
-        assert angular_separation(p, p) == 0.0
+        assert separation_deg(42.0, 17.0, 42.0, 17.0) == 0.0
 
     def test_antipodal_on_equator(self):
-        assert angular_separation(SkyPoint(0, 0), SkyPoint(180, 0)) == 180.0
+        assert separation_deg(0.0, 0.0, 180.0, 0.0) == 180.0
 
     def test_path_across_pole(self):
-        got = angular_separation(SkyPoint(10, 89), SkyPoint(190, 89))
+        got = separation_deg(10.0, 89.0, 190.0, 89.0)
         assert got == pytest.approx(2.0, abs=1e-12)
 
     def test_pole_points_coincide_regardless_of_ra(self):
-        got = angular_separation(SkyPoint(10.0, 90.0), SkyPoint(200.0, 90.0))
+        got = separation_deg(10.0, 90.0, 200.0, 90.0)
         assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_small_separation_precision(self):
         # 1 arcsec apart in dec: haversine must not lose it
-        got = angular_separation(SkyPoint(100.0, 20.0), SkyPoint(100.0, 20.0 + ARCSEC))
+        got = separation_deg(100.0, 20.0, 100.0, 20.0 + ARCSEC)
         assert got == pytest.approx(ARCSEC, rel=1e-9)
 
     def test_symmetry_is_exact(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             (ra1, ra2), (dec1, dec2) = rng.uniform(0, 360, 2), rng.uniform(-90, 90, 2)
-            p, q = SkyPoint(ra1, dec1), SkyPoint(ra2, dec2)
-            assert angular_separation(p, q) == angular_separation(q, p)
+            assert separation_deg(ra1, dec1, ra2, dec2) == separation_deg(ra2, dec2, ra1, dec1)
 
     def test_range_and_identity(self):
         rng = np.random.default_rng(4)
@@ -220,10 +192,9 @@ class TestAngularSeparation:
     )
     @settings(max_examples=300, deadline=None)
     def test_metric_properties_hypothesis(self, ra, dec, ra2, dec2):
-        p, q = SkyPoint(ra, dec), SkyPoint(ra2, dec2)
-        s = angular_separation(p, q)
+        s = separation_deg(ra, dec, ra2, dec2)
         assert 0.0 <= s <= 180.0
-        assert s == angular_separation(q, p)
+        assert s == separation_deg(ra2, dec2, ra, dec)
 
 
 def _halfwidth(radius, dec):
@@ -344,7 +315,7 @@ class TestZoneTotality:
         assert inside.all()
         for d in dec[:500]:
             z = zone_of(float(d), CFG)
-            a, b = zone_dec_range(z, CFG)
+            a, b = _dec_range(z, CFG)
             assert a <= d and (d < b or (z == CFG.zone_count - 1 and d <= 90.0))
 
 
