@@ -26,7 +26,6 @@ few runs, not array calls.
 from __future__ import annotations
 
 import json
-import os
 import time
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
@@ -157,11 +156,8 @@ def _shares(
     return shares
 
 
-def _timed(worker: int, work: Work, ranges: Ranges, cpu: int | None = None):
-    """Run one worker's share, on ``cpu`` alone if given, and wrap the
-    counters it reports."""
-    if cpu is not None:
-        os.sched_setaffinity(0, {cpu})  # pid 0: this thread only
+def _timed(worker: int, work: Work, ranges: Ranges):
+    """Run one worker's share and wrap the counters it reports."""
     t0 = time.perf_counter()
     c0 = time.thread_time()
     result, scanned, returned = work(ranges)
@@ -181,25 +177,16 @@ def _execute(
     worker with rows runs in the calling thread and each other one in a pool
     thread, so a query starts one thread fewer than it has busy workers:
     each new thread gets a malloc arena of its own, memory the process
-    keeps. Busy workers are pinned to this thread's CPUs in turn (its own
-    set comes back after its share) where the platform allows: Linux can
-    leave a new thread on its parent's CPU for a second while another CPU
-    idles. A worker without rows gets an all-zero stats row and no thread.
+    keeps. A worker without rows gets an all-zero stats row and no thread.
     The workers' result columns are concatenated (unless one worker
     returned them), then ``merge``d."""
     t0 = time.perf_counter()
     shares = _shares(plan, zone_starts, *band)
     busy = [w for w, ranges in enumerate(shares) if ranges]
     if len(busy) > 1:
-        own = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-        cpus = [own[i % len(own)] for i in range(len(busy))] if len(own) > 1 else [None] * len(busy)
         with ThreadPoolExecutor(max_workers=len(busy) - 1) as pool:
-            futures = [pool.submit(_timed, w, work, shares[w], c) for w, c in zip(busy[1:], cpus[1:])]
-            try:
-                done = [_timed(busy[0], work, shares[busy[0]], cpus[0])]
-            finally:
-                if cpus[0] is not None:
-                    os.sched_setaffinity(0, own)
+            futures = [pool.submit(_timed, w, work, shares[w]) for w in busy[1:]]
+            done = [_timed(busy[0], work, shares[busy[0]])]
             done += [fut.result() for fut in futures]
     else:
         done = [_timed(w, work, shares[w]) for w in busy]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import threading
 import tracemalloc
 
@@ -504,60 +503,6 @@ class TestCallingThread:
         assert threads.count(threading.get_ident()) == 1
         idle = [s for s in rep.workers if s.worker not in busy]
         assert all(s == WorkerStats(s.worker, 0.0, 0.0, 0, 0) for s in idle)
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no per-thread CPU affinity")
-class TestCpuPinning:
-    """Each busy worker runs pinned to one of the calling thread's CPUs, in
-    turn, and the calling thread gets its own CPU set back afterwards, also
-    when its share raises."""
-
-    def _affinities(self, pair, monkeypatch, workers, fail_in_caller=False):
-        from zonequery import executor
-
-        leading, other = pair
-        plan = plan_contiguous(CFG.zone_count, workers)
-        shares = shares_reference(plan, leading.zone_starts, 0, CFG.zone_count - 1)
-        seen = {}
-        real = executor._crossmatch_arrays
-
-        def recording(*args, ranges, **kwargs):
-            seen[tuple(ranges)] = os.sched_getaffinity(0)
-            if fail_in_caller and threading.current_thread() is threading.main_thread():
-                raise RuntimeError("share failed")
-            return real(*args, ranges=ranges, **kwargs)
-
-        monkeypatch.setattr(executor, "_crossmatch_arrays", recording)
-        run_xmatch(leading, other, MatchSpec(radius=ARCMIN), plan)
-        return [seen[tuple(ranges)] for ranges in shares if ranges]
-
-    @pytest.mark.parametrize("workers", (2, 3, 4))
-    def test_workers_pinned_in_turn_and_caller_restored(self, xmatch_pair, monkeypatch, workers):
-        own = os.sched_getaffinity(0)
-        seen = self._affinities(xmatch_pair, monkeypatch, workers)
-        cpus = sorted(own)
-        assert len(seen) == workers
-        if len(cpus) > 1:
-            assert seen == [{cpus[i % len(cpus)]} for i in range(workers)]
-        else:
-            assert seen == [own] * workers
-        assert os.sched_getaffinity(0) == own
-
-    def test_one_cpu_set_is_left_alone(self, xmatch_pair, monkeypatch):
-        own = os.sched_getaffinity(0)
-        one = {min(own)}
-        os.sched_setaffinity(0, one)
-        try:
-            assert self._affinities(xmatch_pair, monkeypatch, 2) == [one, one]
-            assert os.sched_getaffinity(0) == one
-        finally:
-            os.sched_setaffinity(0, own)
-
-    def test_caller_restored_when_its_share_raises(self, xmatch_pair, monkeypatch):
-        own = os.sched_getaffinity(0)
-        with pytest.raises(RuntimeError, match="share failed"):
-            self._affinities(xmatch_pair, monkeypatch, 2, fail_in_caller=True)
-        assert os.sched_getaffinity(0) == own
 
 
 class TestChunkedJoin:
