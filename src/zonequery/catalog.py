@@ -25,7 +25,7 @@ import zipfile
 import zlib
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, NoReturn, Sequence
@@ -66,6 +66,10 @@ MAX_REJECT_FRACTION = 0.01
 
 # CSV rows formatted per write: one format call per chunk, bounded memory
 _CHUNK_ROWS = 8192
+
+# chunks of %-formatted rows from which _write_csv forks; with fewer, forking
+# lost time on some formats (see CHANGES.md)
+_FORK_CHUNKS = 4
 
 # bytes of a catalog CSV read and bulk-parsed at a time (rounded to lines)
 _BLOCK_BYTES = 4 << 20
@@ -474,21 +478,17 @@ def _cuts(fh, start: int) -> list[int]:
     """The byte offsets that cut the data of a catalog file, its bytes from
     ``start`` on, into parts to parse in separate processes: ``[start, ...,
     end]``, or [] when the file is not a regular one (a FIFO cannot be
-    split), ``os.fork`` is missing, or another thread runs (a forked child
-    could wait forever on a lock that thread held).
+    split).
 
-    There are P parts: as many as the CPUs this process may run on, but no
-    more than the whole _BLOCK_BYTES blocks in the data. The k-th cut falls
-    just after the first LF at or after k/P of the data, so no line and no
-    CRLF is split; a cut with no LF before the end is dropped."""
-    import threading
-
+    There are P parts: as many processes as ``_process_count`` allows, but
+    no more than the whole _BLOCK_BYTES blocks in the data. The k-th cut
+    falls just after the first LF at or after k/P of the data, so no line
+    and no CRLF is split; a cut with no LF before the end is dropped."""
     info = os.fstat(fh.fileno())
-    if not (stat.S_ISREG(info.st_mode) and hasattr(os, "fork")) or threading.active_count() > 1:
+    if not stat.S_ISREG(info.st_mode):
         return []
     end = info.st_size
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    parts = min(cpus or 1, (end - start) // _BLOCK_BYTES)
+    parts = min(_process_count(), (end - start) // _BLOCK_BYTES)
     cuts = set()
     for k in range(1, parts):
         at = start + (end - start) * k // parts
@@ -504,44 +504,99 @@ def _read_parts(fh, path: Path, bounds: list[int], rows: _Rows) -> None:
     """Add the data lines of a catalog file to ``rows``, part k being its
     bytes from ``bounds[k]`` to ``bounds[k + 1]`` (see ``_cuts``).
 
-    This process reads part 0 through ``fh``; every other part is read by an
-    ``os.fork``ed child (``_read_part``), which sends back its rows, or its
-    error, pickled through a pipe. The results are added in part order, so
-    the first error in file order is raised. Every child has ended and been
-    reaped when this returns or raises, an interrupt included."""
+    This process reads part 0 through ``fh``; every other part is read by a
+    forked child (``_read_part``, run by ``_forked``). The results are added
+    in part order, so the first error in file order is raised."""
+    jobs = [partial(_read_part, path, bounds[0], a, b, rows)
+            for a, b in zip(bounds[1:], bounds[2:])]
+    with _forked(jobs, IngestError, f"{path}: a parse process") as results:
+        fh.seek(bounds[0])
+        _read_lines(_blocks(fh, bounds[1] - bounds[0]), 2, rows)
+        for parts, rejected in results:
+            rows.parts += parts
+            rows.rejected += rejected
+
+
+def _read_part(path: Path, start: int, a: int, b: int, rows: _Rows) -> Iterator[tuple]:
+    """Read the bytes from ``a`` to ``b`` of a catalog file whose data
+    begins at ``start`` into ``rows``, which holds no row yet, on a handle of
+    its own; yield ``(rows.parts, rows.rejected)``. The line ends before
+    ``a`` are counted first, by ``_blocks``' rule, so that line numbers, and
+    the errors that name them, are those of the whole file."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        line_no = 2 + sum(
+            buf.count(b"\n") + buf.count(b"\r") - buf.count(b"\r\n")
+            for buf in _blocks(fh, a - start)
+        )
+        _read_lines(_blocks(fh, b - a), line_no, rows)
+    yield rows.parts, rows.rejected
+
+
+def _process_count() -> int:
+    """The CPUs this process may run on; 1 without ``os.fork`` or while
+    another thread runs (a forked child could wait forever on its locks)."""
+    import threading
+
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
+@contextmanager
+def _forked(jobs: Sequence[Callable[[], Iterable]], error: type[Exception], what: str
+            ) -> Iterator[Iterator]:
+    """Run each job in a forked child of its own (make ``_process_count``
+    jobs at most); the ``with`` block gets their results in turn: each job's
+    first in job order, then each job's second, and so on.
+
+    A child pickles each result, or the error its job raised, to a pipe as
+    soon as it has it, so a blocked pipe holds it to about one result. An
+    error result is raised here in its turn; a child that dies raises
+    ``error("<what> ended without a result (<how>)")``. Every child has been
+    reaped and every pipe closed when the block is left, on any path. The
+    standard streams are flushed before the forks, and a child leaves only
+    through ``os._exit``, so no buffer it inherits is written twice."""
     import pickle
 
+    sys.stdout.flush()
+    sys.stderr.flush()
     pids: list[int] = []  # children not yet reaped
     pipes: list[IO[bytes]] = []  # the read end of each child's pipe
+
+    def results() -> Iterator:
+        turn = list(zip(pids, pipes))
+        while turn:
+            for pid, pipe in list(turn):
+                try:
+                    result = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # the child has closed its pipe
+                    status = os.waitpid(pid, 0)[1]
+                    pids.remove(pid)
+                    turn.remove((pid, pipe))
+                    if status:
+                        how = (f"killed by signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
+                               else f"exit status {os.waitstatus_to_exitcode(status)}")
+                        raise error(f"{what} ended without a result ({how})") from None
+                    continue
+                if isinstance(result, BaseException):
+                    raise result
+                yield result
+
     try:
-        for a, b in zip(bounds[1:], bounds[2:]):
+        for job in jobs:
             r, w = os.pipe()
             pipes.append(open(r, "rb"))
             try:
                 if (pid := os.fork()) == 0:
                     for pipe in pipes:  # with no reader left, a write fails at once
                         pipe.close()
-                    _read_part(w, path, bounds[0], a, b, rows)
+                    _send(w, job)
             finally:
                 os.close(w)
             pids.append(pid)
-        fh.seek(bounds[0])
-        _read_lines(_blocks(fh, bounds[1] - bounds[0]), 2, rows)
-        for pid, pipe in zip(list(pids), pipes):
-            try:
-                result = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                result = None
-            status = os.waitpid(pid, 0)[1]
-            pids.remove(pid)
-            if result is None:
-                end = (f"killed by signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
-                       else f"exit status {os.waitstatus_to_exitcode(status)}")
-                raise IngestError(f"{path}: a parse process ended without a result ({end})")
-            if isinstance(result, BaseException):
-                raise result
-            rows.parts += result[0]
-            rows.rejected += result[1]
+        yield results()
     finally:
         for pipe in pipes:
             pipe.close()
@@ -555,31 +610,23 @@ def _read_parts(fh, path: Path, bounds: list[int], rows: _Rows) -> None:
                     os.waitpid(pid, 0)
 
 
-def _read_part(w: int, path: Path, start: int, a: int, b: int, rows: _Rows) -> NoReturn:
-    """In a child process: read the bytes from ``a`` to ``b`` of a catalog
-    file whose data begins at ``start`` into ``rows``, which holds no row
-    yet, on a handle of its own, and write ``(rows.parts, rows.rejected)``,
-    or the error raised, pickled to the pipe ``w``; then exit. The line ends
-    before ``a`` are counted first, by ``_blocks``' rule, so that line
-    numbers, and the errors that name them, are those of the whole file."""
+def _send(w: int, job: Callable[[], Iterable]) -> NoReturn:
+    """In a forked child: pickle each result of ``job``, or its error, to
+    the pipe ``w``; exit with status 0 once all of it is written."""
     import pickle
 
+    code = 1
     try:
-        try:
-            with open(path, "rb") as fh:
-                fh.seek(start)
-                line_no = 2 + sum(
-                    buf.count(b"\n") + buf.count(b"\r") - buf.count(b"\r\n")
-                    for buf in _blocks(fh, a - start)
-                )
-                _read_lines(_blocks(fh, b - a), line_no, rows)
-            result = rows.parts, rows.rejected
-        except BaseException as exc:  # an interrupt too: the parent raises it
-            result = exc
         with open(w, "wb") as pipe:
-            pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+            try:
+                for result in job():
+                    pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+                    pipe.flush()
+            except BaseException as exc:  # an interrupt too: the parent raises it
+                pickle.dump(exc, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
     finally:
-        os._exit(0)
+        os._exit(code)
 
 
 def _blocks(fh, size: int | None = None) -> Iterator[bytes]:
@@ -673,9 +720,11 @@ def _certify(
     return starts, ends, plain, bool(plain[line].any())
 
 
-def _format_rows(row_format: str, columns: Sequence) -> Iterator[str]:
+def _format_rows(row_format: str, columns: Sequence, part: int = 0, parts: int = 1
+                 ) -> Iterator[str]:
     """The rows of ``columns`` (equal-length arrays or tuples; none for no
-    rows), each formatted by ``row_format``, one string per _CHUNK_ROWS rows.
+    rows), each formatted by ``row_format``, one string per _CHUNK_ROWS rows:
+    chunks ``part``, ``part + parts``, ... of them, so all by default.
 
     A format of ``%d`` and ``%.12g`` fields joined by commas and ended by a
     newline, such as a cross-match's ``%d,%d,%.12g\\n``, is written by numpy
@@ -684,14 +733,20 @@ def _format_rows(row_format: str, columns: Sequence) -> Iterator[str]:
     applied by ``%`` to the rows as Python objects. Both give the bytes of
     ``%``."""
     fields = row_format[:-1].split(",")
-    numeric = row_format.endswith("\n") and set(fields) <= {"%d", "%.12g"}
-    for start in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
+    numeric = _is_numeric(row_format)
+    n = len(columns[0]) if columns else 0
+    for start in range(part * _CHUNK_ROWS, n, parts * _CHUNK_ROWS):
         chunk = [col[start : start + _CHUNK_ROWS] for col in columns]
         if numeric:
             yield _format_numeric(fields, chunk)
             continue
         rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk))
         yield row_format * len(chunk[0]) % tuple(chain.from_iterable(rows))
+
+
+def _is_numeric(row_format: str) -> bool:
+    """Whether ``_format_rows`` writes ``row_format`` by digit arithmetic."""
+    return row_format.endswith("\n") and set(row_format[:-1].split(",")) <= {"%d", "%.12g"}
 
 
 # Tables of _format_numeric. A field is laid out in fixed-width machine words
@@ -901,10 +956,24 @@ def _open_output(path: str | Path | None, mode: str = "w") -> Iterator[IO]:
 def _write_csv(path: str | Path | None, header: str, row_format: str, columns) -> None:
     """Write a CSV: ``header``, then ``columns`` formatted row by row with
     ``row_format``; to stdout for a path of None or "-". Catalogs and query
-    results are both written here."""
+    results are both written here.
+
+    Rows that ``%`` formats, such as a catalog's, in _FORK_CHUNKS chunks or
+    more are formatted by forked processes (``_forked``), the chunks dealt
+    to them in turn; this process writes each chunk in order as it comes, so
+    the bytes are those of one process. Numeric rows are formatted here."""
+    chunks = -(-len(columns[0]) // _CHUNK_ROWS) if columns else 0
     with _open_output(path) as fh:
         fh.write(header)
-        fh.writelines(_format_rows(row_format, columns))
+        forks = 1 if _is_numeric(row_format) or chunks < _FORK_CHUNKS else _process_count()
+        if forks < 2:
+            fh.writelines(_format_rows(row_format, columns))
+            return
+        forks = min(forks, chunks)
+        jobs = [partial(_format_rows, row_format, columns, k, forks) for k in range(forks)]
+        name = "<stdout>" if path is None or path == "-" else path
+        with _forked(jobs, OSError, f"{name}: a format process") as results:
+            fh.writelines(results)
 
 
 def histogram(index: ZoneIndex) -> np.ndarray:

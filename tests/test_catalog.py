@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import errno
 import gc
 import io
 import math
@@ -695,6 +696,211 @@ class TestReadInParts:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def _rows_by_percent(header: str, row_format: str, columns) -> str:
+    """What ``catalog._write_csv`` writes, one ``%`` per row: the reference."""
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    return header + "".join(row_format % row for row in rows)
+
+
+class TestWriteInParts:
+    """A CSV whose rows ``%`` formats, written from many chunks, is formatted
+    in one forked process per CPU (``catalog._write_csv`` on ``_forked``):
+    the bytes are those of one process, errors name the output, and no
+    process or pipe is left behind."""
+
+    @pytest.fixture()
+    def forks(self, monkeypatch):
+        """Sets the CPU count and a chunk of 16 rows; the fork calls made
+        are counted."""
+        made: list[int] = []
+        fork = os.fork
+
+        def counted_fork():
+            made.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(catalog, "_CHUNK_ROWS", 16)
+
+        def set_cpus(p: int) -> list[int]:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(p)), raising=False)
+            made.clear()
+            return made
+
+        return set_cpus
+
+    @staticmethod
+    def _env() -> dict[str, str]:
+        """A Python child's environment: this package, and stdout buffered
+        as it is by default when it is not a terminal."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        return {**env, "PYTHONPATH": os.pathsep.join(sys.path)}
+
+    # %r of each special value, and values around the chunk edges
+    _SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 1e16, 1e-5, 0.1, 1 / 3, 5e-324]
+
+    @classmethod
+    def _columns(cls, n: int, kind: str):
+        ids = np.arange(n, dtype=np.uint64) * np.uint64(2**40 + 7)
+        ra = (np.resize(cls._SPECIAL, n) * np.arange(1, n + 1)).astype(np.float64)
+        dec = np.resize(cls._SPECIAL[::-1], n)
+        if kind == "arrays":  # as gen passes them
+            return "%d,%r,%r,%r\n", (ids, ra, dec, -ra)
+        # as scan passes them: tuples of Python ints and floats
+        return "%d,%r\n", tuple(zip(*zip(ids.tolist(), dec.tolist())))
+
+    @pytest.mark.parametrize("kind", ["arrays", "tuples"])
+    @pytest.mark.parametrize("chunks", [0, 1, catalog._FORK_CHUNKS - 1, catalog._FORK_CHUNKS, 23])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_same_bytes_as_one_process(self, tmp_path, forks, capsys, p, chunks, kind):
+        row_format, columns = self._columns(max(0, 16 * chunks - 5), kind)
+        expected = _rows_by_percent("h,x\n", row_format, columns)
+        made = forks(p)
+        catalog._write_csv(tmp_path / "o.csv", "h,x\n", row_format, columns)
+        assert (tmp_path / "o.csv").read_bytes() == expected.encode()
+        capsys.readouterr()
+        catalog._write_csv("-", "h,x\n", row_format, columns)
+        assert capsys.readouterr().out == expected
+        forked = chunks >= catalog._FORK_CHUNKS and p > 1
+        assert len(made) == (2 * min(p, chunks) if forked else 0)
+
+    def test_numeric_rows_are_formatted_here(self, tmp_path, forks):
+        columns = (np.arange(500, dtype=np.uint64), np.arange(500) / 7)
+        made = forks(2)
+        catalog._write_csv(tmp_path / "o.csv", "", "%d,%.12g\n", columns)
+        assert made == []
+        assert (tmp_path / "o.csv").read_text() == _rows_by_percent("", "%d,%.12g\n", columns)
+
+    def test_child_killed_mid_format_is_one_data_error(self, tmp_path, forks, monkeypatch,
+                                                         capsys):
+        parent = os.getpid()
+        format_rows = catalog._format_rows
+
+        def killed_in_child(*args):
+            for k, chunk in enumerate(format_rows(*args)):
+                if os.getpid() != parent and k == 1:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                yield chunk
+
+        monkeypatch.setattr(catalog, "_format_rows", killed_in_child)
+        made = forks(2)
+        out = tmp_path / "c.csv"
+        assert cli.main(["gen", "--count", "200", "--out", str(out)]) == 2
+        assert len(made) == 2
+        assert capsys.readouterr().err == (
+            f"zonequery: data error: {out}: a format process ended without a result "
+            f"(killed by signal {int(signal.SIGKILL)})\n"
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_names_its_path(self, forks, capsys):
+        made = forks(2)
+        assert cli.main(["gen", "--count", "200", "--out", "/dev/full"]) == 2
+        assert len(made) == 2
+        assert capsys.readouterr().err == (
+            f"zonequery: data error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: "
+            "'/dev/full'\n"
+        )
+
+    def test_closed_stdout_is_one_broken_pipe_error(self):
+        # as `gen --out - | head -1` ends; three CPUs whatever the host has
+        script = """if True:
+            import os, sys
+            os.sched_getaffinity = lambda pid: {0, 1, 2}
+            from zonequery import cli
+            sys.exit(cli.main(["gen", "--count", "200000", "--out", "-"]))
+        """
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True, env=self._env(),
+        )
+        assert proc.stdout.readline() == b"id,ra,dec,r\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err == b"zonequery: data error: [Errno 32] Broken pipe: '<stdout>'\n"
+        with pytest.raises(ProcessLookupError):  # no child outlived it
+            os.killpg(proc.pid, 0)
+
+    @pytest.mark.parametrize("end", ["return", "format-error", "write-error", "interrupt",
+                                     "killed"])
+    def test_no_child_or_pipe_outlives_the_write(self, forks, monkeypatch, end):
+        parent = os.getpid()
+        format_rows = catalog._format_rows
+
+        def format_rows_or_stop(*args):
+            for k, chunk in enumerate(format_rows(*args)):
+                if os.getpid() != parent and k == 2:
+                    if end == "format-error":
+                        raise ValueError("no format")
+                    if end == "killed":
+                        os.kill(os.getpid(), signal.SIGKILL)
+                yield chunk
+
+        class Stdout(io.StringIO):
+            def write(self, text):
+                if self.tell() and end == "write-error":  # after the header
+                    raise OSError(errno.ENOSPC, "full")
+                if self.tell() and end == "interrupt":
+                    raise KeyboardInterrupt
+                return super().write(text)
+
+        monkeypatch.setattr(catalog, "_format_rows", format_rows_or_stop)
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        made = forks(3)
+        row_format, columns = self._columns(400, "arrays")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                catalog._write_csv(None, "h\n", row_format, columns)
+            except (OSError, ValueError, KeyboardInterrupt) as exc:
+                assert end != "return", exc
+            else:
+                assert end == "return"
+                assert sys.stdout.getvalue() == _rows_by_percent("h\n", row_format, columns)
+            gc.collect()
+        assert len(made) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_call_from_a_second_thread_does_not_fork(self, tmp_path, forks):
+        row_format, columns = self._columns(400, "arrays")
+        made = forks(2)
+        thread = threading.Thread(
+            target=catalog._write_csv, args=(tmp_path / "t.csv", "h\n", row_format, columns)
+        )
+        thread.start()
+        thread.join()
+        assert made == []
+        catalog._write_csv(tmp_path / "o.csv", "h\n", row_format, columns)
+        assert len(made) == 2
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "o.csv").read_bytes()
+
+    def test_streams_flushed_before_fork_and_children_leave_by_exit(self, tmp_path):
+        # stdout is a file, so block-buffered: "before;" waits in its buffer
+        script = """if True:
+            import atexit, os, sys
+            from zonequery import catalog
+            atexit.register(lambda: os.write(2, b"atexit ran\\n"))
+            sys.stdout.write("before;")
+            jobs = [lambda: iter(["a;", "c;"]), lambda: iter(["b;"])]
+            with catalog._forked(jobs, OSError, "a job") as results:
+                os.write(1, b"forked;")
+                sys.stdout.write("".join(results))
+        """
+        out = tmp_path / "stdout.txt"
+        with out.open("wb") as stdout:
+            proc = subprocess.run(
+                [sys.executable, "-c", script], stdout=stdout, stderr=subprocess.PIPE,
+                env=self._env(), timeout=60,
+            )
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == b"before;forked;a;b;c;"
+        assert proc.stderr == b"atexit ran\n"  # in the parent alone
 
 
 class TestIndexStructure:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from zonequery import (
     write_csv,
     zone_of,
 )
-from zonequery.catalog import _CHUNK_ROWS
+from zonequery.catalog import _CHUNK_ROWS, _FORK_CHUNKS
 
 CFG = ZoneConfig()
 
@@ -48,6 +50,25 @@ class TestReproducibility:
         )
         got = tmp_path / "got.csv"
         write_csv(spec, got)
+        assert got.read_bytes() == _write_csv_per_row(spec)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("bands", [0, 2])
+    def test_bytes_equal_per_row_writer_in_processes(self, tmp_path, monkeypatch, p, bands):
+        """P CPUs forced: a catalog of several chunks is formatted by P forked
+        processes, with the per-row writer's bytes."""
+        forks: list[int] = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(p)), raising=False)
+        spec = SyntheticSpec(
+            count=_FORK_CHUNKS * _CHUNK_ROWS + 7,
+            bands=tuple(BandSpec(f"b{k}", 5.0 + k, 15.0 + k) for k in range(bands)),
+            seed=10,
+        )
+        got = tmp_path / "got.csv"
+        write_csv(spec, got)
+        assert len(forks) == p
         assert got.read_bytes() == _write_csv_per_row(spec)
 
     def test_columns_deterministic(self):
