@@ -30,6 +30,7 @@ import time
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -139,21 +140,29 @@ Work = Callable[[Ranges], tuple]
 
 def _shares(
     plan: PartitionPlan, zone_starts: np.ndarray, z_lo: int, z_hi: int
-) -> list[list[tuple[int, int]]]:
-    """Per worker, the non-empty row ranges of its runs of consecutive zones
-    within [z_lo, z_hi]. Runs come in zone order, so each share is
-    key-sorted. The runs meeting the band are found by bisecting the plan's
-    cached run table and only they are walked: a band costs its runs, not
-    its zones."""
+) -> dict[int, list[tuple[int, int]]]:
+    """The busy workers' shares of zones [z_lo, z_hi]: per worker with rows,
+    the non-empty row ranges of its runs of consecutive zones, in zone
+    order, so each share is key-sorted. Workers come in the order of their
+    first run, and one whose runs hold no row is absent. The runs meeting
+    the band are found by bisecting the plan's cached run table and only
+    they are walked: a band costs its runs, not its zones."""
     run_starts, run_workers = plan.run_table
     first, end = bisect_right(run_starts, z_lo) - 1, bisect_right(run_starts, z_hi)
     edges = [z_lo, *run_starts[first + 1 : end], z_hi + 1]
     bounds = zone_starts[edges].tolist()
-    shares: list[list[tuple[int, int]]] = [[] for _ in range(plan.worker_count)]
+    shares: dict[int, list[tuple[int, int]]] = {}
     for worker, start, stop in zip(run_workers[first:end], bounds, bounds[1:]):
         if stop > start:
-            shares[worker].append((start, stop))
+            shares.setdefault(worker, []).append((start, stop))
     return shares
+
+
+@cache
+def _idle_rows(worker_count: int) -> tuple[WorkerStats, ...]:
+    """The all-zero stats row of every worker; rows are immutable, so every
+    report shares them."""
+    return tuple(WorkerStats(w, 0.0, 0.0, 0, 0) for w in range(worker_count))
 
 
 def _timed(worker: int, work: Work, ranges: Ranges):
@@ -173,16 +182,16 @@ def _execute(
     work: Work,
     merge: Callable,
 ):
-    """Run ``work`` over each worker's share of the zone band. The first
-    worker with rows runs in the calling thread and each other one in a pool
-    thread, so a query starts one thread fewer than it has busy workers:
-    each new thread gets a malloc arena of its own, memory the process
-    keeps. A worker without rows gets an all-zero stats row and no thread.
-    The workers' result columns are concatenated (unless one worker
-    returned them), then ``merge``d."""
+    """Run ``work`` over each worker's share of the zone band. The busy
+    worker of lowest index runs in the calling thread and each other one in
+    a pool thread, so a query starts one thread fewer than it has busy
+    workers: each new thread gets a malloc arena of its own, memory the
+    process keeps. A worker without rows gets the shared all-zero stats row
+    and no thread. The workers' result columns are concatenated (unless one
+    worker returned them), then ``merge``d."""
     t0 = time.perf_counter()
     shares = _shares(plan, zone_starts, *band)
-    busy = [w for w, ranges in enumerate(shares) if ranges]
+    busy = sorted(shares)
     if len(busy) > 1:
         with ThreadPoolExecutor(max_workers=len(busy) - 1) as pool:
             futures = [pool.submit(_timed, w, work, shares[w]) for w in busy[1:]]
@@ -190,8 +199,9 @@ def _execute(
             done += [fut.result() for fut in futures]
     else:
         done = [_timed(w, work, shares[w]) for w in busy]
-    rows = {w: row for w, (_, row) in zip(busy, done)}
-    stats = tuple(rows.get(w) or WorkerStats(w, 0.0, 0.0, 0, 0) for w in range(plan.worker_count))
+    stats = list(_idle_rows(plan.worker_count))
+    for _, row in done:
+        stats[row.worker] = row
     # no busy worker: typed empty columns for the merge
     results = [result for result, _ in done] or [work([(0, 0)])[0]]
     if len(results) == 1:
@@ -199,7 +209,7 @@ def _execute(
     else:
         columns = [np.concatenate(parts) for parts in zip(*results)]
     merged = merge(*columns)
-    return merged, ExecutionReport(stats, time.perf_counter() - t0)
+    return merged, ExecutionReport(tuple(stats), time.perf_counter() - t0)
 
 
 def run_scan(
@@ -229,13 +239,11 @@ def run_cone(
     here; each worker searches them in its own rows."""
     _check_plan(index, plan)
     band, needles = _cone_needles(q, index.cfg)
-    ra_key = index.ra_key  # built here, if not yet, rather than by racing workers
+    index.ra_key  # built here, if not yet, rather than by racing workers
 
     def work(ranges: Ranges) -> tuple:
-        rows, sep, candidates = _cone_rows(
-            q, needles, _take(ra_key, ranges), _take(index.ra, ranges), _take(index.dec, ranges)
-        )
-        return (_take(index.ids, ranges)[rows], sep), candidates, len(rows)
+        ids, sep, candidates = _cone_rows(q, needles, index, ranges)
+        return (ids, sep), candidates, len(ids)
 
     return _execute(plan, index.zone_starts, band, work, _by_id)
 

@@ -205,18 +205,23 @@ class MatchTable(abc.Sequence):
 
 
 def _by_id(ids: np.ndarray, values: np.ndarray) -> list[tuple[int, float]]:
-    """(id, value) rows in ascending id order, as Python ints and floats."""
-    order = np.argsort(ids)
-    return list(zip(ids[order].tolist(), values[order].tolist()))
+    """(id, value) rows in ascending id order, as Python ints and floats;
+    fewer than two rows need no sort."""
+    if len(ids) > 1:
+        order = ids.argsort()
+        ids, values = ids[order], values[order]
+    return list(zip(ids.tolist(), values.tolist()))
 
 
 def _cone_needles(q: ConeQuery, cfg: ZoneConfig) -> tuple[tuple[int, int], Needles]:
     """A cone's zone band (z_lo, z_hi) and its needles, those of a one-row
     :func:`_zone_join` in the same (zone, window segment) order, computed
-    from scalars: the zone band with ``zone_of_array``'s clamping, the
-    half-width with :func:`ra_halfwidth`, and the segments of
-    :func:`_window_segments`, each with the same arithmetic as the join's
-    array form, so the key ranges are equal to the last bit."""
+    from Python floats: the zone band with ``zone_of_array``'s clamping, the
+    half-width with :func:`ra_halfwidth`, the segments of
+    :func:`_window_segments` and the key bounds float(zone) * KEY_BAND +
+    segment bound, each with the same IEEE operations as the join's array
+    form, so the key ranges are equal to the last bit. Only the finished
+    bounds become arrays."""
     ra, dec, radius = q.center.ra, q.center.dec, q.radius
     band = zone_of(max(dec - radius, -90.0), cfg), zone_of(min(dec + radius, 90.0), cfg)
     alpha = ra_halfwidth(radius, dec)
@@ -230,31 +235,34 @@ def _cone_needles(q: ConeQuery, cfg: ZoneConfig) -> tuple[tuple[int, int], Needl
             segments.append((w_lo + 360.0, 360.0))
         if w_hi > 360.0:
             segments.append((0.0, w_hi - 360.0))
-    seg_lo, seg_hi = np.array(segments).T
-    base = np.arange(band[0], band[1] + 1, dtype=np.float64)[:, None] * KEY_BAND
-    lo, hi = (base + seg_lo).ravel(), (base + seg_hi).ravel()
+    bases = [float(z) * KEY_BAND for z in range(band[0], band[1] + 1)]
+    lo = np.array([base + s_lo for base in bases for s_lo, _ in segments])
+    hi = np.array([base + s_hi for base in bases for _, s_hi in segments])
     return band, (np.zeros(lo.size, dtype=np.intp), lo, hi)
 
 
 def _cone_rows(
-    q: ConeQuery, needles: Needles, key: np.ndarray, ra: np.ndarray, dec: np.ndarray
+    q: ConeQuery, needles: Needles, index: ZoneIndex, ranges: Ranges
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The rows of a key-sorted run (``ZoneIndex.ra_key`` or runs of it)
-    within a cone, from its :func:`_cone_needles`: (rows, separations,
-    candidates), unsorted."""
-    li, ci = _expand(key, *needles)
-    if ci.size == 0:  # half of a cone batch's cones: skip the filter's array calls
-        return _NO_ROWS, np.empty(0), 0
+    """The objects within a cone among the index rows in ``ranges`` (zone
+    runs in zone order, so their keys are sorted), from its
+    :func:`_cone_needles`: (ids, separations, candidates), unsorted. Only
+    the key is taken before the search; ra, dec and ids only when it finds
+    candidates."""
+    li, ci = _expand(_take(index.ra_key, ranges), *needles)
+    if ci.size == 0:  # 52% of a cone batch's cones: skip the filter's array calls
+        return index.ids[:0], np.empty(0), 0
     center = np.array([q.center.ra]), np.array([q.center.dec])
+    ra, dec = _take(index.ra, ranges), _take(index.dec, ranges)
     _, rows, sep = _exact_filter(li, ci, *center, ra, dec, q.radius)
-    return rows, sep, len(ci)
+    return _take(index.ids, ranges)[rows], sep, len(ci)
 
 
 def cone_search(index: ZoneIndex, q: ConeQuery) -> list[tuple[int, float]]:
     """All objects within q.radius of q.center as (id, separation), by id."""
     _, needles = _cone_needles(q, index.cfg)
-    rows, sep, _ = _cone_rows(q, needles, index.ra_key, index.ra, index.dec)
-    return _by_id(index.ids[rows], sep)
+    ids, sep, _ = _cone_rows(q, needles, index, [(0, index.total_count)])
+    return _by_id(ids, sep)
 
 
 def _window_segments(
@@ -286,16 +294,21 @@ def _expand(
     key: np.ndarray, obj: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rows of ``key`` in each needle's key range [lo, hi], as (leading
-    row, key row) pairs in needle order, key rows ascending per needle."""
-    i0 = np.searchsorted(key, lo, side="left")
+    row, key row) pairs in needle order, key rows ascending per needle;
+    when the searches find no row, nothing else runs. Methods stand in for
+    the ``np.`` functions, whose dispatch (about 1 us a call with numpy 2.4)
+    a one-cone search feels."""
+    i0 = key.searchsorted(lo, side="left")
     # closed upper bound: a stored key for ra just under 360 can round up to
     # exactly zone*KEY_BAND + 360, and the gap to the next zone band makes
     # including equality safe (never pulls in another zone)
-    counts = np.searchsorted(key, hi, side="right") - i0
+    counts = key.searchsorted(hi, side="right") - i0
     del lo, hi  # the caller passes temporaries: free them before expanding
-    total = int(counts.sum())
-    starts = np.cumsum(counts) - counts
-    return np.repeat(obj, counts), np.repeat(i0 - starts, counts) + np.arange(total)
+    if not np.count_nonzero(counts):
+        return _NO_ROWS, _NO_ROWS
+    ends = counts.cumsum()
+    starts = ends - counts
+    return obj.repeat(counts), (i0 - starts).repeat(counts) + np.arange(ends[-1])
 
 
 def _zone_join(

@@ -324,6 +324,28 @@ class TestConeEquivalence:
             )
             assert rows
 
+    @pytest.mark.parametrize("strategy, workers", _PLANS_1_TO_4)
+    def test_no_candidate_report(self, strategy, workers):
+        """A cone whose zones hold rows but whose window finds none returns
+        no rows and the report of the full path: a row per worker, all
+        zeros for the idle ones, and no candidate for the busy ones."""
+        rng = np.random.default_rng(70)
+        ra, dec = rng.uniform(99.0, 101.0, 2000), rng.uniform(-1.0, 1.0, 2000)
+        index = build_index("patch", CFG, np.arange(2000, dtype=np.uint64), ra, dec)
+        plan = make_plan(strategy, CFG.zone_count, workers, histogram(index))
+        rows, rep, shares = assert_cone_equals_reference(
+            index, ConeQuery(SkyPoint(250.0, 0.0), 0.5), plan
+        )
+        busy = [w for w, ranges in enumerate(shares) if ranges]
+        assert rows == [] and busy
+        assert rep.worker_count == workers
+        assert [s.worker for s in rep.workers] == list(range(workers))
+        for s in rep.workers:
+            if s.worker in busy:
+                assert s.rows_scanned == s.rows_returned == 0 and s.elapsed_s > 0.0
+            else:
+                assert s == WorkerStats(s.worker, 0.0, 0.0, 0, 0)
+
     def test_band_across_a_worker_boundary(self):
         # dec 0 is zone 1350, the edge between two contiguous workers
         rng = np.random.default_rng(68)
@@ -351,7 +373,8 @@ class TestShares:
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 8])
     def test_walk_equals_runs_encoding(self, strategy, workers):
         """The run-edge walk over the plan gives the row ranges of the
-        run-length encoding it replaced, empty zones included."""
+        run-length encoding it replaced, empty zones included, for the
+        workers whose share holds rows; the others are absent."""
         rng = np.random.default_rng(workers)
         counts = rng.integers(0, 5, CFG.zone_count) * (rng.random(CFG.zone_count) < 0.7)
         zone_starts = np.concatenate(([0], np.cumsum(counts)))
@@ -361,7 +384,8 @@ class TestShares:
         ] + [(z, z) for z in (0, 1, CFG.zone_count - 1)]
         for z_lo, z_hi in bands:
             expected = shares_reference(plan, zone_starts, z_lo, z_hi)
-            assert _shares(plan, zone_starts, z_lo, z_hi) == expected
+            busy = {w: ranges for w, ranges in enumerate(expected) if ranges}
+            assert _shares(plan, zone_starts, z_lo, z_hi) == busy
 
 
 class TestRunXmatch:

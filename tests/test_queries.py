@@ -27,6 +27,7 @@ from zonequery import (
     zone_of,
 )
 from zonequery import queries
+from zonequery.catalog import KEY_BAND
 from zonequery.queries import MatchPair, MatchTable, _zone_join
 from zonequery.executor import run_xmatch
 from zonequery.partition import plan_contiguous
@@ -719,30 +720,116 @@ class TestConeGeometry:
     @settings(max_examples=300, deadline=None)
     @given(cone=_cones(), height=st.sampled_from([ARCSEC, 4 * ARCMIN, 0.5, 7.0]))
     def test_scalar_geometry_equals_join_arrays(self, cone, height):
-        ra, dec, radius = cone
-        cfg = ZoneConfig(height)
-        q = ConeQuery(SkyPoint(ra, dec), radius)
-        band, (obj, lo, hi) = queries._cone_needles(q, cfg)
-        reach = zone_of_array(np.array([dec - radius, dec + radius]), cfg)
-        assert band == tuple(reach.tolist())
-        assert ra_halfwidth(radius, dec) == ra_halfwidth_array(radius, np.array([dec]))[0]
-        # the needles the one-row join searches, caught on their way in
-        index = index_from("one", [ra], [dec], cfg=cfg)
-        seen = []
-        expand = queries._expand
+        _needles_equal_join(*cone, ZoneConfig(height))
 
-        def spy(key, *needles):
-            seen.append([n.copy() for n in needles])
-            return expand(key, *needles)
+    @pytest.mark.parametrize(
+        "ra, dec, radius, zones, wrap",
+        [
+            (123.4, 10.01, 1.0, 31, None),  # many zones: zone(9.01)..zone(11.01)
+            (40.0, 89.5, 0.6, 17, "full"),  # full circle, over the north pole
+            (300.0, -89.95, 0.1, 3, "full"),  # full circle, over the south pole
+            (0.001, 0.03, 0.01, 1, "at 0"),
+            (359.999, 0.03, 0.01, 1, "at 360"),
+            (_ULP_BELOW_360, 45.01, 1.0, 31, "at 360"),
+        ],
+    )
+    def test_fixed_windows(self, ra, dec, radius, zones, wrap):
+        """Cones at 4' zones whose needles take the less common shapes: a
+        band of 31 zones, a full-circle window near either pole, and
+        windows wrapping at 0 and at 360, each equal to the join's."""
+        band, lo, hi = _needles_equal_join(ra, dec, radius, CFG)
+        assert band[1] - band[0] + 1 == zones
+        # each zone's key band: zone * KEY_BAND plus the segment bounds
+        bases = np.arange(band[0], band[1] + 1, dtype=np.float64) * KEY_BAND
+        segments = {None: 1, "full": 1, "at 0": 2, "at 360": 2}[wrap]
+        assert len(lo) == zones * segments
+        firsts, seconds = slice(0, None, segments), slice(1, None, segments)
+        if wrap == "full":
+            assert np.array_equal(lo, bases) and np.array_equal(hi, bases + 360.0)
+        elif wrap == "at 0":  # [0, w_hi), then [w_lo + 360, 360)
+            assert np.array_equal(lo[firsts], bases)
+            assert np.array_equal(hi[seconds], bases + 360.0)
+        elif wrap == "at 360":  # [w_lo, 360), then [0, w_hi - 360)
+            assert np.array_equal(hi[firsts], bases + 360.0)
+            assert np.array_equal(lo[seconds], bases)
+        else:
+            assert np.all((lo > bases) & (hi < bases + 360.0))
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(queries, "_expand", spy)
-            _zone_join(np.array([ra]), np.array([dec]), radius, index.ra_key,
-                       index.ra, index.dec, cfg)
-        for mine, join in zip((obj, lo, hi), (np.concatenate(c) for c in zip(*seen))):
-            assert mine.dtype == join.dtype
-            assert np.array_equal(mine, join)
-        segments = len(queries._window_segments(
-            np.array([ra]), ra_halfwidth_array(radius, np.array([dec]))
-        )[0])
-        assert len(lo) == (band[1] - band[0] + 1) * segments
+
+def _needles_equal_join(ra, dec, radius, cfg):
+    """Assert that ``queries._cone_needles``, built from Python floats,
+    gives the zone band, the half-width and the needles (dtypes included)
+    of a one-row ``_zone_join``, bit for bit; returns (band, lo, hi)."""
+    q = ConeQuery(SkyPoint(ra, dec), radius)
+    band, (obj, lo, hi) = queries._cone_needles(q, cfg)
+    reach = zone_of_array(np.array([dec - radius, dec + radius]), cfg)
+    assert band == tuple(reach.tolist())
+    assert ra_halfwidth(radius, dec) == ra_halfwidth_array(radius, np.array([dec]))[0]
+    # the needles the one-row join searches, caught on their way in
+    index = index_from("one", [ra], [dec], cfg=cfg)
+    seen = []
+    expand = queries._expand
+
+    def spy(key, *needles):
+        seen.append([n.copy() for n in needles])
+        return expand(key, *needles)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(queries, "_expand", spy)
+        _zone_join(np.array([ra]), np.array([dec]), radius, index.ra_key,
+                   index.ra, index.dec, cfg)
+    for mine, join in zip((obj, lo, hi), (np.concatenate(c) for c in zip(*seen))):
+        assert mine.dtype == join.dtype
+        assert np.array_equal(mine, join)
+    segments = len(queries._window_segments(
+        np.array([ra]), ra_halfwidth_array(radius, np.array([dec]))
+    )[0])
+    assert len(lo) == (band[1] - band[0] + 1) * segments
+    return band, lo, hi
+
+
+class TestEarlyExits:
+    """A search that counts no row returns typed empty arrays at once, and
+    so does everything downstream of it: the outputs are those of the full
+    path."""
+
+    def test_expand_finds_no_row(self):
+        index = index_from("two", [10.0, 200.0], [0.0, 30.0])
+        z = zone_of(0.0, CFG)
+        gap = float(z) * KEY_BAND + 400.0  # past zone z's keys, before zone z + 1's
+        inside = float(z) * KEY_BAND + 100.0  # in zone z's keys, away from its row
+        obj = np.array([0, 1, 2], dtype=np.intp)
+        lo = np.array([gap, gap + 50.0, inside])
+        for key in (index.ra_key, index.ra_key[:0]):
+            li, ci = queries._expand(key, obj, lo, lo + 10.0)
+            assert li.dtype == ci.dtype == np.intp
+            assert li.shape == ci.shape == (0,)
+
+    def test_by_id_of_no_rows(self):
+        got = queries._by_id(np.empty(0, dtype=np.uint64), np.empty(0))
+        assert type(got) is list and got == []
+
+    def test_by_id_of_one_and_several_rows(self):
+        one = queries._by_id(np.array([7], dtype=np.uint64), np.array([0.5]))
+        assert one == [(7, 0.5)] and all(type(i) is int and type(v) is float for i, v in one)
+        ids = np.array([9, 2, 5], dtype=np.uint64)
+        assert queries._by_id(ids, np.array([0.9, 0.2, 0.5])) == [(2, 0.2), (5, 0.5), (9, 0.9)]
+
+    @pytest.mark.parametrize("chunk_rows", [None, 3])
+    def test_join_without_candidates_equals_reference(self, monkeypatch, chunk_rows):
+        """Leading rows whose zones hold other rows, but whose windows find
+        none, in one pass and in several."""
+        rng = np.random.default_rng(12)
+        ra, dec = rng.uniform(100.0, 101.0, 400), rng.uniform(-1.0, 1.0, 400)
+        index = index_from("patch", ra, dec)
+        lead = (np.array([200.0, 300.0, 0.0, 359.99]), np.array([0.5, -0.5, 0.0, 0.9]))
+        if chunk_rows is not None:
+            monkeypatch.setattr(queries, "JOIN_CHUNK_ROWS", chunk_rows)
+        got, got_stream = _join_outputs(_zone_join, *lead, 0.2, index)
+        ref, ref_stream = _join_outputs(zone_join_reference, *lead, 0.2, index)
+        assert got[3] == ref[3] == 0
+        for mine, theirs in zip(got[:3], ref[:3]):
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape == (0,)
+        assert len(got_stream) == len(ref_stream) == 1
+        assert all(m.dtype == t.dtype and m.size == t.size == 0
+                   for m, t in zip(got_stream[0], ref_stream[0]))
