@@ -20,20 +20,15 @@ built once per query, from scalars, in the calling thread; each worker only
 searches, expands and filters them against its rows, with the search,
 expansion and exact filter of the cross-match kernel. A worker's share is
 found by bisecting the plan's cached run table, so a narrow band costs its
-few runs, not array calls. Before its share, each busy worker's thread is
-moved onto a CPU of its own and at once given back its CPU set: a placement
-hint, not a pin (see ``_place``).
+few runs, not array calls.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import threading
 import time
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import suppress
 from dataclasses import asdict, dataclass
 from functools import cache
 from typing import Callable, Sequence
@@ -170,41 +165,8 @@ def _idle_rows(worker_count: int) -> tuple[WorkerStats, ...]:
     return tuple(WorkerStats(w, 0.0, 0.0, 0, 0) for w in range(worker_count))
 
 
-def _spread(count: int) -> list[int | None]:
-    """The CPU each of ``count`` busy workers is moved to: the calling
-    thread's CPUs in turn, starting from the one its thread id picks, so
-    queries from other processes or threads do not all begin on the lowest
-    CPU while one thread's queries keep theirs. All None where there is one
-    allowed CPU or no per-thread affinity."""
-    if not hasattr(os, "sched_setaffinity"):
-        return [None] * count
-    cpus = sorted(os.sched_getaffinity(0))
-    if len(cpus) < 2:
-        return [None] * count
-    first = threading.get_native_id()
-    return [cpus[(first + i) % len(cpus)] for i in range(count)]
-
-
-def _place(cpu: int) -> None:
-    """Move this thread onto ``cpu``, then give it back its own CPU set at
-    once. Linux can leave a woken thread on a busy CPU while another CPU
-    idles, for a second or more after an idle spell, so two workers run no
-    faster than one; a move starts each worker on a CPU of its own, and the
-    scheduler stays free to move it again when CPUs are shared. A move the
-    system refuses (a CPU gone from the set) is no error."""
-    own = os.sched_getaffinity(0)  # pid 0: this thread only
-    try:
-        with suppress(OSError):
-            os.sched_setaffinity(0, {cpu})
-    finally:
-        os.sched_setaffinity(0, own)
-
-
-def _timed(worker: int, work: Work, ranges: Ranges, cpu: int | None = None):
-    """Run one worker's share, moved onto ``cpu`` first if given, and wrap
-    the counters it reports."""
-    if cpu is not None:
-        _place(cpu)
+def _timed(worker: int, work: Work, ranges: Ranges):
+    """Run one worker's share and wrap the counters it reports."""
     t0 = time.perf_counter()
     c0 = time.thread_time()
     result, scanned, returned = work(ranges)
@@ -224,21 +186,16 @@ def _execute(
     worker of lowest index runs in the calling thread and each other one in
     a pool thread, so a query starts one thread fewer than it has busy
     workers: each new thread gets a malloc arena of its own, memory the
-    process keeps. With more than one busy worker, each is first moved
-    onto the next CPU of ``_spread``. A worker without rows gets the shared
-    all-zero stats row and no thread. The workers' result columns are
-    concatenated (unless one worker returned them), then ``merge``d."""
+    process keeps. A worker without rows gets the shared all-zero stats row
+    and no thread. The workers' result columns are concatenated (unless one
+    worker returned them), then ``merge``d."""
     t0 = time.perf_counter()
     shares = _shares(plan, zone_starts, *band)
     busy = sorted(shares)
     if len(busy) > 1:
-        cpus = _spread(len(busy))
         with ThreadPoolExecutor(max_workers=len(busy) - 1) as pool:
-            futures = [
-                pool.submit(_timed, w, work, shares[w], cpu)
-                for w, cpu in zip(busy[1:], cpus[1:])
-            ]
-            done = [_timed(busy[0], work, shares[busy[0]], cpus[0])]
+            futures = [pool.submit(_timed, w, work, shares[w]) for w in busy[1:]]
+            done = [_timed(busy[0], work, shares[busy[0]])]
             done += [fut.result() for fut in futures]
     else:
         done = [_timed(w, work, shares[w]) for w in busy]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import errno
-import os
 import threading
 import tracemalloc
 
@@ -32,7 +30,7 @@ from zonequery import (
     zone_of,
 )
 from zonequery import queries
-from zonequery.executor import _place, _shares, _spread
+from zonequery.executor import _shares
 from zonequery.queries import MAX_MATCH_RADIUS_DEG, brute_force_crossmatch
 from zonequery.sphere import separation_deg, zone_of_array
 from zonequery.synth import Clustered, DecBand, SyntheticSpec, generate_index
@@ -529,123 +527,6 @@ class TestCallingThread:
         assert threads.count(threading.get_ident()) == 1
         idle = [s for s in rep.workers if s.worker not in busy]
         assert all(s == WorkerStats(s.worker, 0.0, 0.0, 0, 0) for s in idle)
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no per-thread CPU affinity")
-class TestPlacement:
-    """With more than one busy worker, each worker's thread is moved onto
-    the next CPU of the calling thread's set and given its own set back
-    before its share runs: a placement hint, never a pin."""
-
-    @staticmethod
-    def _record(monkeypatch, refuse=False):
-        """Wrap os.sched_setaffinity: record (thread, CPU set) per call, and
-        with ``refuse`` fail every one-CPU set as the system would for a
-        CPU gone from the set."""
-        calls = []
-        real = os.sched_setaffinity
-
-        def recording(pid, cpus):
-            calls.append((threading.get_ident(), set(cpus)))
-            if refuse and len(cpus) == 1:
-                raise OSError(errno.EINVAL, "Invalid argument")
-            real(pid, cpus)
-
-        monkeypatch.setattr(os, "sched_setaffinity", recording)
-        return calls
-
-    @pytest.mark.parametrize("refuse", (False, True))
-    @pytest.mark.parametrize("workers", (2, 3, 4))
-    def test_xmatch_workers_moved_in_turn(self, xmatch_pair, monkeypatch, workers, refuse):
-        from zonequery import executor
-
-        leading, other = xmatch_pair
-        spec = MatchSpec(radius=ARCMIN)
-        plan = plan_contiguous(CFG.zone_count, workers)
-        shares = shares_reference(plan, leading.zone_starts, 0, CFG.zone_count - 1)
-        own = os.sched_getaffinity(0)
-        calls = self._record(monkeypatch, refuse)
-        seen = {}
-        real = executor._crossmatch_arrays
-
-        def recording(*args, ranges, **kwargs):
-            me = threading.get_ident()
-            mine = [cpus for tid, cpus in calls if tid == me]
-            seen[tuple(ranges)] = (mine[-2:], os.sched_getaffinity(0))
-            return real(*args, ranges=ranges, **kwargs)
-
-        monkeypatch.setattr(executor, "_crossmatch_arrays", recording)
-        pairs, _ = run_xmatch(leading, other, spec, plan)
-        assert pairs == zone_crossmatch(list(leading.slices()), other, spec)
-        assert os.sched_getaffinity(0) == own
-        busy = [seen[tuple(ranges)] for ranges in shares if ranges]
-        assert len(busy) == workers
-        # every share ran with its thread's own CPU set back
-        assert all(during == own for _, during in busy)
-        cpus = sorted(own)
-        if len(cpus) < 2:
-            assert calls == []
-            return
-        assert len(calls) == 2 * workers
-        first = threading.get_native_id()  # the calling thread's
-        for i, (moves, _) in enumerate(busy):
-            assert moves == [{cpus[(first + i) % len(cpus)]}, own]
-
-    def test_one_busy_worker_not_moved(self, catalog, xmatch_pair, monkeypatch):
-        calls = self._record(monkeypatch)
-        leading, other = xmatch_pair
-        run_xmatch(leading, other, MatchSpec(radius=ARCMIN), plan_contiguous(CFG.zone_count, 1))
-        # dec 42..48 lies inside worker 1's zones of a contiguous 2-worker plan
-        plan = plan_contiguous(CFG.zone_count, 2)
-        _, rep = run_cone(catalog, ConeQuery(SkyPoint(100.0, 45.0), 3.0), plan)
-        assert [s.rows_scanned > 0 for s in rep.workers] == [False, True]
-        assert calls == []
-
-    def test_spread_starts_at_thread_id(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 2, 9})
-        here = threading.get_native_id() % 3
-        assert _spread(4) == [[2, 5, 9][(here + i) % 3] for i in range(4)]
-        assert _spread(2) == [[2, 5, 9][(here + i) % 3] for i in range(2)]
-        there = []
-        thread = threading.Thread(target=lambda: there.extend([threading.get_native_id(), _spread(3)]))
-        thread.start()
-        thread.join()
-        assert there[1] == [[2, 5, 9][(there[0] + i) % 3] for i in range(3)]
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-        assert _spread(3) == [None, None, None]
-        monkeypatch.delattr(os, "sched_setaffinity")
-        assert _spread(2) == [None, None]
-
-    def test_place_restores_own_set(self, monkeypatch):
-        own = os.sched_getaffinity(0)
-        cpu = max(own)
-        calls = self._record(monkeypatch)
-        _place(cpu)
-        me = threading.get_ident()
-        assert calls == [(me, {cpu}), (me, own)]
-        assert os.sched_getaffinity(0) == own
-        del calls[:]
-        calls = self._record(monkeypatch, refuse=True)
-        _place(cpu)  # a refused move is no error
-        assert calls == [(me, {cpu}), (me, own)]
-        assert os.sched_getaffinity(0) == own
-
-    def test_place_restores_own_set_when_interrupted(self, monkeypatch):
-        own = os.sched_getaffinity(0)
-        calls = []
-        real = os.sched_setaffinity
-
-        def interrupted(pid, cpus):
-            calls.append(set(cpus))
-            if len(calls) == 1:
-                raise KeyboardInterrupt
-            real(pid, cpus)
-
-        monkeypatch.setattr(os, "sched_setaffinity", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            _place(min(own))
-        assert calls == [{min(own)}, own]
-        assert os.sched_getaffinity(0) == own
 
 
 class TestChunkedJoin:
