@@ -1021,18 +1021,24 @@ def load_index(path: str | Path, *, mags: bool = True) -> ZoneIndex:
     try:
         # our own handle: np.load(path) leaves its file open when the
         # archive is unreadable
-        with path.open("rb") as fh, np.load(fh, allow_pickle=False) as data:
-            if "version" not in data:
+        with path.open("rb") as fh:
+            # np.load reads a file that is no zip archive (a CSV, a bare .npy)
+            # as a pickle or an array; an empty file goes on to be unreadable
+            if fh.read(4) not in (b"", b"PK\x03\x04"):
                 raise SnapshotFormatError(f"{path}: not a zonequery index snapshot")
-            version = int(data["version"])
-            if version != SNAPSHOT_VERSION:
-                raise SnapshotFormatError(
-                    f"{path}: snapshot version {version}, expected {SNAPSHOT_VERSION}"
-                )
-            name = str(data["name"])
-            cfg = ZoneConfig(float(data["height_deg"]))
-            bands = tuple(str(b) for b in data["bands"])
-            return _checked_snapshot(path, data, name, cfg, bands, mags)
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as data:
+                if "version" not in data:
+                    raise SnapshotFormatError(f"{path}: not a zonequery index snapshot")
+                version = int(data["version"])
+                if version != SNAPSHOT_VERSION:
+                    raise SnapshotFormatError(
+                        f"{path}: snapshot version {version}, expected {SNAPSHOT_VERSION}"
+                    )
+                name = str(data["name"])
+                cfg = ZoneConfig(float(data["height_deg"]))
+                bands = tuple(str(b) for b in data["bands"])
+                return _checked_snapshot(path, data, name, cfg, bands, mags)
     except SnapshotFormatError:
         raise
     # a damaged archive surfaces as BadZipFile (also a bad member CRC-32),

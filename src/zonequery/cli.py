@@ -178,7 +178,9 @@ def _cmd_ingest(args) -> int:
         cfg = ZoneConfig(parse_angle(args.zone_height))
     except ValueError as exc:  # a bad --zone-height is a usage error
         raise UsageError(f"--zone-height: {exc}") from None
-    bands = args.bands.split(",") if args.bands else None
+    bands = None if args.bands is None else args.bands.split(",")
+    if bands is not None and "" in bands:
+        raise UsageError(f"--bands: empty band name in {args.bands!r}")
     if bands is not None and len(set(bands)) != len(bands):
         raise UsageError(f"--bands: repeated band names in {args.bands!r}")
     index = ingest_csv(
@@ -370,9 +372,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"zonequery: error: {exc}", file=sys.stderr)
         return 1
     # OSError: an input that cannot be read or an output that cannot be
-    # written, such as an --out path that is a directory
-    except (IngestError, SnapshotFormatError, OSError, ValueError) as exc:
-        print(f"zonequery: data error: {exc}", file=sys.stderr)
+    # written, such as an --out path that is a directory; MemoryError: data
+    # too large for this host, such as gen --count 1000000000000
+    except (IngestError, SnapshotFormatError, OSError, ValueError, MemoryError) as exc:
+        print(f"zonequery: data error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

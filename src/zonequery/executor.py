@@ -18,9 +18,12 @@ worker count or strategy. All three queries run through one executor,
 ``_execute``. A cone's needles (its zone band and ra window segments) are
 built once per query, from scalars, in the calling thread; each worker only
 searches, expands and filters them against its rows, with the search,
-expansion and exact filter of the cross-match kernel. A worker's share is
-found by bisecting the plan's cached run table, so a narrow band costs its
-few runs, not array calls.
+expansion and exact filter of the cross-match kernel. A plan is its runs of
+zones (its per-zone ``assignment`` is derived from them), and a worker's
+share is found by bisecting the run starts, so a narrow band costs its few
+runs, not array calls. Stats rows and reports are named tuples: immutable,
+cheap to build on every query, and they unpack and compare equal to plain
+tuples.
 """
 
 from __future__ import annotations
@@ -29,9 +32,8 @@ import json
 import time
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
 from functools import cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,8 +63,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WorkerStats:
+class WorkerStats(NamedTuple):
     """What one worker did: wall clock, the CPU time of its thread, and row
     counters.
 
@@ -79,25 +80,17 @@ class WorkerStats:
     rows_returned: int
 
 
-# the counters of a stats row, each aggregated into the MAX and AVG rows
-_COUNTERS = ("elapsed_s", "cpu_s", "rows_scanned", "rows_returned")
-
-
 def aggregate(stats: Sequence[WorkerStats]) -> tuple[WorkerStats, WorkerStats]:
     """Component-wise maximum and arithmetic mean over worker rows, as rows
     labelled "MAX" and "AVG"."""
     if not stats:
         raise ValueError("aggregate needs at least one worker row")
-    max_row, avg_row = {}, {}
-    for name in _COUNTERS:
-        values = [getattr(s, name) for s in stats]
-        max_row[name] = max(values)
-        avg_row[name] = sum(values) / len(values)
-    return WorkerStats("MAX", **max_row), WorkerStats("AVG", **avg_row)
+    _, *counters = zip(*stats)
+    means = (sum(c) / len(c) for c in counters)
+    return WorkerStats("MAX", *map(max, counters)), WorkerStats("AVG", *means)
 
 
-@dataclass(frozen=True)
-class ExecutionReport:
+class ExecutionReport(NamedTuple):
     workers: tuple[WorkerStats, ...]
     total_elapsed_s: float
 
@@ -118,9 +111,9 @@ class ExecutionReport:
         payload = {
             "worker_count": self.worker_count,
             "total_elapsed_s": self.total_elapsed_s,
-            "workers": [asdict(s) for s in self.workers],
-            "max": asdict(max_row),
-            "avg": asdict(avg_row),
+            "workers": [s._asdict() for s in self.workers],
+            "max": max_row._asdict(),
+            "avg": avg_row._asdict(),
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -145,9 +138,9 @@ def _shares(
     the non-empty row ranges of its runs of consecutive zones, in zone
     order, so each share is key-sorted. Workers come in the order of their
     first run, and one whose runs hold no row is absent. The runs meeting
-    the band are found by bisecting the plan's cached run table and only
-    they are walked: a band costs its runs, not its zones."""
-    run_starts, run_workers = plan.run_table
+    the band are found by bisecting the plan's run starts and only they are
+    walked: a band costs its runs, not its zones."""
+    run_starts, run_workers = plan.run_starts, plan.run_workers
     first, end = bisect_right(run_starts, z_lo) - 1, bisect_right(run_starts, z_hi)
     edges = [z_lo, *run_starts[first + 1 : end], z_hi + 1]
     bounds = zone_starts[edges].tolist()

@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import asdict, dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -30,43 +29,29 @@ __all__ = [
 STRATEGIES = ("contiguous", "round_robin", "density")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PartitionPlan:
-    """Total assignment of zones to workers: assignment[zone] = worker index."""
+    """Total assignment of zones to workers, held as its runs of consecutive
+    zones on one worker: run i starts at zone ``run_starts[i]``, ends where
+    the next run starts (the last at ``zone_count``) and belongs to worker
+    ``run_workers[i]``."""
 
     strategy: str
     worker_count: int
     zone_count: int
-    assignment: np.ndarray
+    run_starts: tuple[int, ...]
+    run_workers: tuple[int, ...]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PartitionPlan):
-            return NotImplemented
-        return (
-            self.strategy == other.strategy
-            and self.worker_count == other.worker_count
-            and self.zone_count == other.zone_count
-            and np.array_equal(self.assignment, other.assignment)
-        )
+    @property
+    def assignment(self) -> np.ndarray:
+        """assignment[zone] = worker index, built from the runs."""
+        sizes = np.diff([*self.run_starts, self.zone_count])
+        return np.repeat(np.array(self.run_workers, dtype=np.int64), sizes)
 
     def runs(self) -> list[tuple[int, int, int]]:
-        """Run-length encoding of the assignment: (zone_start, zone_stop,
-        worker) triples in zone order."""
-        a = self.assignment
-        if not a.size:
-            return []
-        cuts = np.flatnonzero(np.diff(a)) + 1
-        starts = np.concatenate(([0], cuts))
-        stops = np.concatenate((cuts, [a.size]))
-        return list(zip(starts.tolist(), stops.tolist(), a[starts].tolist()))
-
-    @cached_property
-    def run_table(self) -> tuple[list[int], list[int]]:
-        """The first zone of each run and its worker, as two lists in zone
-        order, for ``bisect``; built on first use (the assignment is never
-        modified after construction)."""
-        runs = self.runs()
-        return [start for start, _, _ in runs], [worker for _, _, worker in runs]
+        """(zone_start, zone_stop, worker) triples in zone order."""
+        stops = [*self.run_starts[1:], self.zone_count]
+        return list(zip(self.run_starts, stops, self.run_workers))
 
     def to_json(self) -> str:
         payload = {
@@ -76,6 +61,13 @@ class PartitionPlan:
             "runs": [list(r) for r in self.runs()],
         }
         return json.dumps(payload, sort_keys=True)
+
+
+def _plan(strategy: str, worker_count: int, assignment: np.ndarray) -> PartitionPlan:
+    """The plan of a per-zone assignment, stored as its runs."""
+    starts = np.flatnonzero(np.diff(assignment, prepend=-1))
+    return PartitionPlan(strategy, worker_count, len(assignment),
+                         tuple(starts.tolist()), tuple(assignment[starts].tolist()))
 
 
 def _check_workers(worker_count: int) -> None:
@@ -89,14 +81,14 @@ def plan_contiguous(zone_count: int, worker_count: int) -> PartitionPlan:
     base, extra = divmod(zone_count, worker_count)
     sizes = [base + 1 if w < extra else base for w in range(worker_count)]
     assignment = np.repeat(np.arange(worker_count, dtype=np.int64), sizes)
-    return PartitionPlan("contiguous", worker_count, zone_count, assignment)
+    return _plan("contiguous", worker_count, assignment)
 
 
 def plan_round_robin(zone_count: int, worker_count: int) -> PartitionPlan:
     """zone -> zone mod worker_count."""
     _check_workers(worker_count)
     assignment = np.arange(zone_count, dtype=np.int64) % worker_count
-    return PartitionPlan("round_robin", worker_count, zone_count, assignment)
+    return _plan("round_robin", worker_count, assignment)
 
 
 def plan_density(hist: np.ndarray, worker_count: int) -> PartitionPlan:
@@ -113,7 +105,7 @@ def plan_density(hist: np.ndarray, worker_count: int) -> PartitionPlan:
         load, worker = heapq.heappop(heap)
         assignment[z] = worker
         heapq.heappush(heap, (load + int(hist[z]), worker))
-    return PartitionPlan("density", worker_count, zone_count, assignment)
+    return _plan("density", worker_count, assignment)
 
 
 def make_plan(

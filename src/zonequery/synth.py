@@ -33,7 +33,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FullSky:
-    pass
+    @property
+    def stripes(self) -> tuple[DecBand, ...]:
+        return (DecBand(-90.0, 90.0),)
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,10 @@ class DecBand:
     def __post_init__(self) -> None:
         if not -90.0 <= self.lo <= self.hi <= 90.0:
             raise ValueError(f"bad dec band [{self.lo!r}, {self.hi!r}]")
+
+    @property
+    def stripes(self) -> tuple[DecBand, ...]:
+        return (self,)
 
 
 @dataclass(frozen=True)
@@ -107,21 +113,14 @@ def generate_columns(
     n = spec.count
     ids = np.arange(n, dtype=np.uint64)
     ra = rng.uniform(0.0, 360.0, n)
-    fp = spec.footprint
-    if isinstance(fp, FullSky):
-        dec = _sample_dec(rng, n, -90.0, 90.0)
-    elif isinstance(fp, DecBand):
-        dec = _sample_dec(rng, n, fp.lo, fp.hi)
-    elif isinstance(fp, Clustered):
-        k = len(fp.stripes)
-        base, extra = divmod(n, k)
-        parts = []
-        for i, stripe in enumerate(fp.stripes):
-            share = base + 1 if i < extra else base
-            parts.append(_sample_dec(rng, share, stripe.lo, stripe.hi))
-        dec = np.concatenate(parts) if parts else np.empty(0)
-    else:
-        raise TypeError(f"unknown footprint {fp!r}")
+    stripes = getattr(spec.footprint, "stripes", None)
+    if stripes is None:
+        raise TypeError(f"unknown footprint {spec.footprint!r}")
+    base, extra = divmod(n, len(stripes))
+    dec = np.concatenate([
+        _sample_dec(rng, base + (i < extra), stripe.lo, stripe.hi)
+        for i, stripe in enumerate(stripes)
+    ])
     mags = np.column_stack(
         [rng.uniform(b.lo, b.hi, n) for b in spec.bands]
     ) if spec.bands else np.empty((n, 0))

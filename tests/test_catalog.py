@@ -1358,6 +1358,23 @@ class TestSnapshotV2:
         with pytest.raises(SnapshotFormatError, match="unreadable"):
             load_index(path)
 
+    @pytest.mark.parametrize("kind", ["csv", "npy", "object npy", "one byte"])
+    def test_other_file_is_not_a_snapshot(self, tmp_path, kind):
+        path = tmp_path / "other"
+        if kind == "csv":
+            path.write_text("id,ra,dec\n1,10.0,20.0\n")
+        elif kind == "npy":
+            with path.open("wb") as fh:
+                np.save(fh, np.arange(10.0))
+        elif kind == "object npy":  # np.load would advise loading it unsafely
+            with path.open("wb") as fh:
+                np.save(fh, np.array([{"a": 1}], dtype=object), allow_pickle=True)
+        else:
+            path.write_bytes(b"x")
+        with pytest.raises(SnapshotFormatError) as info:
+            load_index(path)
+        assert str(info.value) == f"{path}: not a zonequery index snapshot"
+
     def test_truncated_file(self, built, tmp_path):
         path = tmp_path / "cut.idx"
         save_index(built, path)

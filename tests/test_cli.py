@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonequery import cli, load_index, plan_contiguous, run_xmatch, save_index
+from zonequery import cli, load_index, synth, plan_contiguous, run_xmatch, save_index
 from zonequery.catalog import _CHUNK_ROWS, SnapshotFormatError, _format_rows, _write_csv
 from zonequery.cli import main, parse_angle, parse_footprint
 from zonequery.cli import MAX_WORKERS, UsageError
@@ -306,6 +306,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "zonequery: error: --bands: repeated band names in 'r,r'\n"
 
+    @pytest.mark.parametrize("bands", ["", ",", "r,,g", "r,"])
+    def test_ingest_empty_band_name_is_usage_error(self, tmp_path, capsys, bands):
+        # checked before the input, which does not exist, is read
+        code = run_cli(
+            "ingest", "--in", str(tmp_path / "nope.csv"), "--bands", bands,
+            "--out", str(tmp_path / "i.npz"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"zonequery: error: --bands: empty band name in {bands!r}\n"
+        assert not (tmp_path / "i.npz").exists()
+
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data "
+         "type uint64", None),
+        ("", "out of memory"),
+    ])
+    def test_gen_out_of_memory_is_2(self, tmp_path, capsys, monkeypatch, message, shown):
+        # the allocation fails without being attempted: a real one this size
+        # can succeed under overcommit and then exhaust the host
+        def no_memory(spec):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(synth, "generate_columns", no_memory)
+        out = tmp_path / "g.csv"
+        code = run_cli("gen", "--count", "1000000000000", "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"zonequery: data error: {shown or message}\n"
+        assert not out.exists()
+
 
 def _corrupt(path, kind: str) -> None:
     raw = bytearray(path.read_bytes())
@@ -354,6 +385,21 @@ class TestCorruptSnapshot:
                 f"zonequery: data error: {bad}: unreadable snapshot "
                 "(Bad CRC-32 for file 'mags.npy')\n"
             )
+
+    @pytest.mark.parametrize("kind", ["csv", "npy"])
+    @pytest.mark.parametrize("command", ["plan", "scan", "cone", "xmatch"])
+    def test_not_a_snapshot_exits_2_with_one_line(self, small_setup, tmp_path, capsys,
+                                                  command, kind):
+        a_csv = small_setup[0]
+        bad = tmp_path / f"bad.{kind}"
+        if kind == "csv":
+            shutil.copyfile(a_csv, bad)
+        else:
+            np.save(bad, np.arange(10.0))
+        capsys.readouterr()
+        assert run_cli(*_query_commands(str(bad), tmp_path)[command]) == 2
+        err = capsys.readouterr().err
+        assert err == f"zonequery: data error: {bad}: not a zonequery index snapshot\n"
 
     def test_only_scan_keeps_magnitudes(self, small_setup, tmp_path, monkeypatch):
         _, _, a_idx, b_idx = small_setup

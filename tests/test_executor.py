@@ -15,6 +15,7 @@ from zonequery import (
     MatchSpec,
     ScanFilter,
     SkyPoint,
+    ExecutionReport,
     WorkerStats,
     ZoneConfig,
     aggregate,
@@ -652,3 +653,25 @@ class TestStatsAndAggregate:
         assert parsed["worker_count"] == 2
         assert len(parsed["workers"]) == 2
         assert parsed["max"]["worker"] == "MAX"
+
+    def test_rows_and_reports_are_plain_tuples_by_value(self):
+        row = WorkerStats(1, 0.5, 0.25, 40, 3)
+        assert row == (1, 0.5, 0.25, 40, 3) and hash(row) == hash((1, 0.5, 0.25, 40, 3))
+        worker, elapsed, cpu, scanned, returned = row
+        assert (worker, scanned, returned) == (1, 40, 3)
+        with pytest.raises(AttributeError):
+            row.rows_scanned = 0
+        rep = ExecutionReport((row,), 0.75)
+        rows, total = rep
+        assert rows == ((1, 0.5, 0.25, 40, 3),) and total == 0.75
+        assert rep == (((1, 0.5, 0.25, 40, 3),), 0.75)
+        assert (rep.max_row, rep.avg_row) == aggregate([row])
+        assert rep.avg_row == ("AVG", 0.5, 0.25, 40.0, 3.0)
+
+    def test_aggregate_of_mixed_rows(self):
+        rows = [WorkerStats(0, 2.0, 1.0, 7, 1), WorkerStats(1, 0.0, 0.0, 0, 0),
+                WorkerStats(2, 4.0, 0.5, 2, 2)]
+        mx, av = aggregate(rows)
+        assert mx == ("MAX", 4.0, 1.0, 7, 2)
+        assert av == ("AVG", 2.0, 0.5, 3.0, 1.0)
+        assert [type(v) for v in mx[3:]] == [int, int]

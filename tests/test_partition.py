@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
+
 import numpy as np
 import pytest
 
@@ -150,6 +153,58 @@ class TestPlanInvariants:
             for _ in range(20):
                 lo, hi = sorted(rng.integers(0, 301, 2).tolist())
                 assert clip_runs(plan.runs(), lo, hi) == loop_runs(plan.assignment, lo, hi)
+
+    @pytest.mark.parametrize("strategy", ["contiguous", "round_robin", "density"])
+    @pytest.mark.parametrize("zone_count, workers", [
+        (ZC, 1), (ZC, 2), (ZC, 7), (300, 8),
+        (5, 8),  # more workers than zones
+        (1, 3),
+        (ZoneConfig(1 / 3600).zone_count, 3),  # 1 arcsec zones
+    ])
+    def test_assignment_equals_per_zone_array(self, strategy, zone_count, workers):
+        """The per-zone array a plan derives from its runs is the one each
+        strategy assigns zone by zone."""
+        hist = np.random.default_rng(zone_count + workers).integers(0, 20, zone_count)
+        if strategy == "contiguous":
+            base, extra = divmod(zone_count, workers)
+            sizes = [base + 1 if w < extra else base for w in range(workers)]
+            expected = np.repeat(np.arange(workers, dtype=np.int64), sizes)
+        elif strategy == "round_robin":
+            expected = np.arange(zone_count, dtype=np.int64) % workers
+        else:  # longest processing time first, ties to lower zone and worker
+            heap = [(0, w) for w in range(workers)]
+            expected = np.empty(zone_count, dtype=np.int64)
+            for z in sorted(range(zone_count), key=lambda z: (-int(hist[z]), z)):
+                load, w = heapq.heappop(heap)
+                expected[z] = w
+                heapq.heappush(heap, (load + int(hist[z]), w))
+        plan = make_plan(strategy, zone_count, workers, hist_of(hist))
+        assert plan.assignment.dtype == np.int64
+        np.testing.assert_array_equal(plan.assignment, expected)
+        assert len(plan.run_starts) == len(plan.run_workers)
+        assert all(type(v) is int for v in plan.run_starts + plan.run_workers)
+
+    def test_plans_compare_and_hash_by_value(self):
+        counts = hist_of(np.random.default_rng(34).integers(0, 100, ZC))
+        for strategy in ("contiguous", "round_robin", "density"):
+            a = make_plan(strategy, ZC, 4, counts)
+            b = make_plan(strategy, ZC, 4, counts.copy())
+            assert a == b and hash(a) == hash(b)
+            assert len({a, b}) == 1
+            assert a != make_plan(strategy, ZC, 3, counts)
+            assert a != make_plan(strategy, ZC - 1, 4, counts[:-1])
+        # the same runs under another strategy name are another plan
+        assert plan_round_robin(10, 1) != plan_contiguous(10, 1)
+        assert plan_round_robin(10, 1).runs() == plan_contiguous(10, 1).runs()
+        assert plan_contiguous(10, 1) != "contiguous"
+
+    def test_plan_cannot_be_changed_through_assignment(self):
+        plan = plan_contiguous(10, 2)
+        plan.assignment[:] = 1
+        assert plan.runs() == [(0, 5, 0), (5, 10, 1)]
+        assert plan == plan_contiguous(10, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.run_workers = (1, 1)
 
     def test_worker_count_below_one_rejected(self):
         for fn in (lambda: plan_contiguous(10, 0),
