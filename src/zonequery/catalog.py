@@ -165,12 +165,17 @@ def build_index(
     ra must be finite and is normalized into [0, 360); dec must already be
     within [-90, +90].
     Rows are ordered by (zone, ra, id), a total order since ids are unique,
-    so the index does not depend on the input's row order. One argsort of
-    the key ``zone * KEY_BAND + ra`` does the ordering: rounding is monotone
-    and ra < 360 < KEY_BAND, so the key never falls along (zone, ra) and
-    only rows with equal keys can be out of place. Those rows alone are
-    then put in (zone, ra, id) order by one lexsort; keys rise from one tie
-    run to the next, so each run keeps its positions.
+    so the index does not depend on the input's row order. One in-place sort
+    of uint64 words does the ordering. A row's word holds, from the top, its
+    zone, its ra scaled to the bits left (``ra * 2**ra_bits / 360`` cut to
+    an integer, clamped below ``2**ra_bits``) and its row number, which the
+    sorted words give back as the permutation. Scaling, truncation and the
+    clamp are monotone, so the words never fall along (zone, ra), and only
+    rows with equal (zone, scaled ra) can be out of place. Those rows alone
+    are then put in order by one lexsort on their sorted words' high bits,
+    ra and id. Rows with equal high bits share a zone, and the high bits
+    rise from one tie run to the next, so this is their (zone, ra, id) order
+    and each run keeps its positions.
     """
     ids = np.ascontiguousarray(ids, dtype=np.uint64)
     ra = np.ascontiguousarray(ra, dtype=np.float64)
@@ -191,17 +196,29 @@ def build_index(
         raise ValueError(f"duplicate object ids in catalog {name!r}")
 
     zone = zone_of_array(dec, cfg)
-    key = zone * KEY_BAND + ra
-    order = np.argsort(key)
-    key = key[order]
-    same = key[1:] == key[:-1]
-    del key
+    zone_starts = np.concatenate(([0], np.cumsum(np.bincount(zone, minlength=cfg.zone_count))))
+    row_bits = max(len(ids) - 1, 1).bit_length()
+    ra_bits = 64 - row_bits - max(cfg.zone_count - 1, 1).bit_length()
+    # the zones' buffer becomes the words; uint64 scalars only, as numpy 1.x
+    # turns uint64 mixed with a Python int into float64
+    words = zone.view(np.uint64)
+    words <<= np.uint64(ra_bits)
+    scaled = (ra * (2.0**ra_bits / 360.0)).astype(np.uint64)
+    words |= np.minimum(scaled, np.uint64((1 << ra_bits) - 1), out=scaled)
+    del scaled
+    words <<= np.uint64(row_bits)
+    words |= np.arange(len(ids), dtype=np.uint64)
+    words.sort()
+    cell = words >> np.uint64(row_bits)
+    same = cell[1:] == cell[:-1]
+    words &= np.uint64((1 << row_bits) - 1)
+    order = words.view(np.intp)
     if same.any():
         tied = np.flatnonzero(np.append(same, False) | np.insert(same, 0, False))
         rows = order[tied]
-        order[tied] = rows[np.lexsort((ids[rows], ra[rows], zone[rows]))]
-    zone_starts = np.concatenate(([0], np.cumsum(np.bincount(zone, minlength=cfg.zone_count))))
-    ids, ra, dec, mags = ids[order], ra[order], dec[order], mags[order]
+        order[tied] = rows[np.lexsort((ids[rows], ra[rows], cell[tied]))]
+    del cell
+    ids, ra, dec, mags = ids.take(order), ra.take(order), dec.take(order), mags.take(order, axis=0)
     return ZoneIndex(name, cfg, bands, ids, ra, dec, mags, zone_starts)
 
 

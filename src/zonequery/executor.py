@@ -10,7 +10,7 @@ how far the join scales with threads. A worker owns the row ranges of its
 plan's zone runs within the zones the query can touch (the other catalog,
 for cross-matches, is shared read-only by everyone); workers never talk to
 each other. A cross-match worker sorts its own pairs, in its
-own thread, with one argsort of a (leading rank, other rank) uint64 key
+own thread, with one sort of (leading rank, other rank) uint64 keys
 (``MatchTable.from_unsorted``), and the coordinator merges the sorted runs
 with one stable sort on the leading id; a scan or cone coordinator sorts the
 concatenated rows by id. Either way the result is bit-identical for any

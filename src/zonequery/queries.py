@@ -149,12 +149,13 @@ class MatchTable(abc.Sequence):
         """The pairs of three equal-length columns, sorted into canonical order.
         The (leading_id, other_id) pairs must be distinct, as a join's are.
 
-        The sort is one argsort of a uint64 key, cheaper than a two-key
+        The sort is one in-place sort of uint64 keys, cheaper than a two-key
         lexsort: the high 32 bits hold the dense rank of the leading id,
         the low 32 bits the pair's position in an argsort of the other ids.
-        Distinct pairs never tie on other id inside one leading id, so the key
-        orders exactly as (leading_id, other_id) does, for any uint64 ids, up
-        to 2**32 - 1 pairs."""
+        Distinct pairs never tie on other id inside one leading id, so the keys
+        are distinct and order exactly as (leading_id, other_id) does, for any
+        uint64 ids, up to 2**32 - 1 pairs; the sorted keys' low bits, looked up
+        in that argsort, give the order."""
         n = len(leading_ids)
         if n >= 1 << 32:
             raise ValueError(f"{n} pairs: one sort key orders at most 2**32 - 1")
@@ -170,9 +171,9 @@ class MatchTable(abc.Sequence):
         key <<= np.uint64(32)
         by_other = np.argsort(other_ids)
         key[by_other] |= np.arange(n, dtype=np.uint64)
-        del by_other
-        order = np.argsort(key)
-        del key
+        key.sort()
+        order = by_other[key & np.uint64(0xFFFFFFFF)]
+        del by_other, key
         return cls(leading_ids[order], other_ids[order], separation[order])
 
     def take(self, rows: np.ndarray) -> MatchTable:

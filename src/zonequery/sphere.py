@@ -45,9 +45,16 @@ def normalize_ra(ra: float) -> float:
 
 
 def normalize_ra_array(ra: np.ndarray) -> np.ndarray:
-    """Vector form of :func:`normalize_ra`; same arithmetic, same results."""
-    wrapped = np.mod(ra, 360.0)
-    wrapped[wrapped >= 360.0] = 0.0
+    """Vector form of :func:`normalize_ra`; same results, in a new array.
+
+    For ra in [0, 360), ``ra % 360`` is ra itself, with -0.0 made 0.0 as
+    ``ra + 0.0`` makes it; only the other values pay for the modulo."""
+    wrapped = ra + 0.0
+    outside = ~((ra >= 0.0) & (ra < 360.0))
+    if outside.any():
+        rest = np.mod(ra[outside], 360.0)
+        rest[rest >= 360.0] = 0.0
+        wrapped[outside] = rest
     return wrapped
 
 

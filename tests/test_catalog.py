@@ -1013,6 +1013,35 @@ def _lexsort_index(name, cfg, ids, ra, dec, mags, bands) -> catalog.ZoneIndex:
     )
 
 
+def _assert_lexsort_order(cfg, ids, ra, dec, mags=None):
+    """Build the index and its lexsort oracle, assert their columns and zone
+    offsets equal byte for byte, and return both."""
+    mags = np.empty((len(ids), 0)) if mags is None else mags
+    bands = ("r", "g")[: mags.shape[1]]
+    built = build_index("o", cfg, ids, ra, dec, mags, bands)
+    oracle = _lexsort_index("o", cfg, ids, ra, dec, mags, bands)
+    for attr in ("ids", "ra", "dec", "mags", "zone_starts"):
+        got, want = getattr(built, attr), getattr(oracle, attr)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
+    return built, oracle
+
+
+def _build_recording_ties(monkeypatch, cfg, ids, ra, dec):
+    """build_index, and the id key of each lexsort it ran: one per build
+    with tied rows, none without."""
+    tied = []
+    lexsort = np.lexsort
+
+    def recording(keys):
+        tied.append(keys[0])
+        return lexsort(keys)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "lexsort", recording)
+        index = build_index("o", cfg, ids, ra, dec)
+    return index, tied
+
+
 _FINE = ZoneConfig(1 / 3600)
 # declination at the middle of zone 600,001 of 1-arcsec zones
 _HIGH_DEC = -90.0 + 600_001.5 / 3600
@@ -1038,6 +1067,11 @@ def _order_case(kind: str, rng: np.random.Generator):
         # keys of the last float below 360 round up to the band's end
         ra = np.array([np.nextafter(360.0, 0.0), 360.0 - 1e-9, 0.0, 359.0] * 10)
         return _FINE, rng.permutation(10_000)[:40], ra, np.full(40, _HIGH_DEC)
+    elif kind == "ra_1e-12_apart":
+        # distinct ra 1e-12 deg apart in one zone; 40 rows leave 46 bits for
+        # ra in the sort words, a step of 5e-12 deg, so neighbours share one
+        ra, dec = 100.0 + np.arange(40) * 1e-12, np.full(40, 10.0)
+        return CFG, rng.permutation(10_000)[:40], rng.permutation(ra), dec
     elif kind == "runs":
         # ten tie runs of 2 to 11 rows at one position each, in several
         # zones, separated by untied rows
@@ -1054,33 +1088,50 @@ class TestRowOrder:
     """build_index's order is the total (zone, ra, id) order that a
     three-key lexsort gives, whatever order its input rows come in."""
 
-    KINDS = ["empty", "one", "equal_ra", "key_collision", "signed_zero", "band_end", "runs"]
+    KINDS = [
+        "empty", "one", "equal_ra", "key_collision", "signed_zero", "band_end", "runs",
+        "ra_1e-12_apart",
+    ]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_order_equals_lexsort(self, kind, tmp_path):
         rng = np.random.default_rng(self.KINDS.index(kind))
         cfg, ids, ra, dec = _order_case(kind, rng)
         mags = rng.uniform(5, 15, (len(ids), 2))
-        built = build_index("o", cfg, ids, ra, dec, mags, ("r", "g"))
-        oracle = _lexsort_index("o", cfg, ids, ra, dec, mags, ("r", "g"))
-        for attr in ("ids", "ra", "dec", "mags", "zone_starts"):
-            got, want = getattr(built, attr), getattr(oracle, attr)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
+        built, oracle = _assert_lexsort_order(cfg, ids, ra, dec, mags)
         save_index(built, tmp_path / "built.idx")
         save_index(oracle, tmp_path / "oracle.idx")
         assert _raw_members(tmp_path / "built.idx") == _raw_members(tmp_path / "oracle.idx")
 
-    @pytest.mark.parametrize("kind", ["equal_ra", "key_collision", "band_end", "runs"])
-    def test_cases_tie_in_the_key(self, kind):
-        """Each of these cases reaches the lexsort of tied rows."""
+    @pytest.mark.parametrize(
+        "kind",
+        ["equal_ra", "key_collision", "signed_zero", "band_end", "ra_1e-12_apart", "runs"],
+    )
+    def test_cases_tie_in_the_key(self, kind, monkeypatch):
+        """Each of these cases has rows of equal (zone, scaled ra) in
+        build_index's sort words, so it reaches the lexsort of tied rows. In
+        key_collision and ra_1e-12_apart every ra is distinct: rows of
+        distinct ra share a scaled ra there."""
         cfg, ids, ra, dec = _order_case(kind, np.random.default_rng(0))
-        base = zone_of_array(dec, cfg) * catalog.KEY_BAND
-        key = np.sort(base + ra)
-        assert np.any(key[1:] == key[:-1])
+        index, tied = _build_recording_ties(monkeypatch, cfg, ids, ra, dec)
+        assert len(tied) == 1 and 2 <= len(tied[0]) <= len(ids)
+        if kind in ("key_collision", "ra_1e-12_apart"):
+            assert len(np.unique(ra)) == len(ra)
+        # facts about the search key, which the order no longer uses
         if kind == "key_collision":
-            assert len(np.unique(key)) < len(np.unique(ra))
+            # distinct ra whose keys near 3e8 round together
+            assert len(np.unique(index.ra_key)) < len(np.unique(index.ra))
         if kind == "band_end":
-            assert np.all(base + np.nextafter(360.0, 0.0) == base + 360.0)
+            # keys of the last float below 360 round up to the band's end
+            top = index.ra == np.nextafter(360.0, 0.0)
+            base = zone_of(_HIGH_DEC, _FINE) * catalog.KEY_BAND
+            assert top.any() and np.all(index.ra_key[top] == base + 360.0)
+
+    def test_distinct_positions_skip_the_lexsort(self, monkeypatch):
+        ra, dec = random_sky(np.random.default_rng(33), 2000)
+        ids = np.arange(2000)
+        _, tied = _build_recording_ties(monkeypatch, CFG, ids, ra, dec)
+        assert tied == []
 
     def test_permuted_columns_give_the_same_snapshot(self, tmp_path):
         rng = np.random.default_rng(31)
@@ -1112,6 +1163,93 @@ class TestRowOrder:
             snapshots.append(_raw_members(tmp_path / f"{k}.idx"))
             rows = [rows[i] for i in rng.permutation(len(rows))]
         assert all(s == snapshots[0] for s in snapshots[1:])
+
+
+# zone heights of 4' (12 zone bits), 1" (20), 90 deg (2 zones) and 200 deg (1)
+_HEIGHTS = [4 / 60, 1 / 3600, 90.0, 200.0]
+_ULP_BELOW_360 = math.nextafter(360.0, 0.0)
+# ra values that tie or nearly tie: signed zero, the top of [0, 360) and
+# values that wrap onto it or onto 0, neighbours 1e-12 deg apart
+_NEAR_RA = [0.0, -0.0, 10.0, 10.0 + 1e-12, 180.0, _ULP_BELOW_360, 360.0, -1e-300, 725.5]
+# zone edges and middles of several heights, and both poles
+_NEAR_DEC = [-90.0, -45.0, -1e-9, 0.0, 1 / 60, 0.02, 45.0, 89.99, 90.0]
+
+
+def _ulps(x: float, k: int) -> float:
+    """x moved k floats up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def _near_tie_catalogs(draw):
+    cfg = ZoneConfig(draw(st.sampled_from(_HEIGHTS)))
+    rows = draw(st.lists(
+        st.tuples(
+            st.sampled_from(_NEAR_RA), st.integers(-3, 3),
+            st.sampled_from(_NEAR_DEC), st.integers(-2, 2),
+        ),
+        max_size=48,
+    ))
+    ids = draw(st.lists(
+        st.integers(0, 2**64 - 1), min_size=len(rows), max_size=len(rows), unique=True
+    ))
+    ra = np.array([_ulps(r, k) for r, k, _, _ in rows])
+    dec = np.clip([_ulps(d, k) for _, _, d, k in rows], -90.0, 90.0)
+    return cfg, np.array(ids, dtype=np.uint64), ra, dec
+
+
+class TestPackedOrder:
+    """build_index sorts words of (zone, scaled ra, row). Where the packing
+    could go wrong: near-ties, the row field's width, the top of the ra field,
+    ids of all 64 bits, and the caller's arrays."""
+
+    @given(_near_tie_catalogs())
+    @settings(max_examples=300, deadline=None)
+    def test_near_ties_equal_lexsort(self, case):
+        _assert_lexsort_order(*case)
+
+    @pytest.mark.parametrize("height", _HEIGHTS)
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 255, 256, 257, 65535, 65536, 65537])
+    def test_row_field_widths(self, n, height):
+        """Row counts at the edges of a row field width (2**k - 1, 2**k and
+        2**k + 1 rows), with ties, near-ties and ids up to 2**64 - 1."""
+        rng = np.random.default_rng(n)
+        ra = np.where(
+            rng.random(n) < 0.5, rng.choice(_NEAR_RA, n), rng.uniform(-360.0, 720.0, n)
+        )
+        ra += rng.integers(-2, 3, n) * np.spacing(ra)
+        dec = np.where(rng.random(n) < 0.5, rng.choice(_NEAR_DEC, n), rng.uniform(-90, 90, n))
+        ids = np.uint64(2**64 - 1) - rng.permutation(4 * n)[:n].astype(np.uint64)
+        _assert_lexsort_order(ZoneConfig(height), ids, ra, dec, rng.uniform(5, 15, (n, 2)))
+
+    @pytest.mark.parametrize("height", _HEIGHTS)
+    @pytest.mark.parametrize("n", [2, 40, 65537])
+    def test_top_of_ra_stays_in_its_zone(self, n, height):
+        """The largest ra below 360 scales into the top of the ra field and
+        no further, so its rows stay in their zone: before the next zone's
+        rows at ra 0, and in the last zone, whose field is the word's top,
+        after every other zone's rows."""
+        cfg = ZoneConfig(height)
+        decs = [-90.0, -90.0 + 1.5 * height, 90.0] if cfg.zone_count > 2 else [-90.0, 90.0]
+        ras = [_ULP_BELOW_360, 0.0, _ulps(_ULP_BELOW_360, -1)]
+        grid = [(r, d) for r in ras for d in decs]
+        ra, dec = np.array([grid[k % len(grid)] for k in range(n)]).T
+        ids = np.random.default_rng(n).permutation(n)
+        built, _ = _assert_lexsort_order(cfg, ids, ra, dec)
+        assert np.all(np.diff(zone_of_array(built.dec, cfg)) >= 0)
+
+    def test_caller_arrays_are_not_written(self):
+        ra = np.array([-0.0, 720.5, -1e-300, 360.0, 10.0, 10.0, _ULP_BELOW_360, -30.0])
+        dec = np.array([0.0, 0.0, 89.0, -90.0, 5.0, 5.0, 5.0, 90.0])
+        ids = np.array([8, 3, 2**64 - 1, 5, 1, 7, 6, 4], dtype=np.uint64)
+        mags = np.arange(16.0).reshape(8, 2)
+        columns = (ids, ra, dec, mags)
+        before = [c.tobytes() for c in columns]
+        built, _ = _assert_lexsort_order(CFG, *columns)
+        assert [c.tobytes() for c in columns] == before
+        assert not any(np.shares_memory(b, c) for b in (built.ids, built.ra) for c in columns)
 
 
 class TestRaScan:

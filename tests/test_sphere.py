@@ -13,6 +13,8 @@ from zonequery import SkyPoint, ZoneConfig, zone_of
 from zonequery.queries import WINDOW_PAD_DEG, _window_segments
 from zonequery.sphere import (
     MIN_ZONE_HEIGHT_DEG,
+    normalize_ra,
+    normalize_ra_array,
     ra_halfwidth_array,
     separation_deg,
     zone_of_array,
@@ -46,6 +48,54 @@ class TestSkyPoint:
     def test_poles_allowed_with_any_ra(self):
         assert SkyPoint(123.4, 90.0).dec == 90.0
         assert SkyPoint(321.0, -90.0).dec == -90.0
+
+
+_ULP_BELOW_360 = math.nextafter(360.0, 0.0)
+# values whose wrap is easy to get wrong: signed zero, a tiny negative that
+# % 360 rounds to 360, the ends of [0, 360), whole turns and huge magnitudes
+_RA_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, _ULP_BELOW_360, 360.0,
+    math.nextafter(360.0, 720.0), -_ULP_BELOW_360, -360.0, 720.0, -720.0,
+    3600.0, -3600.0, 1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+]
+
+
+def _bits(x) -> list[int]:
+    return np.asarray(x, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestNormalizeRaArray:
+    """normalize_ra_array equals normalize_ra bit for bit, element by element:
+    the in-range values skip the modulo, the others take it."""
+
+    def test_edges(self):
+        ra = np.array(_RA_EDGES)
+        got = normalize_ra_array(ra)
+        assert _bits(got) == _bits([normalize_ra(x) for x in _RA_EDGES])
+        assert _bits(got[:2]) == _bits([0.0, 0.0])  # -0.0 becomes 0.0
+        assert _bits(got[5]) == _bits(0.0)  # -1e-300 % 360 is 360.0, wrapped to 0
+        assert np.all((got >= 0.0) & (got < 360.0))
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(_RA_EDGES),
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(-1e-3, 1e-3),
+                st.floats(359.999, 360.001),
+                st.integers(-4, 4).map(lambda k: k * 360.0),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scalar(self, values):
+        ra = np.array(values, dtype=np.float64)
+        before = ra.tobytes()
+        got = normalize_ra_array(ra)
+        assert got.dtype == np.float64 and got is not ra
+        assert _bits(got) == _bits([normalize_ra(x) for x in values])
+        assert ra.tobytes() == before
 
 
 class TestZoneConfig:
