@@ -72,7 +72,7 @@ _CHUNK_ROWS = 8192
 _FORK_CHUNKS = 4
 
 # bytes of a catalog CSV read and bulk-parsed at a time (rounded to lines)
-_BLOCK_BYTES = 4 << 20
+_BLOCK_BYTES = 1 << 20
 
 # byte classes of _certify, as a bytes.translate table
 _DIGIT, _NUMBER, _COMMA, _NEWLINE, _OTHER = range(5)
@@ -269,9 +269,10 @@ def ingest_csv(
     UTF-8 byte-order mark. Plain lines (see ``_certify``), empty magnitudes
     included, are parsed in bulk; every other line goes through
     ``_check_row``, which alone words the reject messages. The data of a
-    regular file is parsed in one process per CPU, each on its own byte
-    range (see ``_read``); the result, the messages and the errors are
-    those of one process, and no process outlives the call.
+    regular file is parsed in one process per CPU, each on its own run of
+    the reader's blocks, whatever its line ends (see ``_read``); the result,
+    the messages and the errors are those of one process, and no process
+    outlives the call.
     """
     path = Path(path)
     if bands is not None and len(set(bands)) != len(bands):
@@ -449,34 +450,50 @@ class _Rows:
 
 
 def _read(fh, path: Path, bands: Sequence[str] | None) -> _Rows:
-    """Read a binary catalog file: a leading byte-order mark is dropped, the
-    header line read, and the data lines are read in blocks of about
-    _BLOCK_BYTES, with each line end made an LF.
+    """Read a binary catalog file's header and data lines (see ``_head``).
 
-    The data is cut into parts (``_cuts``), each parsed by a process of its
-    own (``_read_parts``); with one part it is read on from the header's
-    block in this process. The rows, the reject messages and the errors do
-    not depend on the number of parts."""
+    A regular file's data is parsed in P parts, P being as many processes
+    as ``_process_count`` allows but no more than the whole _BLOCK_BYTES
+    blocks in the data: a block of ``_blocks`` that begins ``at`` bytes into
+    the data's ``size`` belongs to part ``at * P // size``. Part 0 is parsed
+    in this process and every other by a forked child (``_read_part``, run
+    by ``_forked``), which walks the same blocks on a handle of its own. The
+    results are added in part order, so the rows, the reject messages and
+    the first error in file order do not depend on P."""
+    line, data, blocks = _head(fh, path)
+    header = next(_fields(line, [1], path))
+    if header is None:
+        raise IngestError(f"{path}: line 1: line ends inside a quoted field")
+    rows = _Rows(path, [c.strip() for c in header], bands)
+    info = os.fstat(fh.fileno())
+    size = info.st_size - data
+    # a FIFO is read once, in one part
+    parts = (max(1, min(_process_count(), size // _BLOCK_BYTES))
+             if stat.S_ISREG(info.st_mode) else 1)
+    # part k: the blocks that begin from bounds[k] up to bounds[k + 1] bytes into the data
+    bounds = [-(-k * size // parts) for k in range(parts)] + [math.inf]
+    jobs = [partial(_read_part, path, a, b, rows) for a, b in zip(bounds[1:], bounds[2:])]
+    with _forked(jobs, IngestError, f"{path}: a parse process") as results:
+        _read_run(blocks, bounds[0], bounds[1], rows)
+        for found, rejected in results:
+            rows.parts += found
+            rows.rejected += rejected
+    return rows
+
+
+def _head(fh, path: Path) -> tuple[bytes, int, Iterator[bytes]]:
+    """``(header line, data offset, data blocks)`` of a binary catalog file:
+    after a leading byte-order mark, its first line, the byte offset of the
+    line after it, and the rest in the blocks of ``_blocks``, the first
+    being the remainder of the header's block."""
     start = len(fh.read(3)) if fh.peek(3).startswith(b"\xef\xbb\xbf") else 0
     blocks = _blocks(fh)
     raw = next(blocks, None)
     if raw is None:
         raise IngestError(f"{path}: empty file, missing header")
-    buf = _lf(raw)
-    cut = buf.index(b"\n")
-    header = next(_fields(buf[:cut], [1], path))
-    if header is None:
-        raise IngestError(f"{path}: line 1: line ends inside a quoted field")
-    rows = _Rows(path, [c.strip() for c in header], bands)
-    bounds = _cuts(fh, start + cut + (2 if raw.startswith(b"\r\n", cut) else 1))
-    if len(bounds) > 2:
-        del raw, buf  # the first block is not held through the parse
-        _read_parts(fh, path, bounds, rows)
-    else:
-        line_no = _read_block(buf[cut + 1 :], 2, rows)
-        del raw, buf
-        _read_lines(blocks, line_no, rows)
-    return rows
+    cut = _lf(raw).index(b"\n")
+    data = cut + (2 if raw.startswith(b"\r\n", cut) else 1)
+    return raw[:cut], start + data, chain([raw[data:]], blocks)
 
 
 def _lf(buf: bytes) -> bytes:
@@ -484,69 +501,28 @@ def _lf(buf: bytes) -> bytes:
     return buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in buf else buf
 
 
-def _read_lines(blocks: Iterable[bytes], line_no: int, rows: _Rows) -> None:
-    """Add the lines of ``blocks`` (from ``_blocks``), the first being line
-    ``line_no``, to ``rows``."""
+def _read_run(blocks: Iterable[bytes], lo: int, hi: float, rows: _Rows) -> None:
+    """Add to ``rows`` the lines of the data ``blocks`` (see ``_head``) that
+    begin from ``lo`` up to ``hi`` bytes into the data. The line ends of the
+    blocks before are counted, by ``_blocks``' rule, so that line numbers,
+    and the errors that name them, are those of the whole file."""
+    at, line_no = 0, 2
     for buf in blocks:
-        line_no = _read_block(_lf(buf), line_no, rows)
+        if at >= hi:
+            break
+        if at < lo:
+            line_no += buf.count(b"\n") + buf.count(b"\r") - buf.count(b"\r\n")
+        else:
+            line_no = _read_block(_lf(buf), line_no, rows)
+        at += len(buf)
 
 
-def _cuts(fh, start: int) -> list[int]:
-    """The byte offsets that cut the data of a catalog file, its bytes from
-    ``start`` on, into parts to parse in separate processes: ``[start, ...,
-    end]``, or [] when the file is not a regular one (a FIFO cannot be
-    split).
-
-    There are P parts: as many processes as ``_process_count`` allows, but
-    no more than the whole _BLOCK_BYTES blocks in the data. The k-th cut
-    falls just after the first LF at or after k/P of the data, so no line
-    and no CRLF is split; a cut with no LF before the end is dropped."""
-    info = os.fstat(fh.fileno())
-    if not stat.S_ISREG(info.st_mode):
-        return []
-    end = info.st_size
-    parts = min(_process_count(), (end - start) // _BLOCK_BYTES)
-    cuts = set()
-    for k in range(1, parts):
-        at = start + (end - start) * k // parts
-        while chunk := os.pread(fh.fileno(), 1 << 16, at):
-            if (lf := chunk.find(b"\n")) >= 0:
-                cuts.add(at + lf + 1)
-                break
-            at += len(chunk)
-    return [start, *sorted(c for c in cuts if c < end), end]
-
-
-def _read_parts(fh, path: Path, bounds: list[int], rows: _Rows) -> None:
-    """Add the data lines of a catalog file to ``rows``, part k being its
-    bytes from ``bounds[k]`` to ``bounds[k + 1]`` (see ``_cuts``).
-
-    This process reads part 0 through ``fh``; every other part is read by a
-    forked child (``_read_part``, run by ``_forked``). The results are added
-    in part order, so the first error in file order is raised."""
-    jobs = [partial(_read_part, path, bounds[0], a, b, rows)
-            for a, b in zip(bounds[1:], bounds[2:])]
-    with _forked(jobs, IngestError, f"{path}: a parse process") as results:
-        fh.seek(bounds[0])
-        _read_lines(_blocks(fh, bounds[1] - bounds[0]), 2, rows)
-        for parts, rejected in results:
-            rows.parts += parts
-            rows.rejected += rejected
-
-
-def _read_part(path: Path, start: int, a: int, b: int, rows: _Rows) -> Iterator[tuple]:
-    """Read the bytes from ``a`` to ``b`` of a catalog file whose data
-    begins at ``start`` into ``rows``, which holds no row yet, on a handle of
-    its own; yield ``(rows.parts, rows.rejected)``. The line ends before
-    ``a`` are counted first, by ``_blocks``' rule, so that line numbers, and
-    the errors that name them, are those of the whole file."""
+def _read_part(path: Path, lo: int, hi: float, rows: _Rows) -> Iterator[tuple]:
+    """Read the data blocks from ``lo`` up to ``hi`` (see ``_read_run``) of a
+    catalog file into ``rows``, which holds no row yet, on a handle of its
+    own; yield ``(rows.parts, rows.rejected)``."""
     with open(path, "rb") as fh:
-        fh.seek(start)
-        line_no = 2 + sum(
-            buf.count(b"\n") + buf.count(b"\r") - buf.count(b"\r\n")
-            for buf in _blocks(fh, a - start)
-        )
-        _read_lines(_blocks(fh, b - a), line_no, rows)
+        _read_run(_head(fh, path)[2], lo, hi, rows)
     yield rows.parts, rows.rejected
 
 
@@ -646,15 +622,13 @@ def _send(w: int, job: Callable[[], Iterable]) -> NoReturn:
         os._exit(code)
 
 
-def _blocks(fh, size: int | None = None) -> Iterator[bytes]:
-    """The next ``size`` bytes of a binary file, or all the rest, in blocks
-    of about _BLOCK_BYTES that end on a line end (LF, CRLF or a lone CR); an
-    LF is added after the last one. Each chunk read is searched once, so a
-    file with few or no LFs takes linear time."""
+def _blocks(fh) -> Iterator[bytes]:
+    """The rest of a binary file in blocks of about _BLOCK_BYTES that end on
+    a line end (LF, CRLF or a lone CR); an LF is added after the last one.
+    Each chunk read is searched once, so a file with few or no LFs takes
+    linear time."""
     held: list[bytes] = []
-    left = math.inf if size is None else size
-    while left and (chunk := fh.read(min(left, _BLOCK_BYTES))):
-        left -= len(chunk)
+    while chunk := fh.read(_BLOCK_BYTES):
         # a CR at the end of the chunk may be the first half of a CRLF
         cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, len(chunk) - 1)) + 1
         if cut:

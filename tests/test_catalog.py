@@ -9,6 +9,7 @@ import gc
 import io
 import math
 import os
+import re
 import signal
 import struct
 import subprocess
@@ -292,7 +293,8 @@ class TestBulkIngest:
             mp.setattr(catalog, "MAX_REJECT_FRACTION", max_reject)
             assert _outcome(ingest_csv, path, bands) == _outcome(ingest_csv_reference, path, bands)
 
-    @pytest.mark.parametrize("block_bytes", [7, catalog._BLOCK_BYTES])
+    # blocks of 7 bytes end mid-line; one of 4 MiB holds the whole file
+    @pytest.mark.parametrize("block_bytes", [7, 4 << 20])
     @pytest.mark.parametrize(
         "field, value",
         [(0, v) for v in _ODD_IDS] + [(f, v) for f in (1, 2) for v in _ODD_COORDS]
@@ -465,9 +467,10 @@ _LONG = "0" * (csv.field_size_limit() + 1)
 
 
 class TestReadInParts:
-    """A catalog's data read in P parts, one process each (``catalog._cuts``
-    and ``_read_parts``), gives what one part gives: the same rows, reject
-    messages and errors, with no process or pipe left behind."""
+    """A catalog's data read in P parts, one process each, part k being the
+    run of the reader's blocks that ``catalog._read`` gives it, gives what
+    one part gives: the same rows, reject messages and errors, with no
+    process or pipe left behind."""
 
     @pytest.fixture()
     def parts(self, monkeypatch):
@@ -493,11 +496,25 @@ class TestReadInParts:
         return set_parts
 
     @staticmethod
-    def _bounds(path) -> list[int]:
+    def _bounds(path, p: int) -> list[int]:
+        """The file offsets where each of the ``p`` parts of a catalog file
+        begins, and its end. A block of ``catalog._blocks`` that begins
+        ``at`` bytes into the data's ``size`` is in part ``at * p // size``,
+        the first block being what follows the header in its block; a part
+        with no block begins where the next one does."""
         data = path.read_bytes()
         start = 3 if data.startswith(b"\xef\xbb\xbf") else 0
-        with path.open("rb") as fh:
-            return catalog._cuts(fh, data.index(b"\n", start) + 1)
+        first = start + re.match(rb"[^\r\n]*(\r\n?|\n)", data[start:]).end()
+        size = len(data) - first
+        begins: dict[int, int] = {}
+        at = start
+        for block in catalog._blocks(io.BytesIO(data[start:])):
+            begins.setdefault(max(at - first, 0) * p // size, max(at, first))
+            at += len(block)
+        bounds = [len(data)]
+        for k in reversed(range(p)):
+            bounds.insert(0, begins.get(k, bounds[0]))
+        return bounds
 
     @staticmethod
     def _offset(path, line_no: int) -> int:
@@ -517,7 +534,7 @@ class TestReadInParts:
         forks = parts(p)
         log: list[str] = []
         save_index(ingest_csv(f, on_reject=log.append), tmp_path / "p.npz")
-        assert len(forks) == p - 1 and len(self._bounds(f)) == p + 1
+        assert len(forks) == p - 1 and len(set(self._bounds(f, p))) == p + 1
         assert log == one_log and len(log) == 15
         with zipfile.ZipFile(tmp_path / "one.npz") as one, zipfile.ZipFile(tmp_path / "p.npz") as z:
             assert [(m, one.read(m)) for m in one.namelist()] == [
@@ -531,7 +548,7 @@ class TestReadInParts:
         rows[550] = "5000,2.5,3.5,10"
         f = _write_bytes(tmp_path / "c.csv", rows)
         forks = parts(3)
-        bounds = self._bounds(f)
+        bounds = self._bounds(f, 3)
         assert bounds[1] < self._offset(f, 302) < bounds[2] < self._offset(f, 552)
         log: list[str] = []
         index = ingest_csv(f, on_reject=log.append)
@@ -548,8 +565,8 @@ class TestReadInParts:
         rows[27000] = f"27000,{bad},1.5,2"
         f = _write_bytes(tmp_path / "c.csv", rows)
         forks = parts(3, 4096)
-        bounds = self._bounds(f)
-        assert len(bounds) == 4 and bounds[2] < self._offset(f, 27002)
+        bounds = self._bounds(f, 3)
+        assert len(set(bounds)) == 4 and bounds[2] < self._offset(f, 27002)
         with pytest.raises(IngestError) as info:
             ingest_csv(f)
         assert len(forks) == 2
@@ -563,7 +580,7 @@ class TestReadInParts:
         rows[late] = f"{late},{_LONG},1.5,2"
         f = _write_bytes(tmp_path / "c.csv", rows)
         parts(3, 4096)
-        bounds = self._bounds(f)
+        bounds = self._bounds(f, 3)
         first = 0 if early == 3000 else 1
         assert bounds[first] < self._offset(f, early + 2) < bounds[first + 1]
         assert bounds[first + 1] < self._offset(f, late + 2)
@@ -571,7 +588,7 @@ class TestReadInParts:
             ingest_csv(f)
         assert str(info.value) == f"{f}: line {early + 2}: not UTF-8 text (byte 0xe9)"
 
-    @pytest.mark.parametrize("ends", ["bom-crlf", "cr-lf-mixed"])
+    @pytest.mark.parametrize("ends", ["bom-crlf", "cr-lf-mixed", "cr-only"])
     @pytest.mark.parametrize("p", [2, 3])
     def test_line_ends_around_a_cut(self, tmp_path, parts, ends, p):
         rows = _plain_rows(400)
@@ -579,11 +596,13 @@ class TestReadInParts:
             rows[at] = f"{at},1.5,95,10"
         if ends == "bom-crlf":
             data = "\ufeffid,ra,dec,r\r\n" + "".join(r + "\r\n" for r in rows)
-        else:  # lone CRs, and an LF and a CRLF every 9 lines
+        elif ends == "cr-lf-mixed":  # lone CRs, and an LF and a CRLF every 9 lines
             data = "id,ra,dec,r\r" + "".join(
                 r + ("\n" if k % 9 == 4 else "\r\n" if k % 9 == 8 else "\r")
                 for k, r in enumerate(rows)
             )
+        else:  # no LF at all
+            data = "id,ra,dec,r\r" + "".join(r + "\r" for r in rows)
         f = tmp_path / "c.csv"
         f.write_bytes(data.encode())
         parts(1)
@@ -593,6 +612,18 @@ class TestReadInParts:
         assert len(forks) == p - 1
         assert one[0][:2] == ["line 7: dec 95.0 outside [-90, 90]",
                               "line 30: dec 95.0 outside [-90, 90]"]
+
+    def test_lines_longer_than_a_block_leave_a_part_without_one(self, tmp_path, parts):
+        long_ra = "1." + "0" * 150 + "5"
+        f = _write_bytes(tmp_path / "c.csv", [f"1,{long_ra},2.5,10", f"2,{long_ra},95,10"])
+        parts(1)
+        one = _outcome(ingest_csv, f, None)
+        forks = parts(3)
+        bounds = self._bounds(f, 3)
+        assert bounds[0] < bounds[1] < bounds[2] == bounds[3]  # part 2 has no block
+        assert _outcome(ingest_csv, f, None) == one == _outcome(ingest_csv_reference, f, None)
+        assert len(forks) == 2
+        assert one[0] == ["line 3: dec 95.0 outside [-90, 90]"]
 
     def test_child_killed_mid_parse_is_one_data_error(self, tmp_path, parts, monkeypatch,
                                                        capsys):
