@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 from numpy.lib import format as npy
@@ -67,8 +67,8 @@ MAX_REJECT_FRACTION = 0.01
 # CSV rows formatted per write: one format call per chunk, bounded memory
 _CHUNK_ROWS = 8192
 
-# chunks of %-formatted rows from which _write_csv forks; with fewer, forking
-# lost time on some formats (see CHANGES.md)
+# chunks of rows with a %r field from which _write_csv forks; with fewer,
+# forking lost time on some formats (see CHANGES.md)
 _FORK_CHUNKS = 4
 
 # bytes of a catalog CSV read and bulk-parsed at a time (rounded to lines)
@@ -241,6 +241,8 @@ def _parse_header(row: list[str], bands: Sequence[str] | None) -> tuple[str, ...
     if fixed != ["id", "ra", "dec"]:
         raise IngestError(f"malformed header: expected id,ra,dec,... got {row!r}")
     available = [c.strip() for c in row[3:]]
+    if "" in available:
+        raise IngestError(f"malformed header: empty band name in {row!r}")
     if len(set(available)) != len(available):
         raise IngestError(f"malformed header: duplicate band names in {row!r}")
     if bands is None:
@@ -717,27 +719,15 @@ def _format_rows(row_format: str, columns: Sequence, part: int = 0, parts: int =
     rows), each formatted by ``row_format``, one string per _CHUNK_ROWS rows:
     chunks ``part``, ``part + parts``, ... of them, so all by default.
 
-    A format of ``%d`` and ``%.12g`` fields joined by commas and ended by a
-    newline, such as a cross-match's ``%d,%d,%.12g\\n``, is written by numpy
-    digit arithmetic (``_format_numeric``); its ``%d`` columns must hold
-    unsigned 64-bit integers. Every other format, such as one with ``%r``, is
-    applied by ``%`` to the rows as Python objects. Both give the bytes of
-    ``%``."""
+    ``row_format`` is ``%d``, ``%.12g`` and ``%r`` fields joined by commas
+    and ended by a newline, such as a cross-match's ``%d,%d,%.12g\\n`` or a
+    catalog's ``%d,%r,%r,%r\\n``. Its ``%d`` columns must hold unsigned
+    64-bit integers and its other columns floats. The rows are written by
+    numpy digit arithmetic (``_format_numeric``) with the bytes of ``%``."""
     fields = row_format[:-1].split(",")
-    numeric = _is_numeric(row_format)
     n = len(columns[0]) if columns else 0
     for start in range(part * _CHUNK_ROWS, n, parts * _CHUNK_ROWS):
-        chunk = [col[start : start + _CHUNK_ROWS] for col in columns]
-        if numeric:
-            yield _format_numeric(fields, chunk)
-            continue
-        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in chunk))
-        yield row_format * len(chunk[0]) % tuple(chain.from_iterable(rows))
-
-
-def _is_numeric(row_format: str) -> bool:
-    """Whether ``_format_rows`` writes ``row_format`` by digit arithmetic."""
-    return row_format.endswith("\n") and set(row_format[:-1].split(",")) <= {"%d", "%.12g"}
+        yield _format_numeric(fields, [col[start : start + _CHUNK_ROWS] for col in columns])
 
 
 # Tables of _format_numeric. A field is laid out in fixed-width machine words
@@ -762,21 +752,16 @@ def _digit_words() -> tuple[np.ndarray, np.ndarray]:
 
 # 4-digit groups of a %d field, as uint32 words, at 10000 * kind + group: kind 0
 # for a group left of the first digit (all NUL), 1 for the group holding it
-# (its leading zeros NUL; "0" for 0), 2 for any later group. 4 of a %.12g
-# field's 12 significant digits, as uint64 words: each digit followed by a NUL
-# byte that may become the decimal point; at 10000 * kind + group, kind 1
-# with trailing zeros NUL.
+# (its leading zeros NUL; "0" for 0), 2 for any later group. 4 significant
+# digits of a float field, as uint64 words: each digit followed by a NUL byte
+# that may become the decimal point; at 10000 * kind + group, kind 1 with
+# trailing zeros NUL.
 _INT_WORDS, _SIG_WORDS = _digit_words()
 # 10**k, exact as doubles for k <= 22
 _POW10 = np.array([float(10**k) for k in range(23)])
-# the decimal exponents e of a %.12g value the digit path writes, as e + 11: a
-# scale 10**(11 - e) within 10**+-22
-_EXPONENTS = range(-11, 34)
-
-
-def _fixed(e: int) -> bool:
-    """Whether %.12g prints a value of decimal exponent e in fixed notation."""
-    return -4 <= e < 12
+# 5**p for the scales 10**p of %r's digits, p in [0, 27]: all below 2**63
+_POW5 = np.array([5**p for p in range(28)], np.uint64)
+_U64 = np.uint64
 
 
 def _words(strings: Iterator[bytes], width: int, dtype) -> np.ndarray:
@@ -784,29 +769,150 @@ def _words(strings: Iterator[bytes], width: int, dtype) -> np.ndarray:
     return np.frombuffer(b"".join(s.ljust(width, b"\0") for s in strings), dtype)
 
 
-# sign and leading "0.0..." of fixed notation with e < 0, at e + 11 (+ 45 for "-")
-_LEAD_WORDS = _words(
-    (sign + (b"0." + b"0" * (-e - 1) if _fixed(e) and e < 0 else b"") for sign in (b"\0", b"-")
-     for e in _EXPONENTS), 8, np.uint64,
-)
-# "e+dd" of exponent notation, at e + 11
-_SUFFIX_WORDS = _words((b"" if _fixed(e) else b"e%+03d" % e for e in _EXPONENTS), 8, np.uint64)
-# per significant-digit word (3, e + 11): "0" in each digit byte left of the
-# point in fixed notation; OR-ed in, it restores integer zeros a strip removed
-_INT_ZERO_WORDS = np.ascontiguousarray(_words(
-    (b"0\0" * (e + 1) if _fixed(e) and e >= 0 else b"" for e in _EXPONENTS), 24, np.uint64,
-).reshape(-1, 3).T)
-# the digit after which the point goes (0 in exponent notation), at e + 11;
-# -1 for fixed notation with e < 0, whose point is in the lead
-_POINT_AFTER = np.array([(-1 if e < 0 else e) if _fixed(e) else 0 for e in _EXPONENTS])
+def _g12_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(m, e + 11, decided)`` of ``%.12g`` for the float64 values ``x``:
+    the 12-digit mantissa and decimal exponent e it prints, where decided.
+
+    With e = floor(log10 |x|), |x| is scaled by the exact double 10**(11 - e)
+    in one multiplication or division, so the scaled value s is within 1.2e-4
+    of the exact product while s < 1e12. Where s is at least 1e-3 from a
+    half-integer, rint(s) is the exact product rounded, as %g rounds it; where
+    also 1e11 <= s and rint(s) < 1e12, that is the 12-digit mantissa and e the
+    exponent %g prints (s just above 1e11 with the exact product just below
+    is the carry of 99..9.5, which %g too prints as 1 and e). Every other
+    value, NaN, an infinity, 0 and e outside [-11, 33] included, is
+    undecided."""
+    a = np.abs(x)
+    with np.errstate(all="ignore"):
+        e = np.floor(np.log10(a))
+        ok = np.abs(11 - e) <= 22
+        scale = 11 - np.where(ok, e, 11).astype(np.intp)
+        p = _POW10[np.abs(scale)]
+        s = a * p
+        np.divide(a, p, out=s, where=scale < 0)
+        m = np.rint(s)
+        decided = ok & (s >= 1e11) & (m < 1e12) & (np.abs(s - np.floor(s) - 0.5) > 1e-3)
+    return m, 22 - scale, decided
+
+
+def _repr_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(m, e + 11, decided)`` of ``%r`` for the float64 values ``x``: the
+    shortest round-trip digits, as a 17-digit mantissa with trailing zeros,
+    and their decimal exponent e, where decided.
+
+    For |x| = m2 * 2**b with 2**52 <= m2 < 2**53, e = floor(log10 |x|), p =
+    16 - e and s = -(b + p), the product P = m2 * 5**p is exact in 128 bits
+    and |x| * 10**p = P / 2**s, with Q = P >> s and r = P mod 2**s. A decimal
+    D * 10**-p lies inside x's rounding interval, which is open, exactly when
+    2 * |D * 2**s - P| < 5**p (5**p is odd, so the two never tie). ``repr``
+    gives the fewest digits that lie inside, the nearest such value. The
+    interval is at most 22 units of the 17th digit wide, so a value of 15 or
+    fewer digits inside it is the nearest multiple of 100, D15; else the
+    nearest multiple of 10, D16, if inside; else Q rounded, D17, which always
+    is. Undecided: 0, subnormals, NaN and infinities; m2 = 2**52, whose
+    interval is lopsided; p outside [0, 27] or s outside [1, 57], which keeps
+    |D - Q| * 2**s below 2**63; Q outside [1e16, 1e17) (a log10 off by one)
+    or a D that carries to 1e17; and the ties r = 2**(s - 1) and Q ending in
+    5 with r = 0, which ``repr`` breaks to even. The arithmetic stays in
+    uint64 (see _format_int)."""
+    bits = x.view(np.uint64)
+    biased = (bits >> _U64(52)).astype(np.intp) & 0x7FF
+    frac = bits & _U64(2**52 - 1)
+    with np.errstate(all="ignore"):
+        e = np.floor(np.log10(np.abs(x)))
+        e = np.where(np.isfinite(e), e, 0).astype(np.intp)
+    p = 16 - e
+    s = 1075 - biased - p
+    decided = (biased > 0) & (biased < 0x7FF) & (frac != 0)
+    decided &= (p >= 0) & (p <= 27) & (s >= 1) & (s <= 57)
+    f = _POW5[np.where(decided, p, 0)]
+    s = np.where(decided, s, 1).astype(np.uint64)
+    # P = hi * 2**64 + lo from the 32-bit halves of m2 and f; every partial
+    # product and their middle sum fit in 64 bits. Q < 1e18 < 2**60 even
+    # for a log10 off by one, so hi < 2**s and Q fits in 64 bits.
+    m2 = frac | _U64(2**52)
+    half32, low32 = _U64(32), _U64(2**32 - 1)
+    ml, mh, fl, fh = m2 & low32, m2 >> half32, f & low32, f >> half32
+    low = ml * fl
+    mid = ml * fh + mh * fl
+    lo = low + (mid << half32)
+    hi = mh * fh + (mid >> half32) + (lo < low)
+    q = (hi << (_U64(64) - s)) | (lo >> s)
+    r = lo & ((_U64(1) << s) - _U64(1))
+    tie = _U64(1) << (s - _U64(1))
+    decided &= (q >= _U64(10**16)) & (q < _U64(10**17)) & (r != tie)
+    # (D - Q) * 2**s - r, wrapped to 64 bits, read as signed; inside when
+    # its size is at most (5**p - 1) / 2
+    within = (f >> _U64(1)).view(np.int64)
+    d15 = (q + _U64(50)) // _U64(100) * _U64(100)
+    d16 = (q + _U64(5)) // _U64(10) * _U64(10)
+    in15 = np.abs((((d15 - q) << s) - r).view(np.int64)) <= within
+    in16 = np.abs((((d16 - q) << s) - r).view(np.int64)) <= within
+    decided &= (r != _U64(0)) | (d16 - q != _U64(5))
+    m = np.where(in15, d15, np.where(in16, d16, q + (r > tie)))
+    decided &= m < _U64(10**17)
+    return m, e + 11, decided
+
+
+class _Notation(NamedTuple):
+    """A float format as _format_float writes it, in uint64 words per value:
+    a lead (sign and fixed notation's "0.0..."), the significant digits 4 to
+    a word, each followed by a slot for the point, and a suffix ("e+dd").
+    Its tables cover the decimal exponents e in [-11, top], at e + 11."""
+
+    fmt: bytes  # applied by % to each value ``digits_of`` leaves undecided
+    digits_of: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    digits: int  # significant digits of the mantissa
+    lead: np.ndarray  # at e + 11 without a sign, after those with "-"
+    suffix: np.ndarray
+    # (digit words, exponents): in fixed notation with e >= 0, "0" in each
+    # digit byte left of the point; OR-ed in, it restores integer zeros a
+    # strip removed. With ``repr``'s point it also holds the point and a "0"
+    # after it, the ".0" of an integral value.
+    zeros: np.ndarray
+    # the digit after which the point goes when a nonzero digit follows it
+    # (0 in exponent notation); -1 where the lead or ``zeros`` holds it
+    point_after: np.ndarray
+
+    @property
+    def words(self) -> int:
+        """uint64 words per value: lead, digits and suffix."""
+        return -(-self.digits // 4) + 2
+
+
+def _notation(fmt: bytes, digits_of, digits: int, fixed_below: int, top: int) -> _Notation:
+    """The tables of a format that prints e in [-4, fixed_below) in fixed
+    notation. ``%r`` always prints a point in fixed notation; ``%g`` only
+    before a nonzero digit."""
+    exponents = range(-11, top + 1)
+    fixed = [-4 <= e < fixed_below for e in exponents]
+    point = fmt == b"%r"
+    words = -(-digits // 4)
+    return _Notation(
+        fmt, digits_of, digits,
+        _words((sign + (b"0." + b"0" * (-e - 1) if f and e < 0 else b"") for sign in (b"", b"-")
+                for e, f in zip(exponents, fixed)), 8, np.uint64),
+        _words((b"" if f else b"e%+03d" % e for e, f in zip(exponents, fixed)), 8, np.uint64),
+        np.ascontiguousarray(_words(
+            (b"" if not f or e < 0 else b"0\0" * e + b"0.0" if point else b"0\0" * (e + 1)
+             for e, f in zip(exponents, fixed)), 8 * words, np.uint64,
+        ).reshape(-1, words).T),
+        np.array([(-1 if e < 0 or point else e) if f else 0 for e, f in zip(exponents, fixed)]),
+    )
+
+
+_FLOAT_FIELDS = {
+    "%.12g": _notation(b"%.12g", _g12_digits, 12, fixed_below=12, top=33),
+    "%r": _notation(b"%r", _repr_digits, 17, fixed_below=16, top=15),
+}
 _COMMA_WORD, _NEWLINE_WORD = _words((b",", b"\n"), 4, np.uint32)
 
 
 def _format_numeric(fields: Sequence[str], columns: Sequence) -> str:
-    """One chunk of rows whose ``fields`` are each ``%d`` or ``%.12g``,
-    separated by commas and ended by newlines, with the bytes ``%`` gives.
-    Each field becomes a block of uint32 words per row, followed by one
-    separator word; the row matrix's NUL bytes are deleted at the end."""
+    """One chunk of rows whose ``fields`` are each ``%d``, ``%.12g`` or
+    ``%r``, separated by commas and ended by newlines, with the bytes ``%``
+    gives. Each field becomes a block of uint32 words per row, followed by
+    one separator word; the row matrix's NUL bytes are deleted at the end."""
     n = len(columns[0])
     values, widths = [], []
     for field, col in zip(fields, columns):
@@ -816,7 +922,7 @@ def _format_numeric(fields: Sequence[str], columns: Sequence) -> str:
             widths.append(-(-len(str(int(q.max()))) // 4))
         else:
             values.append(np.asarray(col, dtype=np.float64))
-            widths.append(10)
+            widths.append(2 * _FLOAT_FIELDS[field].words)
     words = np.empty((n, sum(widths) + len(widths)), np.uint32)  # every word is written
     end = 0
     for field, v, width in zip(fields, values, widths):
@@ -824,9 +930,9 @@ def _format_numeric(fields: Sequence[str], columns: Sequence) -> str:
         if field == "%d":
             _format_int(v, block)
         else:
-            sig = np.empty((n, 5), np.uint64)
-            _format_g12(v, sig)
-            block[...] = sig.view(np.uint32)
+            out = np.empty((n, width // 2), np.uint64)
+            _format_float(v, out, _FLOAT_FIELDS[field])
+            block[...] = out.view(np.uint32)
         words[:, end + width] = _COMMA_WORD
         end += width + 1
     words[:, -1] = _NEWLINE_WORD
@@ -852,56 +958,45 @@ def _format_int(q: np.ndarray, out: np.ndarray) -> None:
         rest = above
 
 
-def _format_g12(x: np.ndarray, out: np.ndarray) -> None:
-    """Write ``%.12g`` of the float64 values ``x`` into the uint64 words
-    ``out`` (n, 5): sign and lead, 12 significant digits with their point
-    slots, and the exponent suffix.
-
-    With e = floor(log10 |x|), |x| is scaled by the exact double 10**(11 - e)
-    in one multiplication or division, so the scaled value s is within 1.2e-4
-    of the exact product while s < 1e12. Where s is at least 1e-3 from a
-    half-integer, rint(s) is the exact product rounded, as %g rounds it; where
-    also 1e11 <= s and rint(s) < 1e12, that is the 12-digit mantissa and e the
-    exponent %g prints (s just above 1e11 with the exact product just below
-    is the carry of 99..9.5, which %g too prints as 1 and e). Every other
-    value, NaN, an infinity, and e outside [-11, 33] included, is written by
-    ``%``; 0 is "0" and -0 "-0"."""
-    a = np.abs(x)
-    with np.errstate(all="ignore"):
-        e = np.floor(np.log10(a))
-        ok = np.abs(11 - e) <= 22
-        scale = 11 - np.where(ok, e, 11).astype(np.intp)
-        p = _POW10[np.abs(scale)]
-        s = a * p
-        np.divide(a, p, out=s, where=scale < 0)
-        m = np.rint(s)
-        exact = ok & (s >= 1e11) & (m < 1e12) & (np.abs(s - np.floor(s) - 0.5) > 1e-3)
-    zero = a == 0
-    exact |= zero
-    m[~exact | zero] = 0
-    at = 22 - scale  # e + 11
-    at[~exact | zero] = 11  # zero prints as e = 0 with no significant digit
-    mant = m.astype(np.uint64)
-    hi = mant // np.uint64(100000000)
-    low8 = mant - hi * np.uint64(100000000)
-    mid = low8 // np.uint64(10000)
-    lo = low8 - mid * np.uint64(10000)
-    lo_zero = lo == 0
-    out[:, 0] = _LEAD_WORDS[at + 45 * np.signbit(x)]
-    out[:, 1] = _SIG_WORDS[hi.astype(np.intp) + 10000 * (lo_zero & (mid == 0))]
-    out[:, 2] = _SIG_WORDS[mid.astype(np.intp) + 10000 * lo_zero]
-    out[:, 3] = _SIG_WORDS[lo.astype(np.intp) + 10000]
-    for k in range(3):
-        out[:, 1 + k] |= _INT_ZERO_WORDS[k][at]
-    out[:, 4] = _SUFFIX_WORDS[at]
-    # a point after digit d when a nonzero digit follows: m not a multiple of 10**(11 - d)
-    after = _POINT_AFTER[at]
-    q = m / _POW10[11 - np.maximum(after, 0)]
-    rows = np.flatnonzero((q != np.floor(q)) & (after >= 0))
-    out.view(np.uint8)[rows, 9 + 2 * after[rows]] = ord(".")
-    bad = np.flatnonzero(~exact)
+def _format_float(x: np.ndarray, out: np.ndarray, notation: _Notation) -> None:
+    """Write the float64 values ``x`` in ``notation`` into the uint64 words
+    ``out`` (n, notation.words): sign and lead, the significant digits with
+    their point slots, and the exponent suffix. 0 is written as e = 0 with
+    no significant digit ("0", "-0", "0.0", "-0.0"); each value
+    ``notation.digits_of`` leaves undecided, by ``%``."""
+    m, at, decided = notation.digits_of(x)
+    zero = x == 0
+    blank = zero | ~decided
+    m[blank] = 0
+    at[blank] = 11
+    # the mantissa's 4-digit groups, left to right; the last is padded on
+    # the right with the zeros that make it 4 digits
+    groups = []
+    words = notation.words - 2
+    rest, size = m.astype(np.uint64), notation.digits - 4 * (words - 1)
+    for _ in range(words - 1):
+        above = rest // _U64(10**size)
+        group = rest - above * _U64(10**size)
+        groups.append(group * _U64(10 ** (4 - size)) if size < 4 else group)
+        rest, size = above, 4
+    groups.append(rest)
+    out[:, 0] = notation.lead[at + len(notation.suffix) * np.signbit(x)]
+    trailing = np.ones(len(x), bool)  # every group right of this one is zero
+    for k, group in enumerate(groups):  # right to left
+        word = words - k
+        out[:, word] = _SIG_WORDS[group.astype(np.intp) + 10000 * trailing]
+        out[:, word] |= notation.zeros[word - 1][at]
+        trailing &= group == _U64(0)
+    out[:, -1] = notation.suffix[at]
+    # a point in the slot after digit d where a digit byte follows it
+    slot = 9 + 2 * notation.point_after[at] + 8 * notation.words * np.arange(len(x))
+    u8 = out.reshape(-1).view(np.uint8)
+    rows = np.flatnonzero((notation.point_after[at] >= 0) & (u8[slot + 1] != 0))
+    u8[slot[rows]] = ord(".")
+    bad = np.flatnonzero(~(decided | zero))
     if len(bad):
-        out[bad] = _words((b"%.12g" % v for v in x[bad].tolist()), 40, np.uint64).reshape(-1, 5)
+        out[bad] = _words((notation.fmt % v for v in x[bad].tolist()), 8 * notation.words,
+                          np.uint64).reshape(-1, notation.words)
 
 
 @contextmanager
@@ -949,14 +1044,15 @@ def _write_csv(path: str | Path | None, header: str, row_format: str, columns) -
     ``row_format``; to stdout for a path of None or "-". Catalogs and query
     results are both written here.
 
-    Rows that ``%`` formats, such as a catalog's, in _FORK_CHUNKS chunks or
+    Rows with a ``%r`` field, such as a catalog's, in _FORK_CHUNKS chunks or
     more are formatted by forked processes (``_forked``), the chunks dealt
     to them in turn; this process writes each chunk in order as it comes, so
-    the bytes are those of one process. Numeric rows are formatted here."""
+    the bytes are those of one process. Rows of only ``%d`` and ``%.12g``
+    fields, whose digits cost less, are formatted here."""
     chunks = -(-len(columns[0]) // _CHUNK_ROWS) if columns else 0
     with _open_output(path) as fh:
         fh.write(header)
-        forks = 1 if _is_numeric(row_format) or chunks < _FORK_CHUNKS else _process_count()
+        forks = 1 if "%r" not in row_format or chunks < _FORK_CHUNKS else _process_count()
         if forks < 2:
             fh.writelines(_format_rows(row_format, columns))
             return

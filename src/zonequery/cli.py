@@ -119,16 +119,16 @@ def parse_bands(text: str) -> tuple[BandSpec, ...]:
     return tuple(out)
 
 
-def _check_workers(workers: int) -> None:
-    if workers > MAX_WORKERS:
-        raise UsageError(f"--workers {workers} is above the limit of {MAX_WORKERS}")
-
-
-def _normalize_strategy(text: str) -> str:
-    strategy = text.replace("-", "_")
+def _plan_flags(args) -> str:
+    """The normalized ``--strategy``, once it and the ``--workers`` limit are
+    checked; neither needs a snapshot, so commands check them before loading
+    one."""
+    if args.workers > MAX_WORKERS:
+        raise UsageError(f"--workers {args.workers} is above the limit of {MAX_WORKERS}")
+    strategy = args.strategy.replace("-", "_")
     if strategy not in STRATEGIES:
         raise UsageError(
-            f"unknown strategy {text!r}; expected contiguous, round-robin, or density"
+            f"unknown strategy {args.strategy!r}; expected contiguous, round-robin, or density"
         )
     return strategy
 
@@ -145,7 +145,6 @@ def _load_pair(leading: str, other: str) -> tuple[ZoneIndex, ZoneIndex]:
 
 
 def _plan_for(index: ZoneIndex, strategy: str, workers: int):
-    _check_workers(workers)
     hist = histogram(index) if strategy == "density" else None
     try:
         return make_plan(strategy, index.cfg.zone_count, workers, hist)
@@ -199,7 +198,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    strategy = _normalize_strategy(args.strategy)
+    strategy = _plan_flags(args)
     if args.format == "table" and not args.report:
         raise UsageError("--format table requires --report")
     index = load_index(args.index, mags=False)
@@ -236,13 +235,13 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    index = load_index(args.index)
-    strategy = _normalize_strategy(args.strategy)
-    plan = _plan_for(index, strategy, args.workers)
+    strategy = _plan_flags(args)
     try:
         f = ScanFilter(args.band, args.between[0], args.between[1])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    index = load_index(args.index)
+    plan = _plan_for(index, strategy, args.workers)
     rows, rep = run_scan(index, f, plan)
     _write_csv(args.out, "id,mag\n", "%d,%r\n", tuple(zip(*rows)))
     _write_stats(args.stats, rep.to_json())
@@ -250,9 +249,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_cone(args) -> int:
-    index = load_index(args.index, mags=False)
-    strategy = _normalize_strategy(args.strategy)
-    plan = _plan_for(index, strategy, args.workers)
+    strategy = _plan_flags(args)
     try:
         q = ConeQuery(
             SkyPoint(parse_angle(args.ra), parse_angle(args.dec)),
@@ -260,6 +257,8 @@ def _cmd_cone(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    index = load_index(args.index, mags=False)
+    plan = _plan_for(index, strategy, args.workers)
     rows, rep = run_cone(index, q, plan)
     _write_csv(args.out, "id,separation_deg\n", "%d,%.12g\n", tuple(zip(*rows)))
     _write_stats(args.stats, rep.to_json())
@@ -267,13 +266,13 @@ def _cmd_cone(args) -> int:
 
 
 def _cmd_xmatch(args) -> int:
-    leading, other = _load_pair(args.leading, args.other)
-    strategy = _normalize_strategy(args.strategy)
-    plan = _plan_for(leading, strategy, args.workers)
+    strategy = _plan_flags(args)
     try:
         spec = MatchSpec(radius=parse_angle(args.radius))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    leading, other = _load_pair(args.leading, args.other)
+    plan = _plan_for(leading, strategy, args.workers)
     pairs, rep = run_xmatch(leading, other, spec, plan)
     if args.no_self:
         pairs = pairs.take(pairs.leading_ids != pairs.other_ids)

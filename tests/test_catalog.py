@@ -172,6 +172,15 @@ class TestIngestRejection:
         with pytest.raises(IngestError, match="header"):
             ingest_csv(f)
 
+    # a trailing comma, as some exports write; two empty names once failed
+    # as repeats
+    @pytest.mark.parametrize("header", ["id,ra,dec,", "id,ra,dec,,", "id,ra,dec,r, "])
+    def test_empty_band_name(self, tmp_path, header):
+        row = "1,0,0" + ",9.0" * (header.count(",") - 2)
+        f = write_rows(tmp_path / "cat.csv", [row], header=header)
+        with pytest.raises(IngestError, match=r"malformed header: empty band name in \["):
+            ingest_csv(f)
+
     def test_requested_band_not_in_header(self, tmp_path):
         f = write_rows(tmp_path / "cat.csv", ["1,0,0,9.0"], header="id,ra,dec,r")
         with pytest.raises(IngestError, match="not in header"):
@@ -736,9 +745,9 @@ def _rows_by_percent(header: str, row_format: str, columns) -> str:
 
 
 class TestWriteInParts:
-    """A CSV whose rows ``%`` formats, written from many chunks, is formatted
-    in one forked process per CPU (``catalog._write_csv`` on ``_forked``):
-    the bytes are those of one process, errors name the output, and no
+    """A CSV with a ``%r`` field, written from many chunks, is formatted in
+    one forked process per CPU (``catalog._write_csv`` on ``_forked``): the
+    bytes are those of ``%`` in one process, errors name the output, and no
     process or pipe is left behind."""
 
     @pytest.fixture()

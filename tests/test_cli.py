@@ -401,6 +401,28 @@ class TestCorruptSnapshot:
         err = capsys.readouterr().err
         assert err == f"zonequery: data error: {bad}: not a zonequery index snapshot\n"
 
+    # flags that need no snapshot are checked before it is loaded; the last
+    # of a repeated flag is the one argparse keeps
+    @pytest.mark.parametrize("command, flag, shown", [
+        ("cone", ["--dec", "95deg"], "95"),
+        ("cone", ["--radius", "1"], "bad angle '1'"),
+        ("xmatch", ["--radius", "5"], "bad angle '5'"),
+        ("xmatch", ["--workers", "65"], "--workers 65"),
+        ("scan", ["--strategy", "bogus"], "unknown strategy 'bogus'"),
+        ("scan", ["--between", "2", "1"], "lo 2.0 > hi 1.0"),
+        ("plan", ["--workers", "65"], "--workers 65"),
+    ])
+    def test_bad_flag_is_a_usage_error_before_the_load(self, small_setup, tmp_path, capsys,
+                                                       command, flag, shown):
+        bad = tmp_path / "bad.npz"
+        shutil.copyfile(small_setup[2], bad)
+        _corrupt(bad, "truncated")
+        capsys.readouterr()
+        assert run_cli(*_query_commands(str(bad), tmp_path)[command], *flag) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("zonequery: error: ") and shown in err
+        assert err.count("\n") == 1
+
     def test_only_scan_keeps_magnitudes(self, small_setup, tmp_path, monkeypatch):
         _, _, a_idx, b_idx = small_setup
         commands = _query_commands(str(a_idx), tmp_path)
@@ -861,9 +883,9 @@ def _rows_of(chunks) -> list[str]:
 
 
 class TestCsvFormatter:
-    """The chunked %-formatter writes what the per-row f-strings wrote. Rows
-    are compared as lists, so a failure names the first wrong row instead of
-    diffing two strings of up to ~700,000 characters."""
+    """The chunked digit formatter writes what the per-row f-strings wrote.
+    Rows are compared as lists, so a failure names the first wrong row
+    instead of diffing two strings of up to ~700,000 characters."""
 
     @given(st.lists(st.tuples(_U64, _U64, _FLOATS), min_size=1, max_size=20), _LENGTHS)
     @settings(max_examples=100, deadline=None)
@@ -910,6 +932,24 @@ _SPECIALS = _SPECIALS | st.sampled_from([
     float("nan"), -float("nan"), float("inf"), -float("inf"),
 ])
 _ANY_FLOAT = st.integers(0, 2**64 - 1).map(_float_of_bits) | _TIES | _POWERS | _SPECIALS
+# for %r: decimals of 1 to 17 significant digits, powers of two and their
+# neighbours, integral values, and where repr switches notation (1e-4, 1e16)
+_SHORT = st.builds(
+    lambda m, k, sign: sign * float(f"{m}e{k}"),
+    st.integers(1, 17).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1)),
+    st.integers(-35, 20), st.sampled_from([1, -1]),
+)
+_TWOS = st.builds(
+    lambda k, how: how(2.0**k), st.integers(-1074, 1023),
+    st.sampled_from([lambda p: p, lambda p: np.nextafter(p, 0.0),
+                     lambda p: np.nextafter(p, np.inf), lambda p: -p]),
+)
+_SWITCHES = st.sampled_from([
+    v for p in (1e-4, 1e16, 1e-5, 1e15) for v in (p, np.nextafter(p, 0.0), np.nextafter(p, np.inf))
+])
+_REPR_FLOAT = (_ANY_FLOAT | _SHORT | _TWOS | _SWITCHES | st.integers(-(2**53), 2**53)).map(
+    float  # %r of a numpy scalar is "np.float64(...)"
+)
 
 
 def _percent(row_format, columns) -> list[str]:
@@ -920,7 +960,7 @@ def _percent(row_format, columns) -> list[str]:
 
 
 class TestNumericFormatter:
-    """%d and %.12g rows, written by digit arithmetic, equal %."""
+    """%d, %.12g and %r rows, written by digit arithmetic, equal %."""
 
     @given(
         st.lists(st.tuples(_U64, _U64, _ANY_FLOAT), min_size=1, max_size=30),
@@ -941,11 +981,31 @@ class TestNumericFormatter:
             assert len(chunks) == -(-n // CHUNK)
             assert _rows_of(chunks) == _percent(row_format, columns)
 
+    @given(
+        st.lists(st.tuples(_U64, _REPR_FLOAT, _REPR_FLOAT, _REPR_FLOAT), min_size=1,
+                 max_size=30),
+        _LENGTHS,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_scan_and_gen_rows(self, pool, n):
+        rows = _tile(pool, n)
+        ids, ra, dec, mag = ([r[k] for r in rows] for k in range(4))
+        mags = np.array([dec, mag], ndmin=2).T.reshape(n, 2)
+        for row_format, columns in (
+            ("%d,%r\n", (tuple(ids), tuple(ra))),  # as scan passes them
+            # as gen passes them, magnitudes as strided columns
+            ("%d,%r,%r,%r\n", (np.array(ids, np.uint64), np.array(ra), *mags.T)),
+        ):
+            chunks = list(_format_rows(row_format, columns))
+            assert len(chunks) == -(-n // CHUNK)
+            assert _rows_of(chunks) == _percent(row_format, columns)
+
     def test_adversarial_values(self):
         rng = np.random.default_rng(14)
         m = rng.integers(10**11, 10**12, 30000)
         k = rng.integers(-42, 19, 30000)
         powers = np.array([float(f"1e{e}") for e in range(-320, 309)])
+        twos = 2.0 ** np.arange(-1074, 1024)
         values = np.concatenate([
             rng.integers(0, 2**64, 30000, dtype=np.uint64).view(np.float64),
             [float(f"{a}5e{b}") for a, b in zip(m.tolist(), k.tolist())],
@@ -955,12 +1015,22 @@ class TestNumericFormatter:
             [float(f"9.99999999999{d}e{e}") for d in (499, 501) for e in range(-30, 31)],
             rng.uniform(0.0, 1.0, 30000) ** 8, rng.integers(0, 10**14, 30000).astype(np.float64),
             [5e-324, 0.0, np.nan, np.inf],
+            # for %r: 1 to 17 significant digits, powers of two, integral
+            # values up to 2**53, gen-like columns, and subnormals
+            [float(f"{a}e{b}") for a, b in zip(
+                (rng.integers(1, 10**17, 30000) // 10 ** rng.integers(0, 17, 30000)).tolist(),
+                rng.integers(-25, 20, 30000).tolist())],
+            twos, np.nextafter(twos, 0.0), np.nextafter(twos, np.inf),
+            rng.integers(0, 2**53, 30000).astype(np.float64), rng.uniform(0.0, 360.0, 30000),
+            rng.integers(1, 2**52, 3000, dtype=np.uint64).view(np.float64),
         ])
         values = np.concatenate([values, -values])
         ids = rng.integers(0, 2**64, len(values), dtype=np.uint64)
         ids[:3] = (0, 2**63, 2**64 - 1)
         for row_format, columns in (
             ("%d,%.12g\n", (ids, values)), ("%.12g,%d,%.12g\n", (values, ids, values[::-1])),
+            ("%d,%r\n", (tuple(ids.tolist()), tuple(values.tolist()))),
+            ("%d,%r,%r,%r\n", (ids, values, values[::-1], np.roll(values, 1))),
         ):
             assert _rows_of(_format_rows(row_format, columns)) == _percent(row_format, columns)
 
