@@ -16,7 +16,6 @@ keeps zone key bands exact and separated by a gap that absorbs rounding.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 import stat
@@ -418,7 +417,8 @@ class _Rows:
     def resolve(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[str]]:
         """``(ids, ra, dec, mags, reject messages)``, messages in line
         order; rows in no promised order, as build_index orders them by
-        (zone, ra, id) whatever order they come in. Per id the first row
+        (zone, ra, id) whatever order they come in, so a dropped row's place
+        is taken by a kept row from the end. Per id the first row
         that passes every other check wins, and every later row with that id
         is rejected as a duplicate, whatever else is wrong with it; a row
         rejected for another reason claims no id."""
@@ -427,28 +427,43 @@ class _Rows:
         n = len(lines)
         all_lines = np.concatenate((lines, np.array([c[0] for c in claimed], np.int64)))
         all_ids = np.concatenate((ids, np.array([c[1] for c in claimed], np.uint64)))
-        # per id, the line of its first passing row
-        order = np.argsort(all_ids)
-        new_id = np.ones(len(order), dtype=bool)
-        new_id[1:] = all_ids[order[1:]] != all_ids[order[:-1]]
-        passing_line = np.where(order < n, all_lines[order], np.iinfo(np.int64).max)
-        won = np.minimum.reduceat(passing_line, np.flatnonzero(new_id))[np.cumsum(new_id) - 1]
-        dup = np.empty(len(order), dtype=bool)
-        dup[order] = all_lines[order] > won
+        # the ids that occur more than once, from one value sort; only rows
+        # that carry one can be duplicates
+        s = np.sort(all_ids)
+        repeated = s[1:][s[1:] == s[:-1]]
+        dup = np.empty(0, np.intp)
+        if len(repeated):
+            rows = np.flatnonzero(
+                repeated.take(np.searchsorted(repeated, all_ids), mode="clip") == all_ids
+            )
+            rows = rows[np.argsort(all_ids[rows])]
+            # per id, the line of its first passing row
+            row_ids, row_lines = all_ids[rows], all_lines[rows]
+            new_id = np.ones(len(rows), dtype=bool)
+            new_id[1:] = row_ids[1:] != row_ids[:-1]
+            passing_line = np.where(rows < n, row_lines, np.iinfo(np.int64).max)
+            won = np.minimum.reduceat(passing_line, np.flatnonzero(new_id))[np.cumsum(new_id) - 1]
+            dup = rows[row_lines > won]
 
-        dup_lines = set(all_lines[n:][dup[n:]].tolist())
+        dup_lines = set(all_lines[dup[dup >= n]].tolist())
         rejects = [
             (line_no, f"duplicate id {obj_id}" if line_no in dup_lines else reason)
             for line_no, obj_id, reason in self.rejected
         ]
+        dropped = dup[dup < n]
         rejects += [
             (line_no, f"duplicate id {obj_id}")
-            for line_no, obj_id in zip(lines[dup[:n]].tolist(), ids[dup[:n]].tolist())
+            for line_no, obj_id in zip(lines[dropped].tolist(), ids[dropped].tolist())
         ]
         rejects.sort()
-        keep = np.flatnonzero(~dup[:n])
-        return (ids[keep], ra[keep], dec[keep], mags[keep],
-                [f"line {line_no}: {reason}" for line_no, reason in rejects])
+        if len(dropped):
+            # the kept rows after the first m fill the dropped rows' places
+            m = n - len(dropped)
+            holes, fill = dropped[dropped < m], np.setdiff1d(np.arange(m, n), dropped)
+            for column in (ids, ra, dec, mags):
+                column[holes] = column[fill]
+            ids, ra, dec, mags = ids[:m], ra[:m], dec[:m], mags[:m]
+        return ids, ra, dec, mags, [f"line {line_no}: {reason}" for line_no, reason in rejects]
 
 
 def _read(fh, path: Path, bands: Sequence[str] | None) -> _Rows:
@@ -645,35 +660,21 @@ def _read_block(buf: bytes, first_line: int, rows: _Rows) -> int:
     """Add the lines of ``buf`` (ending with an LF, and holding no CR), the
     first being line ``first_line``, to ``rows``; the next line's number.
 
-    Certified lines are parsed by one ``np.loadtxt`` and range-tested as
-    arrays; the lines that fail either, or the whole block when ``loadtxt``
-    raises, go through the per-row checks one line at a time."""
-    starts, ends, plain, empty = _certify(buf, rows.n_cols, csv.field_size_limit())
-    if plain.any():
-        # runs of consecutive certified lines, newlines included
-        edges = np.diff(plain.astype(np.int8), prepend=0, append=0)
-        run_starts = starts[edges[:-1] == 1].tolist()
-        run_ends = (ends[np.flatnonzero(edges == -1) - 1] + 1).tolist()
-        text = b"".join(buf[a:b] for a, b in zip(run_starts, run_ends))
-        if empty:  # an empty magnitude is read as nan; two passes fill ",,,"
-            text = text.replace(b",,", b",nan,").replace(b",,", b",nan,")
-            text = text.replace(b",\n", b",nan\n")
-        dtype = np.dtype([("id", np.uint64), ("ra", np.float64), ("dec", np.float64),
-                          ("mags", np.float64, (len(rows.bands),))])
-        try:
-            table = np.loadtxt(io.BytesIO(text), dtype=dtype, delimiter=",", comments=None,
-                               usecols=(0, 1, 2, *rows.col_idx), ndmin=1)
-        except ValueError:  # a certified but malformed number, such as "--1" or "1e"
-            plain[:] = False
-        else:
-            ids, ra, dec, mags = (table[f] for f in dtype.names)
-            # certified text spells no nan, so a NaN magnitude is an empty field
-            good = (dec >= -90.0) & (dec <= 90.0) & np.isfinite(ra) & ~np.isinf(mags).any(1)
-            lines = np.flatnonzero(plain)
-            plain[lines[~good]] = False
-            rows.parts.append(
-                (first_line + lines[good], ids[good], ra[good], dec[good], mags[good])
-            )
+    Certified lines are parsed in place by ``_parse_plain`` and range-tested
+    as arrays; the lines that fail either go through the per-row checks one
+    line at a time."""
+    starts, ends, plain, commas, first = _certify(buf, rows.n_cols, csv.field_size_limit())
+    lines = np.flatnonzero(plain)
+    if len(lines):
+        ids, values, parsed = _parse_plain(buf, starts[lines], ends[lines], commas, first[lines],
+                                           (1, 2, *rows.col_idx), rows.n_cols)
+        ra, dec, mags = values[0], values[1], values[2:]
+        # certified text spells no nan, so a NaN magnitude is an empty field
+        good = parsed & (dec >= -90.0) & (dec <= 90.0) & np.isfinite(ra) & ~np.isinf(mags).any(0)
+        plain[lines[~good]] = False
+        rows.parts.append(
+            (first_line + lines[good], ids[good], ra[good], dec[good], mags[:, good].T)
+        )
     rest = np.flatnonzero(~plain)
     text = b"\n".join(buf[a:b] for a, b in zip(starts[rest].tolist(), ends[rest].tolist()))
     rows.check(text, (first_line + rest).tolist())
@@ -682,14 +683,14 @@ def _read_block(buf: bytes, first_line: int, rows: _Rows) -> int:
 
 def _certify(
     buf: bytes, n_cols: int, max_len: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """``(starts, ends, plain, empty)``: per line of ``buf``, which ends
-    with a newline, its byte span and whether it is certified for bulk
-    parsing, and whether a certified line has an empty field. A certified
-    line has only bytes from ``0-9 . e E + - ,``, ``n_cols - 1`` commas, an
-    id of 1 to 19 digits, no empty ra or dec (an empty magnitude is
-    missing), and at most ``max_len`` bytes, the csv module's field size
-    limit."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(starts, ends, plain, commas, first)``: per line of ``buf``, which
+    ends with a newline, its byte span and whether it is certified for bulk
+    parsing; the offsets of the commas of ``buf``, and per line the index
+    into ``commas`` of its first one. A certified line has only bytes from
+    ``0-9 . e E + - ,``, ``n_cols - 1`` commas, an id of 1 to 19 digits, no
+    empty ra or dec (an empty magnitude is missing), and at most ``max_len``
+    bytes, the csv module's field size limit."""
     cls = np.frombuffer(buf.translate(_BYTE_CLASS), dtype=np.uint8)
     ends = np.flatnonzero(cls == _NEWLINE)
     starts = np.concatenate(([0], ends[:-1] + 1))[: len(ends)]
@@ -710,7 +711,188 @@ def _certify(
     # a line's k-th comma (from 0) begins field k + 1: 1 is ra, 2 dec
     plain[line[empty - first[line] < 2]] = False
     plain[np.searchsorted(ends, np.flatnonzero(cls == _OTHER))] = False
-    return starts, ends, plain, bool(plain[line].any())
+    return starts, ends, plain, commas, first
+
+
+# Tables of _parse_plain. Bytes are read 8 at a time as little-endian uint64
+# words, so a word's first byte is its lowest.
+# zero bytes before and after a block: an id's words reach 7 bytes before
+# its start, and a fraction's 20 bytes after a field's end
+_PAD = 24
+# lines of a block parsed in one pass: a pass's arrays, of about 100 kB,
+# reuse the allocator's memory, where those of a whole block took fresh
+# pages each time, and page faults were near half of the parse's time
+_PARSE_LINES = 4096
+# the low k bytes of a word, k in [0, 8]
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+# 10**(8 + j): I's 8-digit group is I * 10**(8 - j) when its digits end at
+# byte j - 1 of their word, and times this it is I * 10**16
+_POINT_SCALE = np.array([10 ** (8 + j) for j in range(5)], np.uint64)
+# T = 2**165 / 5**16 rounded up, so 10**-16 is just below T * 2**-181; as
+# 2**37 < 5**16 < 2**38, T has 128 bits: its high and low 64
+_T_HI, _T_LO = (np.uint64(t) for t in divmod((1 << 165) // 5**16 + 1, 1 << 64))
+
+
+def _parse_plain(buf: bytes, starts: np.ndarray, ends: np.ndarray, commas: np.ndarray,
+                 first: np.ndarray, cols: Sequence[int], n_cols: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(ids, values, parsed)`` of the certified lines of ``buf`` that span
+    ``starts`` to ``ends``, their first comma being ``commas[first]``: the
+    uint64 id of each, the float64 fields ``cols`` of each as a (len(cols),
+    lines) array, and whether every such field is a number. An empty field
+    is NaN.
+
+    The fields are read in place, 8 bytes at a time (``_digit_groups``): an
+    id, 1 to 19 digits, from the words that end at its end, and a field
+    ``[-]I.F``, I of at most 3 digits and F of at most 16, as w * 10**-16
+    for w = I * 10**16 + F * 10**(16 - len F) < 2**64, which
+    ``_times_ten_to_minus_16`` rounds. Every other field, such as one with
+    an exponent or more digits, goes through ``float``; ``parsed`` is False
+    for a line with a field that ``float`` refuses, such as "--1"."""
+    data = np.zeros(len(buf) + 2 * _PAD, np.uint8)
+    data[_PAD:-_PAD] = np.frombuffer(buf, np.uint8)
+    # the word of the 8 bytes from each offset of data
+    words = np.ndarray((len(data) - 7,), np.dtype("<u8"), data, strides=(1,))
+    ids = np.empty(len(first), np.uint64)
+    values = np.empty((len(cols), len(first)))
+    parsed = np.ones(len(first), bool)
+    for at in range(0, len(first), _PARSE_LINES):
+        part = slice(at, at + _PARSE_LINES)
+        n = len(first[part])
+        # field k of a line runs from after bounds[k] to bounds[k + 1]: its
+        # commas, with the byte before the line and its end around them
+        bounds = np.empty((n, n_cols + 1), np.intp)
+        bounds[:, 0] = starts[part] - 1
+        bounds[:, 1:-1] = commas[first[part, None] + np.arange(n_cols - 1)]
+        bounds[:, -1] = ends[part]
+        bounds += _PAD
+        ids[part] = _id_values(words, bounds[:, 1] - bounds[:, 0] - 1, bounds[:, 1])
+        lo = bounds[:, list(cols)].T.ravel() + 1
+        hi = bounds[:, [k + 1 for k in cols]].T.ravel()
+        got, decided = _float_values(words, lo, hi)
+        rest = np.flatnonzero(~decided)
+        for k, a, b in zip(rest.tolist(), (lo[rest] - _PAD).tolist(), (hi[rest] - _PAD).tolist()):
+            try:
+                got[k] = float(buf[a:b])
+            except ValueError:
+                parsed[at + k % n] = False
+        values[:, part] = got.reshape(len(cols), n)
+    return ids, values, parsed
+
+
+def _digit_groups(word: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(groups, bad)``: the 8-digit number that the bytes of each word
+    that ``keep`` holds spell, the others read as "0", and whether one of
+    those bytes is no digit. The digits' values are joined into pairs,
+    quads and the octet, each step one multiplication that adds the higher
+    part, times 10, 100 or 10**4, to the lower one above it."""
+    v = (word & keep) - (keep & _U64(0x3030303030303030))
+    # a byte below "0" borrows, and one above "9" reaches 0x80 plus 0x76
+    bad = ((v + _U64(0x7676767676767676)) | v) & _U64(0x8080808080808080) != _U64(0)
+    v = (v * _U64(10 << 8 | 1)) >> _U64(8) & _U64(0x00FF00FF00FF00FF)
+    v = (v * _U64(100 << 16 | 1)) >> _U64(16) & _U64(0x0000FFFF0000FFFF)
+    return (v * _U64(10000 << 32 | 1)) >> _U64(32), bad
+
+
+def _id_values(words: np.ndarray, length: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The uint64 values of the digit fields of 1 to 19 ``length`` bytes
+    that end at ``end`` in the data of ``words``: the last 8 digits, plus
+    10**8 times the value of those before them."""
+    value = _digit_groups(words[end - 8], ~_LOW_BYTES[8 - np.minimum(length, 8)])[0]
+    more = np.flatnonzero(length > 8)
+    if len(more):
+        value[more] += _id_values(words, length[more] - 8, end[more] - 8) * _U64(10**8)
+    return value
+
+
+def _float_values(words: np.ndarray, lo: np.ndarray, hi: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, decided)`` of the number fields from ``lo`` to ``hi`` in
+    the data whose 8-byte ``words`` are given: an empty field is NaN, and
+    one of the form ``[-]I.F`` (see ``_parse_plain``) its double, where
+    decided."""
+    head = words[lo]
+    neg = head & _U64(0xFF) == _U64(ord("-"))
+    # the first "." of the field's first 5 bytes is a zero byte of x; the
+    # lowest set bit of found marks it, bit 8j + 7 for byte j
+    x = head ^ _U64(0x2E2E2E2E2E)
+    found = (x - _U64(0x0101010101)) & ~x & _U64(0x8080808080)
+    # 2**8j times bytes 4, 3, 2, 1, 0 (high to low) puts j in byte 4
+    j = ((found & (~found + _U64(1))) >> _U64(7)) * _U64(0x0001020304) >> _U64(32) & _U64(0xFF)
+    j = j.astype(np.intp)
+    point = lo + j
+    frac = hi - point - 1  # digits after the point
+    # I in the bytes of head before the point and after a sign; F's first 8
+    # and next 8 digits in the words after the point, left-aligned
+    at = np.concatenate((lo, point + 1, point + 9))
+    keep = np.concatenate((_LOW_BYTES[j] ^ _LOW_BYTES[neg.view(np.uint8)],
+                           _LOW_BYTES[np.clip(frac, 0, 8)], _LOW_BYTES[np.clip(frac - 8, 0, 8)]))
+    g, bad = _digit_groups(words[at], keep)
+    g, bad = g.reshape(3, -1), bad.reshape(3, -1).any(0)
+    w = g[0] * _POINT_SCALE[j] + g[1] * _U64(10**8) + g[2]
+    bits = _times_ten_to_minus_16(w)
+    bits |= neg.astype(np.uint64) << _U64(63)
+    values = bits.view(np.float64)
+    empty = lo == hi
+    values[empty] = np.nan
+    decided = (found != _U64(0)) & (frac >= 0) & (frac <= 16) & (j - neg + frac > 0) & ~bad
+    decided &= j - neg <= 3
+    return values, decided | empty
+
+
+def _times_ten_to_minus_16(w: np.ndarray) -> np.ndarray:
+    """The bits of the double nearest w * 10**-16 for the uint64 values
+    ``w`` below 10**19; +0.0 for w = 0.
+
+    This is the Eisel-Lemire method (Lemire, "Number Parsing at a Gigabyte
+    per Second", 2021) for one power. W = w * 2**z, 2**63 <= W < 2**64,
+    makes x = w * 10**-16 = E * 2**-(181 + z) for E = W * 2**165 / 5**16,
+    and W * T - E = W * (T - 2**165 / 5**16) is in (0, 2**64), T as for
+    _T_HI. The double nearest x, a normal one, is the top 54 bits of p =
+    floor(E / 2**128), 2**62 <= p < 2**64, rounded half up: x is never
+    halfway between two doubles, as w would then be 5**16 times an odd
+    number above 2**53, over 10**19. E / 2**128 = W * 2**37 / 5**16 is a
+    multiple of 1 / 5**16 > 2**-64, so if it is within 2**-64 of an
+    integer k, it is k. The product W * _T_HI = (h, l) in 64-bit halves
+    puts E / 2**128 in (h + (l - 1) / 2**64, h + l / 2**64 + 1), so p is h
+    or h + 1, and the two differ from bit 9 up only if h ends in 9 one
+    bits. For those few, l plus the high half of W * _T_LO makes (h, l)
+    floor(W * T / 2**64) exactly, which puts E / 2**128 in (h + (l - 1) /
+    2**64, h + (l + 1) / 2**64), so p is h."""
+    zero = w == _U64(0)
+    w = np.maximum(w, _U64(1))
+    # the shift z, from the float exponent; a w that rounds up to a power of
+    # two takes one more
+    z = (64 - np.frexp(w.astype(np.float64))[1]).astype(np.uint64)
+    w <<= z
+    short = (w >> _U64(63)) ^ _U64(1)
+    w <<= short
+    z += short
+    hi, lo = _mul_64(w, _T_HI)
+    wide = np.flatnonzero(hi & _U64(0x1FF) == _U64(0x1FF))
+    if len(wide):
+        carried = lo[wide] + _mul_64(w[wide], _T_LO)[0]
+        hi[wide] += carried < lo[wide]
+    top = hi >> _U64(63)
+    m = ((hi >> (top + _U64(9))) + _U64(1)) >> _U64(1)
+    # x = m * 2**(top - z - 43), whose exponent field is 1032 + top - z for
+    # m in [2**52, 2**53): m's 2**52 bit adds the 1, and m = 2**53 after a
+    # carry adds 2 with a zero fraction
+    bits = ((_U64(1031) + top - z) << _U64(52)) + m
+    bits[zero] = 0
+    return bits
+
+
+def _mul_64(a: np.ndarray, b: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64 bits of the 128-bit products of the uint64
+    values ``a`` and ``b``, from their 32-bit halves."""
+    low32, half = _U64(2**32 - 1), _U64(32)
+    al, ah = a & low32, a >> half
+    bl, bh = b & low32, b >> half
+    ll = al * bl
+    hl = ah * bl
+    cross = (ll >> half) + (hl & low32) + al * bh  # below 2**64
+    return (hl >> half) + (cross >> half) + ah * bh, (cross << half) | (ll & low32)
 
 
 def _format_rows(row_format: str, columns: Sequence, part: int = 0, parts: int = 1
@@ -809,12 +991,16 @@ def _repr_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     interval is at most 22 units of the 17th digit wide, so a value of 15 or
     fewer digits inside it is the nearest multiple of 100, D15; else the
     nearest multiple of 10, D16, if inside; else Q rounded, D17, which always
-    is. Undecided: 0, subnormals, NaN and infinities; m2 = 2**52, whose
-    interval is lopsided; p outside [0, 27] or s outside [1, 57], which keeps
-    |D - Q| * 2**s below 2**63; Q outside [1e16, 1e17) (a log10 off by one)
-    or a D that carries to 1e17; and the ties r = 2**(s - 1) and Q ending in
-    5 with r = 0, which ``repr`` breaks to even. The arithmetic stays in
-    uint64 (see _format_int)."""
+    is. A D more than 12 from Q is outside, as 5**p / 2**s = (P / 2**s) /
+    m2 < 1e17 / 2**52 < 22.3 makes the half-width 5**p / 2**(s + 1) below
+    12 units: |D * 2**s - P| > (|D - Q| - 1) * 2**s >= 12 * 2**s. So D15 - Q,
+    at most 50 in size, is cut to [-13, 13], which leaves such a D outside
+    and keeps |D - Q| * 2**s + r below 14 * 2**59 < 2**63 for s <= 59.
+    Undecided: 0, subnormals, NaN and infinities; m2 = 2**52, whose interval
+    is lopsided; p outside [0, 27] or s outside [1, 59]; Q outside [1e16,
+    1e17) (a log10 off by one) or a D that carries to 1e17; and the ties r =
+    2**(s - 1) and Q ending in 5 with r = 0, which ``repr`` breaks to even.
+    The arithmetic stays in uint64 (see _format_int)."""
     bits = x.view(np.uint64)
     biased = (bits >> _U64(52)).astype(np.intp) & 0x7FF
     frac = bits & _U64(2**52 - 1)
@@ -824,7 +1010,7 @@ def _repr_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p = 16 - e
     s = 1075 - biased - p
     decided = (biased > 0) & (biased < 0x7FF) & (frac != 0)
-    decided &= (p >= 0) & (p <= 27) & (s >= 1) & (s <= 57)
+    decided &= (p >= 0) & (p <= 27) & (s >= 1) & (s <= 59)
     f = _POW5[np.where(decided, p, 0)]
     s = np.where(decided, s, 1).astype(np.uint64)
     # P = hi * 2**64 + lo from the 32-bit halves of m2 and f; every partial
@@ -846,7 +1032,8 @@ def _repr_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     within = (f >> _U64(1)).view(np.int64)
     d15 = (q + _U64(50)) // _U64(100) * _U64(100)
     d16 = (q + _U64(5)) // _U64(10) * _U64(10)
-    in15 = np.abs((((d15 - q) << s) - r).view(np.int64)) <= within
+    near15 = np.clip((d15 - q).view(np.int64), -13, 13).view(np.uint64)
+    in15 = np.abs(((near15 << s) - r).view(np.int64)) <= within
     in16 = np.abs((((d16 - q) << s) - r).view(np.int64)) <= within
     decided &= (r != _U64(0)) | (d16 - q != _U64(5))
     m = np.where(in15, d15, np.where(in16, d16, q + (r > tie)))

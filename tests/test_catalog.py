@@ -371,18 +371,148 @@ class TestBulkIngest:
 
     def test_only_an_empty_magnitude_is_certified(self):
         buf = b",1,2,3,4\n1,,2,3,4\n1,2,,3,4\n1,2,3,,4\n1,2,3,4,\n1,2,3,,\n1,2,3,4,5\n"
-        _, _, plain, empty = catalog._certify(buf, 5, 1000)
-        assert plain.tolist() == [False, False, False, True, True, True, True] and empty
-        _, _, plain, empty = catalog._certify(b"1,2,3,4,5\n1,,2,3,4\n", 5, 1000)
-        assert plain.tolist() == [True, False] and not empty
+        starts, ends, plain, commas, first = catalog._certify(buf, 5, 1000)
+        assert plain.tolist() == [False, False, False, True, True, True, True]
+        lines = np.flatnonzero(plain)
+        _, values, parsed = catalog._parse_plain(buf, starts[lines], ends[lines], commas,
+                                                 first[lines], (1, 2, 3, 4), 5)
+        assert parsed.all()
+        empty_r, empty_g = [True, False, True, False], [False, True, True, False]
+        assert np.isnan(values).tolist() == [[False] * 4, [False] * 4, empty_r, empty_g]
+        assert catalog._certify(b"1,2,3,4,5\n1,,2,3,4\n", 5, 1000)[2].tolist() == [True, False]
 
-    def test_malformed_certified_number_sends_block_to_row_checks(self, tmp_path):
+    def test_malformed_certified_number_sends_its_line_to_row_checks(self, tmp_path,
+                                                                     monkeypatch):
+        """A certified line with a field that float() refuses goes to the
+        per-row checks alone; the other lines of its block stay bulk-parsed."""
+        checked: list[str] = []  # the ids of the lines the per-row checks see
+
+        def counted_check_row(row, *args):
+            checked.append(row[0])
+            return _check_row(row, *args)
+
+        monkeypatch.setattr(catalog, "_check_row", counted_check_row)
         rows = [f"{i},{i}.5,1.5" for i in range(300)]
         rows[150] = "150,--1,1.5"
         f = write_rows(tmp_path / "c.csv", rows, header="id,ra,dec")
         log: list[str] = []
         assert ingest_csv(f, on_reject=log.append).total_count == 299
         assert log == ["line 152: unparseable coordinates '--1','1.5'"]
+        assert checked == ["150"]
+
+
+def _bits_text(bits: int) -> str:
+    """repr of the double with these bits, or "1.5" for NaN or an infinity."""
+    value = float(np.array(bits, np.uint64).view(np.float64))
+    return repr(value) if math.isfinite(value) else "1.5"
+
+
+def _midpoint_text(value: float, digits: int) -> str:
+    """The exact decimal halfway from ``value`` to the next double up, in
+    fixed notation, cut to its first ``digits + 1`` characters."""
+    from decimal import Decimal
+
+    mid = (Decimal(value) + Decimal(float(np.nextafter(value, math.inf)))) / 2
+    return format(mid, "f")[: digits + 1]
+
+
+# number fields: repr of catalog-range and random-bit doubles, %.12g, exact
+# binary midpoints in decimal, digit strings [-]I.F of 0 to 4 and 0 to 18
+# digits, and signs and points alone or repeated
+_NUMBER_TEXT = st.one_of(
+    st.floats(-360.0, 360.0).map(repr),
+    st.integers(0, 2**64 - 1).map(_bits_text),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.12g}"),
+    st.tuples(st.floats(0.0, 1000.0), st.integers(2, 22)).map(lambda t: _midpoint_text(*t)),
+    st.tuples(st.sampled_from(["", "-"]), st.text("0123456789", max_size=4),
+              st.text("0123456789", max_size=18)).map(lambda t: f"{t[0]}{t[1]}.{t[2]}"),
+    st.sampled_from(["0.", ".5", "-0", "-0.0", "--1", "1.2.3", "-", ".", "-.", "+1.5", "1e5",
+                     "1.5e-3", "00.1", "1234.5", "5"]),
+)
+# ids of 1 to 19 digits, some with leading zeros
+_ID_TEXT = st.tuples(st.integers(0, 10**19 - 1), st.integers(1, 19)).map(
+    lambda t: f"{t[0]:0{t[1]}d}"
+)
+
+
+def _parse_block(buf: bytes, cols=(1, 2, 3), n_cols=4):
+    """``(lines, _parse_plain of them)`` for the certified lines of ``buf``."""
+    starts, ends, plain, commas, first = catalog._certify(buf, n_cols, csv.field_size_limit())
+    lines = np.flatnonzero(plain)
+    return lines, catalog._parse_plain(buf, starts[lines], ends[lines], commas, first[lines],
+                                       cols, n_cols)
+
+
+class TestParsePlain:
+    """The in-place parse of certified lines against int() and float(), bit
+    for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.tuples(_ID_TEXT, _NUMBER_TEXT, _NUMBER_TEXT,
+                              _NUMBER_TEXT | st.just("")), min_size=1, max_size=30))
+    def test_fields_as_int_and_float(self, rows):
+        # the first line's id begins the block and the last line's field
+        # ends it, so their words reach into the zero bytes around it
+        buf = "".join(",".join(r) + "\n" for r in rows).encode()
+        lines, (ids, values, parsed) = _parse_block(buf)
+        assert lines.tolist() == list(range(len(rows)))  # only certified bytes
+        for k, row in enumerate(rows):
+            assert int(ids[k]) == int(row[0])
+            try:
+                want = [float(t) if t else math.nan for t in row[1:]]
+            except ValueError:
+                assert not parsed[k]
+                continue
+            assert parsed[k]
+            assert values[:, k].tobytes() == np.array(want).tobytes(), row
+
+    def test_what_goes_through_float(self, monkeypatch):
+        """Fields of the form [-]I.F with I of up to 3 digits and F of up
+        to 16 are read in place; 17 fraction digits, 4-digit integer parts,
+        exponents, a "+" and a missing point go through float()."""
+        direct = ["-0.0", "0.0000000000000001", "999.9999999999999999", ".5", "0.", "-12.5",
+                  "0.1234567890123456", "359.99999999999994", "-89.999999999999986"]
+        through = ["0.12345678901234567", "1234.5", "-1234.5", "1e5", "1.5E-3", "2e+10",
+                   "+1.5", "-0", "5", "1.2.3"]
+        ids = ["1234567890123456789", "0000000000000000042", "0", "00000001", "99999999",
+               "100000000", "9999999999999999999"]
+        fields = direct + through
+        rows = [f"{ids[k % len(ids)]},{v},1.5,2.5" for k, v in enumerate(fields)]
+        seen: list[str] = []
+
+        def counted_float(text):
+            seen.append(text.decode())
+            return float(text)
+
+        monkeypatch.setattr(catalog, "float", counted_float, raising=False)
+        lines, (got, values, parsed) = _parse_block("".join(r + "\n" for r in rows).encode())
+        assert seen == through
+        assert parsed.tolist() == [v != "1.2.3" for v in fields]
+        assert got.tolist() == [int(ids[k % len(ids)]) for k in range(len(fields))]
+        want = np.array([float(v) for v in fields if v != "1.2.3"])
+        assert values[0, parsed].tobytes() == want.tobytes()
+        assert str(values[0, 0]) == "-0.0"
+
+    def test_mantissas_below_powers_of_two(self):
+        """Digits w = I * 10**16 + F just below 2**k, where the float of w
+        rounds up to 2**k, so normalising w takes one more shift."""
+        digits = [f"{2**k - d:019d}" for k in range(54, 64) for d in (1, 2, 3, 2 ** (k - 54))]
+        texts = [f"{w[:3]}.{w[3:]}" for w in digits]
+        _, (_, values, parsed) = _parse_block("".join(f"1,{t},0.5,\n" for t in texts).encode())
+        assert parsed.all()
+        assert values[0].tobytes() == np.array([float(t) for t in texts]).tobytes()
+
+    def test_block_of_catalog_rows(self):
+        """Every line of a generated catalog, as gen writes it, in one block."""
+        rng = np.random.default_rng(5)
+        n = 3000
+        ra, dec, mag = rng.uniform(0, 360, n), rng.uniform(-90, 90, n), rng.uniform(5, 15, n)
+        text = "".join(f"{i},{a!r},{d!r},{m!r}\n" for i, a, d, m in zip(
+            range(n), ra.tolist(), dec.tolist(), mag.tolist()))
+        lines, (ids, values, parsed) = _parse_block(text.encode())
+        assert len(lines) == n and parsed.all()
+        assert ids.tolist() == list(range(n))
+        assert values.tobytes() == np.array([ra, dec, mag]).tobytes()
 
 
 class TestOneRecordPerLine:

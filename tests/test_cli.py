@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import os
 import shutil
 import struct
@@ -18,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zonequery import cli, load_index, synth, plan_contiguous, run_xmatch, save_index
-from zonequery.catalog import _CHUNK_ROWS, SnapshotFormatError, _format_rows, _write_csv
+from zonequery.catalog import (
+    _CHUNK_ROWS, SnapshotFormatError, _format_rows, _repr_digits, _write_csv,
+)
 from zonequery.cli import main, parse_angle, parse_footprint
 from zonequery.cli import MAX_WORKERS, UsageError
 from zonequery.executor import ExecutionReport, WorkerStats
@@ -999,6 +1002,23 @@ class TestNumericFormatter:
             chunks = list(_format_rows(row_format, columns))
             assert len(chunks) == -(-n // CHUNK)
             assert _rows_of(chunks) == _percent(row_format, columns)
+
+    @given(st.lists(st.floats(1e-11, 1e-9) | st.floats(-1e-9, -1e-11), min_size=1,
+                    max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_repr_of_small_values(self, values):
+        """%r from 1e-11, where its tables begin, to 1e-9."""
+        columns = (np.arange(len(values), dtype=np.uint64), np.array(values))
+        assert _rows_of(_format_rows("%d,%r\n", columns)) == _percent("%d,%r\n", columns)
+
+    def test_small_values_are_decided(self):
+        """Digit arithmetic decides %r down to 2**-33, about 1.16e-10, and
+        in [2**-34, 1e-10); log-uniform values of [1e-11, 1e-9] equal %."""
+        _, _, decided = _repr_digits(np.array([2e-10, 2.5e-10, 3e-10, 4.6e-10, 6e-11]))
+        assert decided.all()
+        values = np.exp(np.random.default_rng(3).uniform(math.log(1e-11), math.log(1e-9), 20000))
+        columns = (np.arange(len(values), dtype=np.uint64), values)
+        assert _rows_of(_format_rows("%d,%r\n", columns)) == _percent("%d,%r\n", columns)
 
     def test_adversarial_values(self):
         rng = np.random.default_rng(14)
