@@ -83,6 +83,9 @@ _BYTE_CLASS = bytes(
     else _OTHER
     for c in range(256)
 )
+# bytes of _DIGIT class after a block's classes: an id's 3 words reach 23
+# bytes past the start of the last line
+_ID_PAD = 24
 
 
 class IngestError(ValueError):
@@ -691,11 +694,11 @@ def _certify(
     ``0-9 . e E + - ,``, ``n_cols - 1`` commas, an id of 1 to 19 digits, no
     empty ra or dec (an empty magnitude is missing), and at most ``max_len``
     bytes, the csv module's field size limit."""
-    cls = np.frombuffer(buf.translate(_BYTE_CLASS), dtype=np.uint8)
+    # the classes, and _DIGIT (0) bytes past the end for the id words below
+    cls = np.frombuffer(buf.translate(_BYTE_CLASS) + bytes(_ID_PAD), dtype=np.uint8)
     ends = np.flatnonzero(cls == _NEWLINE)
     starts = np.concatenate(([0], ends[:-1] + 1))[: len(ends)]
     commas = np.flatnonzero(cls == _COMMA)
-    numbers = np.flatnonzero(cls == _NUMBER)
     # each line's first comma, as an index into commas, gives its comma
     # count and the end of its id field
     first = np.searchsorted(commas, starts)
@@ -703,8 +706,15 @@ def _certify(
     id_len = id_end - starts
     plain = np.diff(first, append=len(commas)) == n_cols - 1
     plain &= (id_len >= 1) & (id_len <= 19) & (ends - starts <= max_len)
-    # no byte of ".eE+-" in the id field
-    plain &= np.append(numbers, len(buf))[np.searchsorted(numbers, starts)] > id_end
+    # only digits in the id field: its classes, read as words from its
+    # start with the bytes past its end masked off, are all zero; the
+    # second and third words only for the ids that reach them
+    words = np.ndarray((len(cls) - 7,), np.dtype("<u8"), cls, strides=(1,))
+    plain &= words[starts] & _LOW_BYTES[np.minimum(id_len, 8)] == _U64(0)
+    for k in (8, 16):
+        more = np.flatnonzero(plain & (id_len > k))
+        rest = _LOW_BYTES[np.minimum(id_len[more] - k, 8)]
+        plain[more] = words[starts[more] + k] & rest == _U64(0)
     after = cls[commas + 1]
     empty = np.flatnonzero((after == _COMMA) | (after == _NEWLINE))  # commas before an empty field
     line = np.searchsorted(ends, commas[empty])

@@ -1,29 +1,38 @@
 """Fan a query out over W workers and merge results deterministically.
 
-Workers are in-process threads over immutable shared indexes: the first
-worker with rows runs in the calling thread, each other busy worker in a
-pool thread, and an idle one nowhere. The heavy lifting inside each worker
+Workers are in-process threads over immutable shared indexes: the busy
+worker of lowest index runs in the calling thread, each other busy worker in
+a pool thread, and an idle one nowhere. The heavy lifting inside each worker
 is vectorized array work, most of which releases the GIL, which is what
 makes threads worth having here. Not all of it does: ``np.repeat``, which
-expands candidate ranges in ``queries._expand``, holds the GIL and so caps
-how far the join scales with threads. A worker owns the row ranges of its
-plan's zone runs within the zones the query can touch (the other catalog,
-for cross-matches, is shared read-only by everyone); workers never talk to
-each other. A cross-match worker sorts its own pairs, in its
-own thread, with one sort of (leading rank, other rank) uint64 keys
-(``MatchTable.from_unsorted``), and the coordinator merges the sorted runs
-with one stable sort on the leading id; a scan or cone coordinator sorts the
-concatenated rows by id. Either way the result is bit-identical for any
-worker count or strategy. All three queries run through one executor,
-``_execute``. A cone's needles (its zone band and ra window segments) are
-built once per query, from scalars, in the calling thread; each worker only
-searches, expands and filters them against its rows, with the search,
-expansion and exact filter of the cross-match kernel. A plan is its runs of
-zones (its per-zone ``assignment`` is derived from them), and a worker's
-share is found by bisecting the run starts, so a narrow band costs its few
-runs, not array calls. Stats rows and reports are named tuples: immutable,
-cheap to build on every query, and they unpack and compare equal to plain
-tuples.
+expands candidate ranges in ``queries._candidates``, holds the GIL and so
+caps how far the join scales with threads. All three queries run through
+one executor, ``_execute``, which runs the shares it is given; workers never
+talk to each other.
+
+A scan or cross-match worker owns the row ranges of its plan's zone runs
+within the zones the query can touch (the other catalog, for cross-matches,
+is shared read-only by everyone), and is busy when those hold rows; for the
+join the search is the heavy, parallel part, so each worker searches its
+own needles. A cone's needles (one per zone and ra window segment of its
+zone band) are built and searched once, in the calling thread, over the
+band's contiguous slice of the key. A cone whose needles count no row
+returns at once, with every worker's all-zero stats row. Otherwise a
+worker's share is the needles of its runs that count rows, and it only
+expands and filters them, with the expansion and exact filter of the
+cross-match kernel: a cone's worker is busy when the search finds
+candidates in its zones, not merely when it holds rows there.
+
+A cross-match worker sorts its own pairs, in its own thread, with one sort
+of (leading rank, other rank) uint64 keys (``MatchTable.from_unsorted``),
+and the coordinator merges the sorted runs with one stable sort on the
+leading id; a scan or cone coordinator sorts the concatenated rows by id.
+Either way the result is bit-identical for any worker count or strategy. A
+plan is its runs of zones (its per-zone ``assignment`` is derived from
+them), and a worker's share is found by bisecting the run starts, so a
+narrow band costs its few runs, not array calls. Stats rows and reports are
+named tuples: immutable, cheap to build on every query, and they unpack and
+compare equal to plain tuples.
 """
 
 from __future__ import annotations
@@ -46,8 +55,8 @@ from .queries import (
     Ranges,
     ScanFilter,
     _by_id,
-    _cone_needles,
     _cone_rows,
+    _cone_search,
     _crossmatch_arrays,
     _take,
 )
@@ -69,7 +78,8 @@ class WorkerStats(NamedTuple):
 
     ``rows_scanned`` counts the rows a scan visits, and the candidates a cone
     or cross-match examines before the exact separation filter. A worker
-    whose share holds no rows reports an all-zero row. The aggregate rows of
+    that is not busy (no rows in a scan's or cross-match's zones, no
+    candidate in a cone's) reports an all-zero row. The aggregate rows of
     :func:`aggregate` are labelled "MAX" and "AVG" instead of a worker index.
     """
 
@@ -126,9 +136,22 @@ def _check_plan(index: ZoneIndex, plan: PartitionPlan) -> None:
         )
 
 
-# work(a worker's share, its Ranges in zone order)
-#   -> (result columns, rows_scanned, rows_returned)
+# work(a worker's share) -> (result columns, rows_scanned, rows_returned);
+# a share is a list of [start, stop) ranges, of rows or of a cone's needles
 Work = Callable[[Ranges], tuple]
+
+
+def _band_runs(
+    plan: PartitionPlan, z_lo: int, z_hi: int
+) -> tuple[tuple[int, ...], list[int]]:
+    """The plan's runs that meet zones [z_lo, z_hi], clipped to them:
+    ``(workers, edges)``, run k belonging to ``workers[k]`` and spanning
+    zones ``edges[k]`` to ``edges[k + 1]``. The runs are found by bisecting
+    the run starts and only they are walked: a band costs its runs, not its
+    zones."""
+    run_starts = plan.run_starts
+    first, end = bisect_right(run_starts, z_lo) - 1, bisect_right(run_starts, z_hi)
+    return plan.run_workers[first:end], [z_lo, *run_starts[first + 1 : end], z_hi + 1]
 
 
 def _shares(
@@ -137,16 +160,29 @@ def _shares(
     """The busy workers' shares of zones [z_lo, z_hi]: per worker with rows,
     the non-empty row ranges of its runs of consecutive zones, in zone
     order, so each share is key-sorted. Workers come in the order of their
-    first run, and one whose runs hold no row is absent. The runs meeting
-    the band are found by bisecting the plan's run starts and only they are
-    walked: a band costs its runs, not its zones."""
-    run_starts, run_workers = plan.run_starts, plan.run_workers
-    first, end = bisect_right(run_starts, z_lo) - 1, bisect_right(run_starts, z_hi)
-    edges = [z_lo, *run_starts[first + 1 : end], z_hi + 1]
+    first run, and one whose runs hold no row is absent."""
+    workers, edges = _band_runs(plan, z_lo, z_hi)
     bounds = zone_starts[edges].tolist()
     shares: dict[int, list[tuple[int, int]]] = {}
-    for worker, start, stop in zip(run_workers[first:end], bounds, bounds[1:]):
+    for worker, start, stop in zip(workers, bounds, bounds[1:]):
         if stop > start:
+            shares.setdefault(worker, []).append((start, stop))
+    return shares
+
+
+def _needle_shares(
+    plan: PartitionPlan, z_lo: int, z_hi: int, found: list[int]
+) -> dict[int, list[tuple[int, int]]]:
+    """The busy workers' shares of a cone's needles over zones [z_lo, z_hi],
+    given the rows each needle counts (``found``): per worker, the needle
+    ranges of its runs that count a row. Needles are zone major, n per zone,
+    so run [e0, e1) owns needles [(e0 - z_lo) * n, (e1 - z_lo) * n)."""
+    per_zone = len(found) // (z_hi - z_lo + 1)
+    workers, edges = _band_runs(plan, z_lo, z_hi)
+    bounds = [(z - z_lo) * per_zone for z in edges]
+    shares: dict[int, list[tuple[int, int]]] = {}
+    for worker, start, stop in zip(workers, bounds, bounds[1:]):
+        if any(found[start:stop]):
             shares.setdefault(worker, []).append((start, stop))
     return shares
 
@@ -158,11 +194,11 @@ def _idle_rows(worker_count: int) -> tuple[WorkerStats, ...]:
     return tuple(WorkerStats(w, 0.0, 0.0, 0, 0) for w in range(worker_count))
 
 
-def _timed(worker: int, work: Work, ranges: Ranges):
+def _timed(worker: int, work: Work, share: Ranges):
     """Run one worker's share and wrap the counters it reports."""
     t0 = time.perf_counter()
     c0 = time.thread_time()
-    result, scanned, returned = work(ranges)
+    result, scanned, returned = work(share)
     elapsed = time.perf_counter() - t0
     cpu = time.thread_time() - c0
     return result, WorkerStats(worker, elapsed, cpu, scanned, returned)
@@ -170,20 +206,20 @@ def _timed(worker: int, work: Work, ranges: Ranges):
 
 def _execute(
     plan: PartitionPlan,
-    zone_starts: np.ndarray,
-    band: tuple[int, int],
+    shares: dict[int, list[tuple[int, int]]],
     work: Work,
     merge: Callable,
+    t0: float,
 ):
-    """Run ``work`` over each worker's share of the zone band. The busy
-    worker of lowest index runs in the calling thread and each other one in
-    a pool thread, so a query starts one thread fewer than it has busy
-    workers: each new thread gets a malloc arena of its own, memory the
-    process keeps. A worker without rows gets the shared all-zero stats row
-    and no thread. The workers' result columns are concatenated (unless one
-    worker returned them), then ``merge``d."""
-    t0 = time.perf_counter()
-    shares = _shares(plan, zone_starts, *band)
+    """Run ``work`` over each busy worker's share (worker -> share). The
+    busy worker of lowest index runs in the calling thread and each other
+    one in a pool thread, so a query starts one thread fewer than it has
+    busy workers: each new thread gets a malloc arena of its own, memory the
+    process keeps. A worker without a share gets the shared all-zero stats
+    row and no thread. The workers' result columns are concatenated (unless
+    one worker returned them), then ``merge``d; with no busy worker, which
+    only a scan or cross-match reaches, ``work`` of one empty range gives
+    the typed empty columns. The report's total runs from ``t0``."""
     busy = sorted(shares)
     if len(busy) > 1:
         with ThreadPoolExecutor(max_workers=len(busy) - 1) as pool:
@@ -195,7 +231,6 @@ def _execute(
     stats = list(_idle_rows(plan.worker_count))
     for _, row in done:
         stats[row.worker] = row
-    # no busy worker: typed empty columns for the merge
     results = [result for result, _ in done] or [work([(0, 0)])[0]]
     if len(results) == 1:
         columns = results[0]
@@ -220,25 +255,36 @@ def run_scan(
         keep = (mags >= f.lo) & (mags <= f.hi)  # NaN (missing) compares False
         return (ids[keep], mags[keep]), len(ids), int(np.count_nonzero(keep))
 
-    everything = (0, plan.zone_count - 1)
-    return _execute(plan, index.zone_starts, everything, work, _by_id)
+    t0 = time.perf_counter()
+    shares = _shares(plan, index.zone_starts, 0, plan.zone_count - 1)
+    return _execute(plan, shares, work, _by_id, t0)
 
 
 def run_cone(
     index: ZoneIndex, q: ConeQuery, plan: PartitionPlan
 ) -> tuple[list[tuple[int, float]], ExecutionReport]:
-    """Parallel cone search over the zones of dec +- radius; row ranges are
-    disjoint so the merged union needs no dedup. The needles are built once,
-    here; each worker searches them in its own rows."""
+    """Parallel cone search over the zones of dec +- radius. The calling
+    thread searches the cone's needles once, in the band's contiguous key
+    slice; a cone whose needles count no row returns at once, with every
+    worker's all-zero stats row. Otherwise each worker whose zones hold a
+    needle that counts rows expands and filters its needles' candidates,
+    and the others stay idle. Workers' rows are disjoint, so the merged
+    union needs no dedup."""
+    t0 = time.perf_counter()
     _check_plan(index, plan)
-    band, needles = _cone_needles(q, index.cfg)
-    index.ra_key  # built here, if not yet, rather than by racing workers
+    (z_lo, z_hi), start, i0, counts = _cone_search(q, index)
+    found = counts.tolist()
+    if not any(found):  # most small cones: no shares, worker clocks or merge
+        return [], ExecutionReport(_idle_rows(plan.worker_count), time.perf_counter() - t0)
 
-    def work(ranges: Ranges) -> tuple:
-        ids, sep, candidates = _cone_rows(q, needles, index, ranges)
+    def work(needles: Ranges) -> tuple:
+        ids, sep, candidates = _cone_rows(
+            q, index, start, _take(i0, needles), _take(counts, needles)
+        )
         return (ids, sep), candidates, len(ids)
 
-    return _execute(plan, index.zone_starts, band, work, _by_id)
+    shares = _needle_shares(plan, z_lo, z_hi, found)
+    return _execute(plan, shares, work, _by_id, t0)
 
 
 def run_xmatch(
@@ -263,8 +309,9 @@ def run_xmatch(
         pairs = MatchTable.from_unsorted(a, b, sep)
         return (pairs.leading_ids, pairs.other_ids, pairs.separation), candidates, len(a)
 
-    everything = (0, plan.zone_count - 1)
-    return _execute(plan, leading.zone_starts, everything, work, _merge_runs)
+    t0 = time.perf_counter()
+    shares = _shares(plan, leading.zone_starts, 0, plan.zone_count - 1)
+    return _execute(plan, shares, work, _merge_runs, t0)
 
 
 def _merge_runs(

@@ -9,7 +9,9 @@ oracle used to verify them.
 * cone_search: the same search, expansion and exact filter, on needles
   built once per cone from scalars: the zone band zone(dec - r)..zone(dec +
   r), the half-width r / cos(|dec| + r) and the padded ra window, split at
-  0/360, computed with the arithmetic the join applies per row.
+  0/360, computed with the arithmetic the join applies per row. The needles
+  are searched once, in the band's contiguous slice of the key, and only
+  what they find is expanded and filtered.
 * brute_force_crossmatch: O(n*m) exhaustive comparison, the correctness
   oracle; zone_crossmatch must reproduce its output exactly.
 
@@ -71,9 +73,6 @@ MAX_MATCH_RADIUS_DEG = 10.0
 BRUTE_FORCE_PAIR_LIMIT = 10**8
 
 CandidateSink = Callable[[np.ndarray, np.ndarray], None]
-
-# (leading row, key range lo, key range hi) columns, one entry per needle
-Needles = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 # [start, stop) row ranges of an array, in order
 Ranges = Sequence[tuple[int, int]]
@@ -214,15 +213,17 @@ def _by_id(ids: np.ndarray, values: np.ndarray) -> list[tuple[int, float]]:
     return list(zip(ids.tolist(), values.tolist()))
 
 
-def _cone_needles(q: ConeQuery, cfg: ZoneConfig) -> tuple[tuple[int, int], Needles]:
-    """A cone's zone band (z_lo, z_hi) and its needles, those of a one-row
-    :func:`_zone_join` in the same (zone, window segment) order, computed
-    from Python floats: the zone band with ``zone_of_array``'s clamping, the
-    half-width with :func:`ra_halfwidth`, the segments of
-    :func:`_window_segments` and the key bounds float(zone) * KEY_BAND +
-    segment bound, each with the same IEEE operations as the join's array
-    form, so the key ranges are equal to the last bit. Only the finished
-    bounds become arrays."""
+def _cone_needles(
+    q: ConeQuery, cfg: ZoneConfig
+) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
+    """A cone's zone band (z_lo, z_hi) and the key ranges (lo, hi) of its
+    needles, those of a one-row :func:`_zone_join` in the same (zone, window
+    segment) order, computed from Python floats: the zone band with
+    ``zone_of_array``'s clamping, the half-width with :func:`ra_halfwidth`,
+    the segments of :func:`_window_segments` and the key bounds float(zone)
+    * KEY_BAND + segment bound, each with the same IEEE operations as the
+    join's array form, so the key ranges are equal to the last bit. Only the
+    finished bounds become arrays."""
     ra, dec, radius = q.center.ra, q.center.dec, q.radius
     band = zone_of(max(dec - radius, -90.0), cfg), zone_of(min(dec + radius, 90.0), cfg)
     alpha = ra_halfwidth(radius, dec)
@@ -239,30 +240,46 @@ def _cone_needles(q: ConeQuery, cfg: ZoneConfig) -> tuple[tuple[int, int], Needl
     bases = [float(z) * KEY_BAND for z in range(band[0], band[1] + 1)]
     lo = np.array([base + s_lo for base in bases for s_lo, _ in segments])
     hi = np.array([base + s_hi for base in bases for _, s_hi in segments])
-    return band, (np.zeros(lo.size, dtype=np.intp), lo, hi)
+    return band, lo, hi
+
+
+def _cone_search(
+    q: ConeQuery, index: ZoneIndex
+) -> tuple[tuple[int, int], int, np.ndarray, np.ndarray]:
+    """A cone's one search: ``(band, start, i0, counts)``, its zone band,
+    the band's first row, and per needle of :func:`_cone_needles` (zone
+    major, the same number of window segments in each zone) the first row
+    of its key range and the rows it counts, in the band's contiguous slice
+    of ``ra_key``; a row of the slice is row ``start + i`` of the index."""
+    band, lo, hi = _cone_needles(q, index.cfg)
+    start = index.zone_starts[band[0]]
+    i0, counts = _search(index.ra_key[start : index.zone_starts[band[1] + 1]], lo, hi)
+    return band, start, i0, counts
 
 
 def _cone_rows(
-    q: ConeQuery, needles: Needles, index: ZoneIndex, ranges: Ranges
+    q: ConeQuery, index: ZoneIndex, start: int, i0: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The objects within a cone among the index rows in ``ranges`` (zone
-    runs in zone order, so their keys are sorted), from its
-    :func:`_cone_needles`: (ids, separations, candidates), unsorted. Only
-    the key is taken before the search; ra, dec and ids only when it finds
-    candidates."""
-    li, ci = _expand(_take(index.ra_key, ranges), *needles)
-    if ci.size == 0:  # 52% of a cone batch's cones: skip the filter's array calls
-        return index.ids[:0], np.empty(0), 0
+    """The objects within a cone among the candidates of needles that
+    :func:`_cone_search` found at ``i0`` with ``counts``, at least one row in
+    all: (ids, separations, candidates), unsorted. The candidates are
+    expanded into rows of the whole index, whose ra, dec and ids are
+    gathered from the whole columns, and go through the join's exact
+    filter with the cone's centre as its one leading row."""
+    ci = _candidates(i0, counts)
+    ci += start
     center = np.array([q.center.ra]), np.array([q.center.dec])
-    ra, dec = _take(index.ra, ranges), _take(index.dec, ranges)
-    _, rows, sep = _exact_filter(li, ci, *center, ra, dec, q.radius)
-    return _take(index.ids, ranges)[rows], sep, len(ci)
+    li = np.zeros(len(ci), dtype=np.intp)
+    _, rows, sep = _exact_filter(li, ci, *center, index.ra, index.dec, q.radius)
+    return index.ids[rows], sep, len(ci)
 
 
 def cone_search(index: ZoneIndex, q: ConeQuery) -> list[tuple[int, float]]:
     """All objects within q.radius of q.center as (id, separation), by id."""
-    _, needles = _cone_needles(q, index.cfg)
-    ids, sep, _ = _cone_rows(q, needles, index, [(0, index.total_count)])
+    _, start, i0, counts = _cone_search(q, index)
+    if not np.count_nonzero(counts):
+        return []
+    ids, sep, _ = _cone_rows(q, index, start, i0, counts)
     return _by_id(ids, sep)
 
 
@@ -291,25 +308,36 @@ def _window_segments(
     return obj, lo, hi
 
 
+def _search(key: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The search half of the candidate kernel: per needle, the first row of
+    ``key`` in its key range [lo, hi] and the number of rows there. Methods
+    stand in for the ``np.`` functions, whose dispatch (about 1 us a call
+    with numpy 2.4) a one-cone search feels."""
+    i0 = key.searchsorted(lo, side="left")
+    # closed upper bound: a stored key for ra just under 360 can round up to
+    # exactly zone*KEY_BAND + 360, and the gap to the next zone band makes
+    # including equality safe (never pulls in another zone)
+    return i0, key.searchsorted(hi, side="right") - i0
+
+
+def _candidates(i0: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The expansion half: the key rows ``counts[k]`` from ``i0[k]`` on, in
+    needle order, for at least one needle."""
+    ends = counts.cumsum()
+    return (i0 - (ends - counts)).repeat(counts) + np.arange(ends[-1])
+
+
 def _expand(
     key: np.ndarray, obj: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The rows of ``key`` in each needle's key range [lo, hi], as (leading
     row, key row) pairs in needle order, key rows ascending per needle;
-    when the searches find no row, nothing else runs. Methods stand in for
-    the ``np.`` functions, whose dispatch (about 1 us a call with numpy 2.4)
-    a one-cone search feels."""
-    i0 = key.searchsorted(lo, side="left")
-    # closed upper bound: a stored key for ra just under 360 can round up to
-    # exactly zone*KEY_BAND + 360, and the gap to the next zone band makes
-    # including equality safe (never pulls in another zone)
-    counts = key.searchsorted(hi, side="right") - i0
+    when the searches find no row, nothing else runs."""
+    i0, counts = _search(key, lo, hi)
     del lo, hi  # the caller passes temporaries: free them before expanding
     if not np.count_nonzero(counts):
         return _NO_ROWS, _NO_ROWS
-    ends = counts.cumsum()
-    starts = ends - counts
-    return obj.repeat(counts), (i0 - starts).repeat(counts) + np.arange(ends[-1])
+    return obj.repeat(counts), _candidates(i0, counts)
 
 
 def _zone_join(

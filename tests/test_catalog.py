@@ -381,6 +381,23 @@ class TestBulkIngest:
         assert np.isnan(values).tolist() == [[False] * 4, [False] * 4, empty_r, empty_g]
         assert catalog._certify(b"1,2,3,4,5\n1,,2,3,4\n", 5, 1000)[2].tolist() == [True, False]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.text("0123456789", max_size=22),
+        # digits with one number byte put at, or just after, any position
+        st.tuples(st.text("0123456789", min_size=1, max_size=22), st.integers(0, 21),
+                  st.sampled_from(".eE+-")).map(lambda t: t[0][: t[1]] + t[2] + t[0][t[1] + 1 :]),
+        st.text("0123456789.eE+-", max_size=22),
+    ), min_size=1, max_size=40))
+    def test_only_an_id_of_1_to_19_digits_is_certified(self, ids):
+        """The id's class bytes are tested as words: a ``.eE+-`` byte at any
+        of the 22 positions keeps its line off the bulk path, and so does a
+        length of 0 or above 19. The last line ends the block, so its words
+        reach into the padding after it."""
+        buf = "".join(f"{i},1.5,2.5\n" for i in ids).encode()
+        plain = catalog._certify(buf, 3, 1000)[2]
+        assert plain.tolist() == [1 <= len(i) <= 19 and i.isdigit() for i in ids]
+
     def test_malformed_certified_number_sends_its_line_to_row_checks(self, tmp_path,
                                                                      monkeypatch):
         """A certified line with a field that float() refuses goes to the

@@ -31,12 +31,14 @@ from zonequery import (
     zone_of,
 )
 from zonequery import queries
-from zonequery.executor import _shares
+from zonequery.executor import _needle_shares, _shares
+from zonequery.partition import PartitionPlan
 from zonequery.queries import MAX_MATCH_RADIUS_DEG, brute_force_crossmatch
 from zonequery.sphere import separation_deg, zone_of_array
 from zonequery.synth import Clustered, DecBand, SyntheticSpec, generate_index
 
 from conftest import (
+    clip_runs,
     match_table_reference,
     random_sky,
     scan_reference,
@@ -251,11 +253,11 @@ _PLANS_1_TO_4 = [(s, w) for s in STRATEGIES for w in (1, 2, 3, 4)]
 
 
 class TestConeEquivalence:
-    """``run_cone`` builds a cone's needles once and each worker searches,
-    expands and filters them in its own rows: its rows equal the one-row
-    reference join's and brute force's, and each worker's ``rows_scanned``
-    the reference's candidates in that worker's share, under every strategy
-    at 1-4 workers."""
+    """``run_cone`` builds and searches a cone's needles once, and each
+    worker whose needles count rows expands and filters them: its rows equal
+    the one-row reference join's and brute force's, and each worker's
+    ``rows_scanned`` the reference's candidates in that worker's share,
+    under every strategy at 1-4 workers."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -328,8 +330,9 @@ class TestConeEquivalence:
     @pytest.mark.parametrize("strategy, workers", _PLANS_1_TO_4)
     def test_no_candidate_report(self, strategy, workers):
         """A cone whose zones hold rows but whose window finds none returns
-        no rows and the report of the full path: a row per worker, all
-        zeros for the idle ones, and no candidate for the busy ones."""
+        no rows and a report of every worker's all-zero row: a worker is
+        busy only when the search finds candidates in its zones. The search
+        itself counts in ``total_elapsed_s``."""
         rng = np.random.default_rng(70)
         ra, dec = rng.uniform(99.0, 101.0, 2000), rng.uniform(-1.0, 1.0, 2000)
         index = build_index("patch", CFG, np.arange(2000, dtype=np.uint64), ra, dec)
@@ -337,13 +340,32 @@ class TestConeEquivalence:
         rows, rep, shares = assert_cone_equals_reference(
             index, ConeQuery(SkyPoint(250.0, 0.0), 0.5), plan
         )
-        busy = [w for w, ranges in enumerate(shares) if ranges]
-        assert rows == [] and busy
-        assert rep.worker_count == workers
-        assert [s.worker for s in rep.workers] == list(range(workers))
+        assert rows == [] and any(shares)  # the band's zones hold rows
+        assert rep.workers == tuple(WorkerStats(w, 0.0, 0.0, 0, 0) for w in range(workers))
+        assert rep.total_elapsed_s > 0.0
+
+    @pytest.mark.parametrize("strategy, workers", [("contiguous", 2), ("round_robin", 2),
+                                                   ("round_robin", 3)])
+    def test_worker_with_rows_but_no_candidate(self, strategy, workers):
+        """Of two workers holding rows in a cone's band, the one whose rows
+        the window misses gets the all-zero row and the other runs: rows lie
+        at ra 250 in zone 1349 and at ra 100 in zone 1350 (dec 0, the edge
+        between contiguous workers 0 and 1, and two workers of any
+        round-robin plan), and the cone at ra 250 reaches both zones."""
+        rng = np.random.default_rng(71)
+        ra = np.concatenate((rng.uniform(249.0, 251.0, 500), rng.uniform(99.0, 101.0, 1500)))
+        dec = np.concatenate((rng.uniform(-0.06, -0.01, 500), rng.uniform(0.01, 0.06, 1500)))
+        index = build_index("sides", CFG, np.arange(2000, dtype=np.uint64), ra, dec)
+        plan = make_plan(strategy, CFG.zone_count, workers, histogram(index))
+        rows, rep, shares = assert_cone_equals_reference(
+            index, ConeQuery(SkyPoint(250.0, 0.0), 0.5), plan
+        )
+        holding = [w for w, ranges in enumerate(shares) if ranges]
+        ran = [s.worker for s in rep.workers if s.rows_scanned]
+        assert rows and ran and set(holding) - set(ran)
         for s in rep.workers:
-            if s.worker in busy:
-                assert s.rows_scanned == s.rows_returned == 0 and s.elapsed_s > 0.0
+            if s.worker in ran:
+                assert s.elapsed_s > 0.0 and s.rows_returned > 0
             else:
                 assert s == WorkerStats(s.worker, 0.0, 0.0, 0, 0)
 
@@ -368,6 +390,51 @@ class TestConeEquivalence:
         )
         assert rows and min(len(ranges) for ranges in shares) > 10
 
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    @pytest.mark.parametrize("ra", [200.0, 0.3, 359.7])
+    def test_needle_slices_over_many_runs(self, needle_sky, workers, ra):
+        """Round-robin plans at 4' zones deal a 1.5 deg cone's band of 46
+        zones into at least 8 runs per worker, so each worker gets a
+        slice of needles per run; at ra 0.3 and 359.7 the window wraps at
+        0/360 and each zone holds two needles, one per segment."""
+        q = ConeQuery(SkyPoint(ra, 20.0), 1.5)
+        plan = make_plan("round_robin", CFG.zone_count, workers)
+        rows, rep, shares = assert_cone_equals_reference(needle_sky, q, plan)
+        assert rows and min(len(ranges) for ranges in shares) >= 8
+        assert all(s.rows_scanned > 0 for s in rep.workers)
+        band, lo, _ = queries._cone_needles(q, CFG)
+        assert len(lo) == (band[1] - band[0] + 1) * (1 if ra == 200.0 else 2)
+
+    @pytest.mark.parametrize("edge", [-1, 0, 1, 2, 4])
+    def test_full_circle_window_at_a_run_edge(self, needle_sky, edge):
+        """A cone over the north pole has one full-circle needle per zone of
+        its band of 5; a 2-worker plan whose run edge lies below, at, inside
+        or at the last zone of that band splits the needles between the
+        workers, and so do round-robin plans, whose every zone is a run."""
+        q = ConeQuery(SkyPoint(30.0, 89.9), 0.2)
+        (z_lo, z_hi), lo, hi = queries._cone_needles(q, CFG)
+        assert z_hi - z_lo + 1 == 5 and len(lo) == 5
+        assert np.array_equal(hi - lo, np.full(5, 360.0))
+        plan = PartitionPlan("contiguous", 2, CFG.zone_count, (0, z_lo + edge), (0, 1))
+        rows, rep, _ = assert_cone_equals_reference(needle_sky, q, plan)
+        assert rows
+        assert [s.rows_scanned > 0 for s in rep.workers] == [edge > 0, True]
+        for workers in (2, 3):
+            plan = make_plan("round_robin", CFG.zone_count, workers)
+            assert_cone_equals_reference(needle_sky, q, plan)
+
+
+@pytest.fixture(scope="module")
+def needle_sky():
+    """A dense patch around dec 20 across the 0/360 wrap and at ra 200, and
+    a cap around the north pole: rows in every zone of the cones of
+    ``TestConeEquivalence``'s needle slice tests."""
+    rng = np.random.default_rng(72)
+    ra = np.concatenate((rng.uniform(-2.0, 2.0, 4000) % 360.0, rng.uniform(198.0, 202.0, 3000),
+                         rng.uniform(0.0, 360.0, 3000)))
+    dec = np.concatenate((rng.uniform(18.0, 22.0, 7000), rng.uniform(89.5, 90.0, 3000)))
+    return build_index("needles", CFG, np.arange(len(ra), dtype=np.uint64), ra, dec)
+
 
 class TestShares:
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -387,6 +454,28 @@ class TestShares:
             expected = shares_reference(plan, zone_starts, z_lo, z_hi)
             busy = {w: ranges for w, ranges in enumerate(expected) if ranges}
             assert _shares(plan, zone_starts, z_lo, z_hi) == busy
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 8])
+    def test_needle_walk_equals_runs(self, strategy, workers):
+        """A cone's needle shares: per worker, the needle range of each of
+        its runs clipped to the band (``conftest.clip_runs``) that holds a
+        needle that counts rows, for one and two needles per zone."""
+        rng = np.random.default_rng(100 + workers)
+        counts = rng.integers(0, 5, CFG.zone_count)
+        plan = make_plan(strategy, CFG.zone_count, workers, counts)
+        for _ in range(300):
+            z_lo, z_hi = sorted(rng.integers(0, CFG.zone_count, 2).tolist())
+            z_hi = min(z_hi, z_lo + int(rng.integers(0, 40)))
+            per_zone = int(rng.integers(1, 3))
+            n = (z_hi - z_lo + 1) * per_zone
+            found = (rng.integers(0, 3, n) * (rng.random(n) < 0.2)).tolist()
+            expected = {}
+            for a, b, w in clip_runs(plan.runs(), z_lo, z_hi + 1):
+                start, stop = (a - z_lo) * per_zone, (b - z_lo) * per_zone
+                if any(found[start:stop]):
+                    expected.setdefault(w, []).append((start, stop))
+            assert _needle_shares(plan, z_lo, z_hi, found) == expected
 
 
 class TestRunXmatch:
@@ -507,7 +596,9 @@ class TestCallingThread:
     @pytest.mark.parametrize("workers", (1, 2, 3, 4))
     def test_cone(self, catalog, monkeypatch, workers, strategy):
         # dec 0 is zone 1350: a contiguous 4-worker plan has busy workers 1
-        # and 2, and idle workers 0 and 3
+        # and 2, and idle workers 0 and 3. A worker is busy when the cone's
+        # search finds candidates in its zones, and only then runs
+        # _cone_rows, which expands and filters them
         from zonequery import executor
 
         q = ConeQuery(SkyPoint(100.0, 0.0), 2.0)
@@ -520,8 +611,8 @@ class TestCallingThread:
             return real(*args)
 
         monkeypatch.setattr(executor, "_cone_rows", recording)
-        _, rep, shares = assert_cone_equals_reference(catalog, q, plan)
-        busy = [w for w, ranges in enumerate(shares) if ranges]
+        _, rep, _ = assert_cone_equals_reference(catalog, q, plan)
+        busy = [s.worker for s in rep.workers if s.rows_scanned]
         assert len(threads) == len(busy) >= 1
         # the calling thread runs first, so its call is recorded first unless
         # a pool thread got there sooner; either way it runs exactly one

@@ -758,10 +758,11 @@ class TestConeGeometry:
 
 def _needles_equal_join(ra, dec, radius, cfg):
     """Assert that ``queries._cone_needles``, built from Python floats,
-    gives the zone band, the half-width and the needles (dtypes included)
-    of a one-row ``_zone_join``, bit for bit; returns (band, lo, hi)."""
+    gives the zone band, the half-width and the needles' key ranges (dtypes
+    included) of a one-row ``_zone_join``, bit for bit, whose needles all
+    belong to its row 0; returns (band, lo, hi)."""
     q = ConeQuery(SkyPoint(ra, dec), radius)
-    band, (obj, lo, hi) = queries._cone_needles(q, cfg)
+    band, lo, hi = queries._cone_needles(q, cfg)
     reach = zone_of_array(np.array([dec - radius, dec + radius]), cfg)
     assert band == tuple(reach.tolist())
     assert ra_halfwidth(radius, dec) == ra_halfwidth_array(radius, np.array([dec]))[0]
@@ -778,7 +779,9 @@ def _needles_equal_join(ra, dec, radius, cfg):
         mp.setattr(queries, "_expand", spy)
         _zone_join(np.array([ra]), np.array([dec]), radius, index.ra_key,
                    index.ra, index.dec, cfg)
-    for mine, join in zip((obj, lo, hi), (np.concatenate(c) for c in zip(*seen))):
+    obj, *join_ranges = (np.concatenate(c) for c in zip(*seen))
+    assert obj.dtype == np.intp and not obj.any()
+    for mine, join in zip((lo, hi), join_ranges):
         assert mine.dtype == join.dtype
         assert np.array_equal(mine, join)
     segments = len(queries._window_segments(
