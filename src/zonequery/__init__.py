@@ -14,16 +14,15 @@ from .sphere import (
     zone_of,
 )
 from .catalog import (
-    IngestError,
     SnapshotFormatError,
     ZoneIndex,
     ZoneSlice,
     build_index,
     histogram,
-    ingest_csv,
     load_index,
     save_index,
 )
+from .ingest import IngestError, ingest_csv
 from .partition import (
     PartitionPlan,
     WorkloadReport,

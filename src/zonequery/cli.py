@@ -16,17 +16,9 @@ import re
 import sys
 from typing import Sequence
 
-from .catalog import (
-    _open_output,
-    _write_csv,
-    IngestError,
-    SnapshotFormatError,
-    ZoneIndex,
-    histogram,
-    ingest_csv,
-    load_index,
-    save_index,
-)
+from .catalog import SnapshotFormatError, ZoneIndex, histogram, load_index, save_index
+from .ingest import IngestError, ingest_csv
+from .output import _open_output, _write_csv
 from .partition import STRATEGIES, make_plan, report
 from .queries import ConeQuery, MatchSpec, ScanFilter, best_matches
 from .executor import run_cone, run_scan, run_xmatch

@@ -42,6 +42,7 @@ import time
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -155,35 +156,23 @@ def _band_runs(
 
 
 def _shares(
-    plan: PartitionPlan, zone_starts: np.ndarray, z_lo: int, z_hi: int
+    plan: PartitionPlan, z_lo: int, z_hi: int, starts: Sequence[int], totals: Sequence[int]
 ) -> dict[int, list[tuple[int, int]]]:
-    """The busy workers' shares of zones [z_lo, z_hi]: per worker with rows,
-    the non-empty row ranges of its runs of consecutive zones, in zone
-    order, so each share is key-sorted. Workers come in the order of their
-    first run, and one whose runs hold no row is absent."""
+    """The busy workers' shares of zones [z_lo, z_hi]: per worker, the
+    ranges of its runs of consecutive zones that hold something, in zone
+    order, so each share is key-sorted. Zone z's range begins at
+    ``starts[z - z_lo]`` and the zones before it in the band hold
+    ``totals[z - z_lo]`` things; both have an entry for zone z_hi + 1, the
+    end. Row ranges have both from ``zone_starts``; a cone's needle ranges,
+    n per zone, start at multiples of n, and its totals count rows. Workers
+    come in the order of their first run, and one whose runs hold nothing
+    is absent."""
     workers, edges = _band_runs(plan, z_lo, z_hi)
-    bounds = zone_starts[edges].tolist()
     shares: dict[int, list[tuple[int, int]]] = {}
-    for worker, start, stop in zip(workers, bounds, bounds[1:]):
-        if stop > start:
-            shares.setdefault(worker, []).append((start, stop))
-    return shares
-
-
-def _needle_shares(
-    plan: PartitionPlan, z_lo: int, z_hi: int, found: list[int]
-) -> dict[int, list[tuple[int, int]]]:
-    """The busy workers' shares of a cone's needles over zones [z_lo, z_hi],
-    given the rows each needle counts (``found``): per worker, the needle
-    ranges of its runs that count a row. Needles are zone major, n per zone,
-    so run [e0, e1) owns needles [(e0 - z_lo) * n, (e1 - z_lo) * n)."""
-    per_zone = len(found) // (z_hi - z_lo + 1)
-    workers, edges = _band_runs(plan, z_lo, z_hi)
-    bounds = [(z - z_lo) * per_zone for z in edges]
-    shares: dict[int, list[tuple[int, int]]] = {}
-    for worker, start, stop in zip(workers, bounds, bounds[1:]):
-        if any(found[start:stop]):
-            shares.setdefault(worker, []).append((start, stop))
+    for worker, a, b in zip(workers, edges, edges[1:]):
+        a, b = a - z_lo, b - z_lo
+        if totals[b] > totals[a]:
+            shares.setdefault(worker, []).append((starts[a], starts[b]))
     return shares
 
 
@@ -256,7 +245,8 @@ def run_scan(
         return (ids[keep], mags[keep]), len(ids), int(np.count_nonzero(keep))
 
     t0 = time.perf_counter()
-    shares = _shares(plan, index.zone_starts, 0, plan.zone_count - 1)
+    zone_starts = index.zone_starts.tolist()
+    shares = _shares(plan, 0, plan.zone_count - 1, zone_starts, zone_starts)
     return _execute(plan, shares, work, _by_id, t0)
 
 
@@ -283,7 +273,9 @@ def run_cone(
         )
         return (ids, sep), candidates, len(ids)
 
-    shares = _needle_shares(plan, z_lo, z_hi, found)
+    per_zone = len(found) // (z_hi - z_lo + 1)
+    totals = list(accumulate(found, initial=0))[::per_zone]
+    shares = _shares(plan, z_lo, z_hi, range(0, len(found) + 1, per_zone), totals)
     return _execute(plan, shares, work, _by_id, t0)
 
 
@@ -310,7 +302,8 @@ def run_xmatch(
         return (pairs.leading_ids, pairs.other_ids, pairs.separation), candidates, len(a)
 
     t0 = time.perf_counter()
-    shares = _shares(plan, leading.zone_starts, 0, plan.zone_count - 1)
+    zone_starts = leading.zone_starts.tolist()
+    shares = _shares(plan, 0, plan.zone_count - 1, zone_starts, zone_starts)
     return _execute(plan, shares, work, _merge_runs, t0)
 
 

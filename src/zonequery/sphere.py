@@ -133,19 +133,33 @@ def separation_deg(
     ra2: np.ndarray | float,
     dec2: np.ndarray | float,
 ) -> np.ndarray | np.floating:
-    """Great-circle separation in degrees, haversine form, broadcast-friendly.
+    """Great-circle separation in degrees, broadcast-friendly.
 
-    Stable at the arcsecond separations match radii live at, where the
-    dot-product/acos form loses about half the significand. The sqrt argument
-    is clamped at 1 so rounding near antipodal points cannot leave the asin
-    domain.
+    Up to 90 degrees this is the haversine, 2 * asin(sqrt(h)), stable at the
+    arcsecond separations match radii live at, where the dot-product/acos
+    form loses about half the significand. Beyond 90 degrees (h > 0.5), where
+    asin is ill-conditioned as h nears 1, it is 180 - 2 * asin(sqrt(g)) with
+    g = 1 - h = sin^2((phi1 + phi2) / 2) + cos phi1 cos phi2 cos^2(dlambda / 2),
+    a sum of non-negative terms; that keeps the error within 1e-12 degrees
+    up to the antipode. g is computed only when some h > 0.5, and every
+    separation up to 90 degrees is the haversine's to the last bit. The sqrt
+    arguments are clamped at 1 so rounding cannot leave the asin domain.
     """
     phi1 = np.radians(dec1)
     phi2 = np.radians(dec2)
+    cos_cos = np.cos(phi1) * np.cos(phi2)
     sd = np.sin(0.5 * np.radians(np.subtract(dec2, dec1)))
-    sr = np.sin(0.5 * np.radians(np.subtract(ra2, ra1)))
-    h = sd * sd + np.cos(phi1) * np.cos(phi2) * (sr * sr)
-    return 2.0 * np.degrees(np.arcsin(np.minimum(1.0, np.sqrt(h))))
+    half_dra = 0.5 * np.radians(np.subtract(ra2, ra1))
+    sr = np.sin(half_dra)
+    h = sd * sd + cos_cos * (sr * sr)
+    sep = 2.0 * np.degrees(np.arcsin(np.minimum(1.0, np.sqrt(h))))
+    if h.max(initial=0.0) <= 0.5:
+        return sep
+    sm = np.sin(0.5 * (phi1 + phi2))
+    cr = np.cos(half_dra)
+    g = sm * sm + cos_cos * (cr * cr)
+    far = 180.0 - 2.0 * np.degrees(np.arcsin(np.minimum(1.0, np.sqrt(g))))
+    return np.where(h > 0.5, far, sep)[()]
 
 
 def ra_halfwidth_array(radius: float, dec: np.ndarray) -> np.ndarray:

@@ -15,7 +15,8 @@ from typing import Union
 
 import numpy as np
 
-from .catalog import ZoneIndex, _write_csv, build_index
+from .catalog import ZoneIndex, build_index
+from .output import _write_csv
 from .sphere import ZoneConfig
 
 __all__ = [

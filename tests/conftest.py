@@ -10,8 +10,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from zonequery import ZoneConfig, build_index
-from zonequery import catalog
-from zonequery.catalog import KEY_BAND, IngestError, ZoneIndex, _parse_header
+from zonequery import ingest
+from zonequery.catalog import KEY_BAND, ZoneIndex
+from zonequery.ingest import IngestError, _parse_header
 from zonequery.partition import PartitionPlan
 from zonequery.queries import DEC_PAD_DEG, WINDOW_PAD_DEG, MatchTable
 from zonequery.sphere import ra_halfwidth_array, separation_deg, zone_of_array
@@ -241,7 +242,7 @@ def ingest_csv_reference(
             mag_rows.append(mags)
 
     # read at call time, so that tests can change the threshold for both
-    max_reject_fraction = catalog.MAX_REJECT_FRACTION
+    max_reject_fraction = ingest.MAX_REJECT_FRACTION
     if total_rows and len(rejects) > max_reject_fraction * total_rows:
         shown = "; ".join(rejects[:5])
         raise IngestError(
@@ -341,6 +342,34 @@ def zone_join_reference(
     sep = separation_deg(lead_ra[li], lead_d[near], ra[ci], other_d[near])
     keep = sep <= radius
     return li[keep], ci[keep], sep[keep], candidates
+
+
+def separation_reference(ra1: float, dec1: float, ra2: float, dec2: float) -> float:
+    """Great-circle separation in degrees as atan2(|a x b|, a . b) of unit
+    vectors, in Python ``math`` floats with ``math.fsum``: well conditioned
+    at every separation, the antipode included, and sharing no float path
+    with ``sphere.separation_deg``, whose oracle it is."""
+
+    def unit(ra: float, dec: float) -> tuple[float, float, float]:
+        a, d = math.radians(ra), math.radians(dec)
+        return math.cos(d) * math.cos(a), math.cos(d) * math.sin(a), math.sin(d)
+
+    (ax, ay, az), (bx, by, bz) = unit(ra1, dec1), unit(ra2, dec2)
+    cross = (math.fsum((ay * bz, -az * by)), math.fsum((az * bx, -ax * bz)),
+             math.fsum((ax * by, -ay * bx)))
+    sin_sep = math.sqrt(math.fsum(c * c for c in cross))
+    return math.degrees(math.atan2(sin_sep, math.fsum((ax * bx, ay * by, az * bz))))
+
+
+def haversine_reference(ra1, dec1, ra2, dec2):
+    """The haversine ``separation_deg`` was before its form for separations
+    beyond 90 degrees, kept as the reference for the bits it still gives up
+    to 90 degrees."""
+    phi1, phi2 = np.radians(dec1), np.radians(dec2)
+    sd = np.sin(0.5 * np.radians(np.subtract(dec2, dec1)))
+    sr = np.sin(0.5 * np.radians(np.subtract(ra2, ra1)))
+    h = sd * sd + np.cos(phi1) * np.cos(phi2) * (sr * sr)
+    return 2.0 * np.degrees(np.arcsin(np.minimum(1.0, np.sqrt(h))))
 
 
 def clip_runs(runs, lo: int, hi: int):

@@ -39,8 +39,8 @@ from zonequery import (
     save_index,
     zone_of,
 )
-from zonequery import catalog, cli
-from zonequery.catalog import _check_row
+from zonequery import catalog, cli, digits, ingest, output
+from zonequery.ingest import _check_row
 from zonequery.queries import WINDOW_PAD_DEG, _zone_join
 from zonequery.sphere import normalize_ra_array, ra_halfwidth_array, zone_of_array
 
@@ -268,12 +268,12 @@ def _catalog_text(draw):
     return text.encode("utf-8"), bands
 
 
-def _outcome(ingest, path, bands):
+def _outcome(ingest_fn, path, bands):
     """What an ingest function does with a file: its reject messages in
     order, and either the index columns as bytes or the error it raised."""
     log: list[str] = []
     try:
-        index = ingest(path, bands=bands, cfg=CFG, on_reject=log.append)
+        index = ingest_fn(path, bands=bands, cfg=CFG, on_reject=log.append)
     except IngestError as exc:
         return log, f"IngestError: {exc}"
     columns = (index.ids, index.ra, index.dec, index.mags, index.zone_starts)
@@ -287,8 +287,8 @@ class TestBulkIngest:
     @settings(max_examples=300, deadline=None)
     @given(
         case=_catalog_text(),
-        block_bytes=st.sampled_from([1, 5, 64, catalog._BLOCK_BYTES]),
-        max_reject=st.sampled_from([catalog.MAX_REJECT_FRACTION, 1.0]),
+        block_bytes=st.sampled_from([1, 5, 64, ingest._BLOCK_BYTES]),
+        max_reject=st.sampled_from([ingest.MAX_REJECT_FRACTION, 1.0]),
     )
     def test_same_outcome_as_per_row_reference(
         self, tmp_path_factory, case, block_bytes, max_reject
@@ -298,8 +298,8 @@ class TestBulkIngest:
         path.write_bytes(data)
         with pytest.MonkeyPatch.context() as mp:
             # blocks of a few bytes end in the middle of the file
-            mp.setattr(catalog, "_BLOCK_BYTES", block_bytes)
-            mp.setattr(catalog, "MAX_REJECT_FRACTION", max_reject)
+            mp.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+            mp.setattr(ingest, "MAX_REJECT_FRACTION", max_reject)
             assert _outcome(ingest_csv, path, bands) == _outcome(ingest_csv_reference, path, bands)
 
     # blocks of 7 bytes end mid-line; one of 4 MiB holds the whole file
@@ -319,8 +319,8 @@ class TestBulkIngest:
         # the odd row, a plain row with its id, then the odd row again
         rows = rows[:5] + [odd] + rows[5:50] + [",".join(fresh)] + rows[50:] + [odd]
         path = write_rows(tmp_path / "c.csv", rows, header="id,ra,dec,r")
-        monkeypatch.setattr(catalog, "_BLOCK_BYTES", block_bytes)
-        monkeypatch.setattr(catalog, "MAX_REJECT_FRACTION", 1.0)
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(ingest, "MAX_REJECT_FRACTION", 1.0)
         assert _outcome(ingest_csv, path, None) == _outcome(ingest_csv_reference, path, None)
 
     @pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
@@ -353,8 +353,8 @@ class TestBulkIngest:
             checked.append(row[0])
             return _check_row(row, *args)
 
-        monkeypatch.setattr(catalog, "_check_row", counted_check_row)
-        monkeypatch.setattr(catalog, "MAX_REJECT_FRACTION", 1.0)
+        monkeypatch.setattr(ingest, "_check_row", counted_check_row)
+        monkeypatch.setattr(ingest, "MAX_REJECT_FRACTION", 1.0)
         rows = [f"{i},{i}.5,1.5,,{i}.25,," for i in range(300)]
         rows[100] = "100,100.5,1.5,1e999,,,"  # still a non-finite magnitude
         rows[200] = "200,,1.5,,1.0,,"  # an empty ra is not certified
@@ -371,15 +371,15 @@ class TestBulkIngest:
 
     def test_only_an_empty_magnitude_is_certified(self):
         buf = b",1,2,3,4\n1,,2,3,4\n1,2,,3,4\n1,2,3,,4\n1,2,3,4,\n1,2,3,,\n1,2,3,4,5\n"
-        starts, ends, plain, commas, first = catalog._certify(buf, 5, 1000)
+        starts, ends, plain, commas, first = digits._certify(buf, 5, 1000)
         assert plain.tolist() == [False, False, False, True, True, True, True]
         lines = np.flatnonzero(plain)
-        _, values, parsed = catalog._parse_plain(buf, starts[lines], ends[lines], commas,
+        _, values, parsed = digits._parse_plain(buf, starts[lines], ends[lines], commas,
                                                  first[lines], (1, 2, 3, 4), 5)
         assert parsed.all()
         empty_r, empty_g = [True, False, True, False], [False, True, True, False]
         assert np.isnan(values).tolist() == [[False] * 4, [False] * 4, empty_r, empty_g]
-        assert catalog._certify(b"1,2,3,4,5\n1,,2,3,4\n", 5, 1000)[2].tolist() == [True, False]
+        assert digits._certify(b"1,2,3,4,5\n1,,2,3,4\n", 5, 1000)[2].tolist() == [True, False]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(
@@ -395,7 +395,7 @@ class TestBulkIngest:
         length of 0 or above 19. The last line ends the block, so its words
         reach into the padding after it."""
         buf = "".join(f"{i},1.5,2.5\n" for i in ids).encode()
-        plain = catalog._certify(buf, 3, 1000)[2]
+        plain = digits._certify(buf, 3, 1000)[2]
         assert plain.tolist() == [1 <= len(i) <= 19 and i.isdigit() for i in ids]
 
     def test_malformed_certified_number_sends_its_line_to_row_checks(self, tmp_path,
@@ -408,7 +408,7 @@ class TestBulkIngest:
             checked.append(row[0])
             return _check_row(row, *args)
 
-        monkeypatch.setattr(catalog, "_check_row", counted_check_row)
+        monkeypatch.setattr(ingest, "_check_row", counted_check_row)
         rows = [f"{i},{i}.5,1.5" for i in range(300)]
         rows[150] = "150,--1,1.5"
         f = write_rows(tmp_path / "c.csv", rows, header="id,ra,dec")
@@ -454,9 +454,9 @@ _ID_TEXT = st.tuples(st.integers(0, 10**19 - 1), st.integers(1, 19)).map(
 
 def _parse_block(buf: bytes, cols=(1, 2, 3), n_cols=4):
     """``(lines, _parse_plain of them)`` for the certified lines of ``buf``."""
-    starts, ends, plain, commas, first = catalog._certify(buf, n_cols, csv.field_size_limit())
+    starts, ends, plain, commas, first = digits._certify(buf, n_cols, csv.field_size_limit())
     lines = np.flatnonzero(plain)
-    return lines, catalog._parse_plain(buf, starts[lines], ends[lines], commas, first[lines],
+    return lines, digits._parse_plain(buf, starts[lines], ends[lines], commas, first[lines],
                                        cols, n_cols)
 
 
@@ -501,7 +501,7 @@ class TestParsePlain:
             seen.append(text.decode())
             return float(text)
 
-        monkeypatch.setattr(catalog, "float", counted_float, raising=False)
+        monkeypatch.setattr(digits, "float", counted_float, raising=False)
         lines, (got, values, parsed) = _parse_block("".join(r + "\n" for r in rows).encode())
         assert seen == through
         assert parsed.tolist() == [v != "1.2.3" for v in fields]
@@ -513,8 +513,8 @@ class TestParsePlain:
     def test_mantissas_below_powers_of_two(self):
         """Digits w = I * 10**16 + F just below 2**k, where the float of w
         rounds up to 2**k, so normalising w takes one more shift."""
-        digits = [f"{2**k - d:019d}" for k in range(54, 64) for d in (1, 2, 3, 2 ** (k - 54))]
-        texts = [f"{w[:3]}.{w[3:]}" for w in digits]
+        words = [f"{2**k - d:019d}" for k in range(54, 64) for d in (1, 2, 3, 2 ** (k - 54))]
+        texts = [f"{w[:3]}.{w[3:]}" for w in words]
         _, (_, values, parsed) = _parse_block("".join(f"1,{t},0.5,\n" for t in texts).encode())
         assert parsed.all()
         assert values[0].tobytes() == np.array([float(t) for t in texts]).tobytes()
@@ -544,7 +544,7 @@ class TestOneRecordPerLine:
         return ingest_csv(f, on_reject=log.append), log
 
     def test_reject_after_multi_line_quote_names_its_physical_line(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(catalog, "MAX_REJECT_FRACTION", 1.0)
+        monkeypatch.setattr(ingest, "MAX_REJECT_FRACTION", 1.0)
         index, log = self._ingest(tmp_path, b'id,ra,dec\n1,2,3\n"2\n",3,4\n5,6,95\n7,8,9\n')
         assert index.ids.tolist() == [1, 7]
         assert log == [
@@ -554,7 +554,7 @@ class TestOneRecordPerLine:
         ]
 
     def test_id_with_line_end_inside_quotes_is_not_read(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(catalog, "MAX_REJECT_FRACTION", 1.0)
+        monkeypatch.setattr(ingest, "MAX_REJECT_FRACTION", 1.0)
         index, log = self._ingest(tmp_path, b'id,ra,dec\n"1\n",2,3\n4,5,6\n')
         assert index.ids.tolist() == [4]
         assert log == [
@@ -563,7 +563,7 @@ class TestOneRecordPerLine:
         ]
 
     def test_open_quote_at_end_of_file_is_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(catalog, "MAX_REJECT_FRACTION", 1.0)
+        monkeypatch.setattr(ingest, "MAX_REJECT_FRACTION", 1.0)
         # the open line claims no id: a later row with its id is kept
         index, log = self._ingest(tmp_path, b'id,ra,dec\n1,2,3\n2,"3,4\n2,3,4\n5,"6,7')
         assert index.ids.tolist() == [1, 2]
@@ -573,7 +573,7 @@ class TestOneRecordPerLine:
         ]
 
     def test_non_utf8_byte_in_a_later_block_names_its_line(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(catalog, "_BLOCK_BYTES", 64)
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 64)
         rows = [f"{i},{i}.5,1.5" for i in range(100)]
         f = tmp_path / "c.csv"
         f.write_bytes(("id,ra,dec\n" + "\r\n".join(rows[:80])).encode()
@@ -594,15 +594,15 @@ class TestOneRecordPerLine:
         assert str(info.value) == f"{f}: {error}"
 
     def test_cr_only_stream_is_split_into_blocks(self, monkeypatch):
-        monkeypatch.setattr(catalog, "_BLOCK_BYTES", 16)
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 16)
         data = b"1,2.5,3\r" * 20 + b"4,5,6"
-        blocks = list(catalog._blocks(io.BytesIO(data)))
+        blocks = list(ingest._blocks(io.BytesIO(data)))
         assert len(blocks) > 1 and all(b.endswith((b"\r", b"\n")) for b in blocks)
         assert b"".join(blocks) == data + b"\n"
 
     def test_crlf_is_never_split_between_blocks(self, monkeypatch):
-        monkeypatch.setattr(catalog, "_BLOCK_BYTES", 4)
-        blocks = list(catalog._blocks(io.BytesIO(b"1,2\r\n3,4\r\n5,6\r")))
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4)
+        blocks = list(ingest._blocks(io.BytesIO(b"1,2\r\n3,4\r\n5,6\r")))
         assert blocks == [b"1,2\r\n", b"3,4\r\n", b"5,6\r\n"]
 
 
@@ -624,7 +624,7 @@ _LONG = "0" * (csv.field_size_limit() + 1)
 
 class TestReadInParts:
     """A catalog's data read in P parts, one process each, part k being the
-    run of the reader's blocks that ``catalog._read`` gives it, gives what
+    run of the reader's blocks that ``ingest._read`` gives it, gives what
     one part gives: the same rows, reject messages and errors, with no
     process or pipe left behind."""
 
@@ -641,11 +641,11 @@ class TestReadInParts:
             return fork()
 
         monkeypatch.setattr(os, "fork", counted_fork)
-        monkeypatch.setattr(catalog, "MAX_REJECT_FRACTION", 1.0)
+        monkeypatch.setattr(ingest, "MAX_REJECT_FRACTION", 1.0)
 
         def set_parts(p: int, block_bytes: int = 64) -> list[int]:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(p)), raising=False)
-            monkeypatch.setattr(catalog, "_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(ingest, "_BLOCK_BYTES", block_bytes)
             forks.clear()
             return forks
 
@@ -654,7 +654,7 @@ class TestReadInParts:
     @staticmethod
     def _bounds(path, p: int) -> list[int]:
         """The file offsets where each of the ``p`` parts of a catalog file
-        begins, and its end. A block of ``catalog._blocks`` that begins
+        begins, and its end. A block of ``ingest._blocks`` that begins
         ``at`` bytes into the data's ``size`` is in part ``at * p // size``,
         the first block being what follows the header in its block; a part
         with no block begins where the next one does."""
@@ -664,7 +664,7 @@ class TestReadInParts:
         size = len(data) - first
         begins: dict[int, int] = {}
         at = start
-        for block in catalog._blocks(io.BytesIO(data[start:])):
+        for block in ingest._blocks(io.BytesIO(data[start:])):
             begins.setdefault(max(at - first, 0) * p // size, max(at, first))
             at += len(block)
         bounds = [len(data)]
@@ -785,14 +785,14 @@ class TestReadInParts:
                                                        capsys):
         f = _write_bytes(tmp_path / "c.csv", _plain_rows(600))
         parent = os.getpid()
-        read_block = catalog._read_block
+        read_block = ingest._read_block
 
         def killed_in_child(*args):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
             return read_block(*args)
 
-        monkeypatch.setattr(catalog, "_read_block", killed_in_child)
+        monkeypatch.setattr(ingest, "_read_block", killed_in_child)
         forks = parts(2)
         assert cli.main(["ingest", "--in", str(f), "--out", str(tmp_path / "c.npz")]) == 2
         assert len(forks) == 1
@@ -820,16 +820,16 @@ class TestReadInParts:
         # the parent kills itself once it has forked, before it reads a line
         script = """if True:
             import os, signal, sys
-            from zonequery import catalog
-            catalog._BLOCK_BYTES = 64
+            from zonequery import ingest
+            ingest._BLOCK_BYTES = 64
             os.sched_getaffinity = lambda pid: {0, 1, 2}
-            parent, read_block = os.getpid(), catalog._read_block
+            parent, read_block = os.getpid(), ingest._read_block
             def read_block_or_die(*args):
                 if os.getpid() == parent:
                     os.kill(parent, signal.SIGKILL)
                 return read_block(*args)
-            catalog._read_block = read_block_or_die
-            catalog.ingest_csv(sys.argv[1])
+            ingest._read_block = read_block_or_die
+            ingest.ingest_csv(sys.argv[1])
         """
         proc = subprocess.Popen([sys.executable, "-c", script, str(f)], start_new_session=True,
                                 env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
@@ -859,7 +859,7 @@ class TestReadInParts:
             rows[450] = "450,\u00e9,1.5,2"
         f = _write_bytes(tmp_path / "c.csv", rows)
         parent = os.getpid()
-        read_block = catalog._read_block
+        read_block = ingest._read_block
 
         def read_block_or_stop(*args):
             if os.getpid() == parent and end == "interrupt":
@@ -868,7 +868,7 @@ class TestReadInParts:
                 os.kill(os.getpid(), signal.SIGKILL)
             return read_block(*args)
 
-        monkeypatch.setattr(catalog, "_read_block", read_block_or_stop)
+        monkeypatch.setattr(ingest, "_read_block", read_block_or_stop)
         forks = parts(3)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -886,14 +886,14 @@ class TestReadInParts:
 
 
 def _rows_by_percent(header: str, row_format: str, columns) -> str:
-    """What ``catalog._write_csv`` writes, one ``%`` per row: the reference."""
+    """What ``output._write_csv`` writes, one ``%`` per row: the reference."""
     rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
     return header + "".join(row_format % row for row in rows)
 
 
 class TestWriteInParts:
     """A CSV with a ``%r`` field, written from many chunks, is formatted in
-    one forked process per CPU (``catalog._write_csv`` on ``_forked``): the
+    one forked process per CPU (``output._write_csv`` on ``_forked``): the
     bytes are those of ``%`` in one process, errors name the output, and no
     process or pipe is left behind."""
 
@@ -909,7 +909,7 @@ class TestWriteInParts:
             return fork()
 
         monkeypatch.setattr(os, "fork", counted_fork)
-        monkeypatch.setattr(catalog, "_CHUNK_ROWS", 16)
+        monkeypatch.setattr(digits, "_CHUNK_ROWS", 16)
 
         def set_cpus(p: int) -> list[int]:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(p)), raising=False)
@@ -939,31 +939,31 @@ class TestWriteInParts:
         return "%d,%r\n", tuple(zip(*zip(ids.tolist(), dec.tolist())))
 
     @pytest.mark.parametrize("kind", ["arrays", "tuples"])
-    @pytest.mark.parametrize("chunks", [0, 1, catalog._FORK_CHUNKS - 1, catalog._FORK_CHUNKS, 23])
+    @pytest.mark.parametrize("chunks", [0, 1, output._FORK_CHUNKS - 1, output._FORK_CHUNKS, 23])
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_same_bytes_as_one_process(self, tmp_path, forks, capsys, p, chunks, kind):
         row_format, columns = self._columns(max(0, 16 * chunks - 5), kind)
         expected = _rows_by_percent("h,x\n", row_format, columns)
         made = forks(p)
-        catalog._write_csv(tmp_path / "o.csv", "h,x\n", row_format, columns)
+        output._write_csv(tmp_path / "o.csv", "h,x\n", row_format, columns)
         assert (tmp_path / "o.csv").read_bytes() == expected.encode()
         capsys.readouterr()
-        catalog._write_csv("-", "h,x\n", row_format, columns)
+        output._write_csv("-", "h,x\n", row_format, columns)
         assert capsys.readouterr().out == expected
-        forked = chunks >= catalog._FORK_CHUNKS and p > 1
+        forked = chunks >= output._FORK_CHUNKS and p > 1
         assert len(made) == (2 * min(p, chunks) if forked else 0)
 
     def test_numeric_rows_are_formatted_here(self, tmp_path, forks):
         columns = (np.arange(500, dtype=np.uint64), np.arange(500) / 7)
         made = forks(2)
-        catalog._write_csv(tmp_path / "o.csv", "", "%d,%.12g\n", columns)
+        output._write_csv(tmp_path / "o.csv", "", "%d,%.12g\n", columns)
         assert made == []
         assert (tmp_path / "o.csv").read_text() == _rows_by_percent("", "%d,%.12g\n", columns)
 
     def test_child_killed_mid_format_is_one_data_error(self, tmp_path, forks, monkeypatch,
                                                          capsys):
         parent = os.getpid()
-        format_rows = catalog._format_rows
+        format_rows = digits._format_rows
 
         def killed_in_child(*args):
             for k, chunk in enumerate(format_rows(*args)):
@@ -971,7 +971,7 @@ class TestWriteInParts:
                     os.kill(os.getpid(), signal.SIGKILL)
                 yield chunk
 
-        monkeypatch.setattr(catalog, "_format_rows", killed_in_child)
+        monkeypatch.setattr(digits, "_format_rows", killed_in_child)
         made = forks(2)
         out = tmp_path / "c.csv"
         assert cli.main(["gen", "--count", "200", "--out", str(out)]) == 2
@@ -1016,7 +1016,7 @@ class TestWriteInParts:
                                      "killed"])
     def test_no_child_or_pipe_outlives_the_write(self, forks, monkeypatch, end):
         parent = os.getpid()
-        format_rows = catalog._format_rows
+        format_rows = digits._format_rows
 
         def format_rows_or_stop(*args):
             for k, chunk in enumerate(format_rows(*args)):
@@ -1035,14 +1035,14 @@ class TestWriteInParts:
                     raise KeyboardInterrupt
                 return super().write(text)
 
-        monkeypatch.setattr(catalog, "_format_rows", format_rows_or_stop)
+        monkeypatch.setattr(digits, "_format_rows", format_rows_or_stop)
         monkeypatch.setattr(sys, "stdout", Stdout())
         made = forks(3)
         row_format, columns = self._columns(400, "arrays")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                catalog._write_csv(None, "h\n", row_format, columns)
+                output._write_csv(None, "h\n", row_format, columns)
             except (OSError, ValueError, KeyboardInterrupt) as exc:
                 assert end != "return", exc
             else:
@@ -1058,12 +1058,12 @@ class TestWriteInParts:
         row_format, columns = self._columns(400, "arrays")
         made = forks(2)
         thread = threading.Thread(
-            target=catalog._write_csv, args=(tmp_path / "t.csv", "h\n", row_format, columns)
+            target=output._write_csv, args=(tmp_path / "t.csv", "h\n", row_format, columns)
         )
         thread.start()
         thread.join()
         assert made == []
-        catalog._write_csv(tmp_path / "o.csv", "h\n", row_format, columns)
+        output._write_csv(tmp_path / "o.csv", "h\n", row_format, columns)
         assert len(made) == 2
         assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "o.csv").read_bytes()
 
@@ -1071,11 +1071,11 @@ class TestWriteInParts:
         # stdout is a file, so block-buffered: "before;" waits in its buffer
         script = """if True:
             import atexit, os, sys
-            from zonequery import catalog
+            from zonequery import output
             atexit.register(lambda: os.write(2, b"atexit ran\\n"))
             sys.stdout.write("before;")
             jobs = [lambda: iter(["a;", "c;"]), lambda: iter(["b;"])]
-            with catalog._forked(jobs, OSError, "a job") as results:
+            with output._forked(jobs, OSError, "a job") as results:
                 os.write(1, b"forked;")
                 sys.stdout.write("".join(results))
         """

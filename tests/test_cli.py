@@ -12,16 +12,19 @@ import subprocess
 import sys
 import threading
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zonequery import cli, load_index, synth, plan_contiguous, run_xmatch, save_index
-from zonequery.catalog import (
-    _CHUNK_ROWS, SnapshotFormatError, _format_rows, _repr_digits, _write_csv,
+from zonequery import (
+    catalog, cli, ingest_csv, load_index, synth, plan_contiguous, run_xmatch, save_index,
 )
+from zonequery.catalog import SnapshotFormatError
+from zonequery.digits import _CHUNK_ROWS, _format_rows, _repr_digits
+from zonequery.output import _write_csv
 from zonequery.cli import main, parse_angle, parse_footprint
 from zonequery.cli import MAX_WORKERS, UsageError
 from zonequery.executor import ExecutionReport, WorkerStats
@@ -1253,3 +1256,45 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 1
         assert "deg|arcmin|arcsec" in proc.stderr
+
+
+class TestTraceHooks:
+    """The benchmark's tracer (``perfbench/layers.py``) replaces module
+    attributes at run time. A name moved from where it is replaced would
+    leave its per-layer metric reading 0 with no other test failing."""
+
+    def test_cli_has_every_name_instrument_cli_wraps(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import layers
+
+        class Names:
+            """A recorder that only notes what it is asked to wrap."""
+
+            def __init__(self) -> None:
+                self.wrapped: list[tuple[object, str]] = []
+
+            def wrap(self, module, attr, name, annotate=None) -> None:
+                self.wrapped.append((module, attr))
+
+        names = Names()
+        layers.instrument_cli(names)
+        assert {attr for module, attr in names.wrapped if module is cli} == {
+            "load_index", "ingest_csv", "save_index", "histogram", "make_plan", "run_xmatch",
+        }
+        assert (catalog, "build_index") in names.wrapped
+        for module, attr in names.wrapped:
+            assert callable(getattr(module, attr)), f"{module.__name__}.{attr}"
+
+    def test_ingest_builds_through_the_catalog_module(self, tmp_path, monkeypatch):
+        built: list[str] = []
+        build_index = catalog.build_index
+
+        def spy(*args, **kwargs):
+            built.append(args[0])
+            return build_index(*args, **kwargs)
+
+        monkeypatch.setattr(catalog, "build_index", spy)
+        path = tmp_path / "small.csv"
+        path.write_text("id,ra,dec,r\n1,10.5,20.5,12.25\n2,11.5,-20.5,13.5\n", encoding="utf-8")
+        assert ingest_csv(path).total_count == 2
+        assert built == ["small"]

@@ -31,7 +31,7 @@ from zonequery import (
     zone_of,
 )
 from zonequery import queries
-from zonequery.executor import _needle_shares, _shares
+from zonequery.executor import _shares
 from zonequery.partition import PartitionPlan
 from zonequery.queries import MAX_MATCH_RADIUS_DEG, brute_force_crossmatch
 from zonequery.sphere import separation_deg, zone_of_array
@@ -453,14 +453,17 @@ class TestShares:
         for z_lo, z_hi in bands:
             expected = shares_reference(plan, zone_starts, z_lo, z_hi)
             busy = {w: ranges for w, ranges in enumerate(expected) if ranges}
-            assert _shares(plan, zone_starts, z_lo, z_hi) == busy
+            band = zone_starts[z_lo:].tolist()
+            assert _shares(plan, z_lo, z_hi, band, band) == busy
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 8])
     def test_needle_walk_equals_runs(self, strategy, workers):
         """A cone's needle shares: per worker, the needle range of each of
         its runs clipped to the band (``conftest.clip_runs``) that holds a
-        needle that counts rows, for one and two needles per zone."""
+        needle that counts rows, for one and two needles per zone; needle
+        ranges start at multiples of the needles per zone, and the totals
+        are the rows the needles before them count."""
         rng = np.random.default_rng(100 + workers)
         counts = rng.integers(0, 5, CFG.zone_count)
         plan = make_plan(strategy, CFG.zone_count, workers, counts)
@@ -475,7 +478,9 @@ class TestShares:
                 start, stop = (a - z_lo) * per_zone, (b - z_lo) * per_zone
                 if any(found[start:stop]):
                     expected.setdefault(w, []).append((start, stop))
-            assert _needle_shares(plan, z_lo, z_hi, found) == expected
+            starts = range(0, n + 1, per_zone)
+            totals = [sum(found[:k]) for k in starts]
+            assert _shares(plan, z_lo, z_hi, starts, totals) == expected
 
 
 class TestRunXmatch:

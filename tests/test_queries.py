@@ -29,7 +29,7 @@ from zonequery import (
 from zonequery import queries
 from zonequery.catalog import KEY_BAND
 from zonequery.queries import MatchPair, MatchTable, _zone_join
-from zonequery.executor import run_xmatch
+from zonequery.executor import run_cone, run_xmatch
 from zonequery.partition import plan_contiguous
 from zonequery.sphere import (
     MIN_ZONE_HEIGHT_DEG,
@@ -50,6 +50,7 @@ from conftest import (
     scan_reference,
     scenario_pair,
     scenario_positions,
+    separation_reference,
 )
 
 CFG = ZoneConfig()
@@ -189,6 +190,33 @@ class TestConeSearch:
             assert np.allclose(
                 [s for _, s in got], [s for _, s in expected], rtol=0, atol=1e-12
             )
+
+    def test_near_antipodal_cone_follows_vector_oracle(self):
+        """A cone of radius 179.9999977 deg over 4,000 points within 4.6e-6
+        deg of its antipode, so its edge, 2.3e-6 deg from the antipode,
+        runs through them: the rows and their separations are those of
+        ``conftest.separation_reference``, but for points within 1e-12 deg
+        of the edge, and so are a 2-worker ``run_cone``'s."""
+        rng = np.random.default_rng(45)
+        n = 4000
+        ra0, dec0, radius = 10.0, 20.0, 179.9999977
+        gap = 4.6e-6 * np.sqrt(rng.uniform(0.0, 1.0, n))  # uniform in area
+        theta = rng.uniform(0.0, 2 * np.pi, n)
+        dec = -dec0 + gap * np.cos(theta)
+        ra = ra0 + 180.0 + gap * np.sin(theta) / np.cos(np.radians(dec))
+        index = index_from("antipode", ra, dec)
+        oracle = [separation_reference(ra0, dec0, a, d)
+                  for a, d in zip(index.ra.tolist(), index.dec.tolist())]
+        clear = [abs(sep - radius) > 1e-12 for sep in oracle]
+        q = ConeQuery(SkyPoint(ra0, dec0), radius)
+        rows = cone_search(index, q)
+        assert run_cone(index, q, plan_contiguous(CFG.zone_count, 2))[0] == rows
+        got = dict(rows)
+        ids = index.ids.tolist()
+        inside = [i for i, sep, c in zip(ids, oracle, clear) if c and sep <= radius]
+        assert 1000 < len(inside) < n - 1000
+        assert [i for i, c in zip(ids, clear) if c and i in got] == inside
+        assert max(abs(got[i] - oracle[k]) for k, i in enumerate(ids) if i in got) <= 1e-12
 
     def test_cone_near_pole_with_clamped_window(self):
         rng = np.random.default_rng(44)

@@ -20,7 +20,7 @@ from zonequery.sphere import (
     zone_of_array,
 )
 
-from conftest import offset_points, random_sky
+from conftest import haversine_reference, offset_points, random_sky, separation_reference
 
 CFG = ZoneConfig()  # default 4-arcmin zones
 ARCSEC = 1.0 / 3600.0
@@ -245,6 +245,56 @@ class TestAngularSeparation:
         s = separation_deg(ra, dec, ra2, dec2)
         assert 0.0 <= s <= 180.0
         assert s == separation_deg(ra2, dec2, ra, dec)
+
+
+# pairs of points (ra1, dec1, ra2, dec2): anywhere, at the poles, across
+# ra 0/360, and within 1e-9 deg of each other's antipode
+_ANY = st.tuples(st.floats(0, 360, exclude_max=True), st.floats(-90, 90))
+_NEAR_POLE = st.tuples(st.floats(0, 360, exclude_max=True),
+                       st.one_of(st.floats(89.999, 90), st.floats(-90, -89.999)))
+_NEAR_ZERO_RA = st.tuples(
+    st.one_of(st.floats(0, 1e-3), st.floats(360 - 1e-3, 360, exclude_max=True)),
+    st.floats(-90, 90),
+)
+_TINY = st.floats(-1e-9, 1e-9)
+
+
+def _near_antipode(point, d_ra, d_dec):
+    ra, dec = point
+    return (ra + 180.0 + d_ra) % 360.0, min(90.0, max(-90.0, d_dec - dec))
+
+
+_PAIRS = st.one_of(
+    st.tuples(_ANY, _ANY),
+    st.tuples(_NEAR_POLE, st.one_of(_ANY, _NEAR_POLE)),
+    st.tuples(_NEAR_ZERO_RA, _NEAR_ZERO_RA),
+    st.tuples(st.one_of(_ANY, _NEAR_POLE, _NEAR_ZERO_RA), _TINY, _TINY).map(
+        lambda t: (t[0], _near_antipode(*t))
+    ),
+).map(lambda t: (*t[0], *t[1]))
+
+
+class TestSeparationAgainstVectors:
+    """``separation_deg`` against ``conftest.separation_reference``, the
+    atan2 of unit vectors' cross and dot products in ``math`` floats."""
+
+    @given(pair=_PAIRS)
+    @settings(max_examples=1000, deadline=None)
+    def test_within_1e_12_deg_of_vector_oracle(self, pair):
+        assert abs(separation_deg(*pair) - separation_reference(*pair)) <= 1e-12
+
+    @given(pair=_PAIRS)
+    @settings(max_examples=300, deadline=None)
+    def test_haversine_bits_up_to_90_deg(self, pair):
+        """Up to 90 deg a separation is the haversine's bit for bit, also
+        in an array beside a far pair that takes the other form."""
+        old = haversine_reference(*pair)
+        assume(old <= 90.0)
+        ra1, dec1, ra2, dec2 = pair
+        both = separation_deg(np.array([ra1, ra1]), np.array([dec1, dec1]),
+                              np.array([ra2, ra1 + 180.0]), np.array([dec2, -dec1]))
+        assert separation_deg(*pair) == old == both[0]
+        assert both[1] > 179.0
 
 
 def _halfwidth(radius, dec):

@@ -21,7 +21,8 @@ from zonequery import (
     write_csv,
     zone_of,
 )
-from zonequery.catalog import _CHUNK_ROWS, _FORK_CHUNKS
+from zonequery.digits import _CHUNK_ROWS
+from zonequery.output import _FORK_CHUNKS
 
 CFG = ZoneConfig()
 
