@@ -245,16 +245,17 @@ def _times_ten_to_minus_16(w: np.ndarray) -> np.ndarray:
 
 
 def _mul_64(a: np.ndarray, b: np.ndarray | np.uint64) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low 64 bits of the 128-bit products of the uint64
-    values ``a`` and ``b``, from their 32-bit halves: the one 128-bit
-    product of the parse and of ``%r``'s digits."""
+    """The high and low 64 bits of the 128-bit products of the uint64 array
+    ``a`` and the uint64 values ``b``, the high from their 32-bit halves and
+    the low as uint64 arithmetic wraps it: the one 128-bit product of the
+    parse and of ``%r``'s digits."""
     low32, half = _U64(2**32 - 1), _U64(32)
     al, ah = a & low32, a >> half
     bl, bh = b & low32, b >> half
     ll = al * bl
     hl = ah * bl
     cross = (ll >> half) + (hl & low32) + al * bh  # below 2**64
-    return (hl >> half) + (cross >> half) + ah * bh, (cross << half) | (ll & low32)
+    return (hl >> half) + (cross >> half) + ah * bh, a * b
 
 
 def _format_rows(row_format: str, columns: Sequence, part: int = 0, parts: int = 1

@@ -15,13 +15,22 @@ within the zones the query can touch (the other catalog, for cross-matches,
 is shared read-only by everyone), and is busy when those hold rows; for the
 join the search is the heavy, parallel part, so each worker searches its
 own needles. A cone's needles (one per zone and ra window segment of its
-zone band) are built and searched once, in the calling thread, over the
-band's contiguous slice of the key. A cone whose needles count no row
-returns at once, with every worker's all-zero stats row. Otherwise a
-worker's share is the needles of its runs that count rows, and it only
-expands and filters them, with the expansion and exact filter of the
-cross-match kernel: a cone's worker is busy when the search finds
-candidates in its zones, not merely when it holds rows there.
+zone band) are built from Python floats and searched by one
+``searchsorted`` call over the whole key, in the calling thread. A cone
+whose needles count no row returns at once, with every worker's all-zero
+stats row. Otherwise a worker's share is the needles of its runs that
+count rows, and it only expands and filters them, with the expansion and
+exact filter of the cross-match kernel: a cone's worker is busy when the
+search finds candidates in its zones, not merely when it holds rows there.
+
+A cone with fewer than CONE_POOL_CANDIDATES candidates, a count its search
+gives before dispatch, runs its busy workers one after another in the
+calling thread, each timed into its own stats row. The constant is the
+crossover measured on a 10^6-row full-sky index on 2 vCPUs under
+round-robin 2- and 4-worker plans: serial shares took 0.41-0.74x the pooled
+time up to 2,600 candidates, 0.83-0.95x to 51,000, 0.89-1.17x from 96,000
+to 430,000, and 1.37x at 790,000. No pool outlives a query (see
+``output._process_count``).
 
 A cross-match worker sorts its own pairs, in its own thread, with one sort
 of (leading rank, other rank) uint64 keys (``MatchTable.from_unsorted``),
@@ -137,6 +146,9 @@ def _check_plan(index: ZoneIndex, plan: PartitionPlan) -> None:
         )
 
 
+# a cone with fewer candidates starts no thread (see the module docstring)
+CONE_POOL_CANDIDATES = 100_000
+
 # work(a worker's share) -> (result columns, rows_scanned, rows_returned);
 # a share is a list of [start, stop) ranges, of rows or of a cone's needles
 Work = Callable[[Ranges], tuple]
@@ -199,20 +211,23 @@ def _execute(
     work: Work,
     merge: Callable,
     t0: float,
+    pool: bool = True,
 ):
     """Run ``work`` over each busy worker's share (worker -> share). The
     busy worker of lowest index runs in the calling thread and each other
     one in a pool thread, so a query starts one thread fewer than it has
     busy workers: each new thread gets a malloc arena of its own, memory the
-    process keeps. A worker without a share gets the shared all-zero stats
-    row and no thread. The workers' result columns are concatenated (unless
-    one worker returned them), then ``merge``d; with no busy worker, which
-    only a scan or cross-match reaches, ``work`` of one empty range gives
-    the typed empty columns. The report's total runs from ``t0``."""
+    process keeps. Without ``pool`` every busy worker runs in the calling
+    thread, in worker order. A worker without a share gets the shared
+    all-zero stats row and no thread. The workers' result columns are
+    concatenated (unless one worker returned them), then ``merge``d; with no
+    busy worker, which only a scan or cross-match reaches, ``work`` of one
+    empty range gives the typed empty columns. The report's total runs from
+    ``t0``."""
     busy = sorted(shares)
-    if len(busy) > 1:
-        with ThreadPoolExecutor(max_workers=len(busy) - 1) as pool:
-            futures = [pool.submit(_timed, w, work, shares[w]) for w in busy[1:]]
+    if pool and len(busy) > 1:
+        with ThreadPoolExecutor(max_workers=len(busy) - 1) as threads:
+            futures = [threads.submit(_timed, w, work, shares[w]) for w in busy[1:]]
             done = [_timed(busy[0], work, shares[busy[0]])]
             done += [fut.result() for fut in futures]
     else:
@@ -254,29 +269,29 @@ def run_cone(
     index: ZoneIndex, q: ConeQuery, plan: PartitionPlan
 ) -> tuple[list[tuple[int, float]], ExecutionReport]:
     """Parallel cone search over the zones of dec +- radius. The calling
-    thread searches the cone's needles once, in the band's contiguous key
-    slice; a cone whose needles count no row returns at once, with every
-    worker's all-zero stats row. Otherwise each worker whose zones hold a
-    needle that counts rows expands and filters its needles' candidates,
-    and the others stay idle. Workers' rows are disjoint, so the merged
-    union needs no dedup."""
+    thread searches the cone's needles once, with one ``searchsorted`` call
+    over the whole key; a cone whose needles count no row returns at once,
+    with every worker's all-zero stats row. Otherwise each worker whose
+    zones hold a needle that counts rows expands and filters its needles'
+    candidates (all in the calling thread below CONE_POOL_CANDIDATES), and
+    the others stay idle. Workers' rows are disjoint, so the merged union
+    needs no dedup."""
     t0 = time.perf_counter()
     _check_plan(index, plan)
-    (z_lo, z_hi), start, i0, counts = _cone_search(q, index)
-    found = counts.tolist()
-    if not any(found):  # most small cones: no shares, worker clocks or merge
+    (z_lo, z_hi), firsts, ends = _cone_search(q, index)
+    if firsts == ends:  # most small cones: no arrays, shares, worker clocks or merge
         return [], ExecutionReport(_idle_rows(plan.worker_count), time.perf_counter() - t0)
+    found = [end - first for first, end in zip(firsts, ends)]
+    i0, counts = np.array(firsts, dtype=np.intp), np.array(found, dtype=np.intp)
 
     def work(needles: Ranges) -> tuple:
-        ids, sep, candidates = _cone_rows(
-            q, index, start, _take(i0, needles), _take(counts, needles)
-        )
+        ids, sep, candidates = _cone_rows(q, index, _take(i0, needles), _take(counts, needles))
         return (ids, sep), candidates, len(ids)
 
     per_zone = len(found) // (z_hi - z_lo + 1)
     totals = list(accumulate(found, initial=0))[::per_zone]
     shares = _shares(plan, z_lo, z_hi, range(0, len(found) + 1, per_zone), totals)
-    return _execute(plan, shares, work, _by_id, t0)
+    return _execute(plan, shares, work, _by_id, t0, totals[-1] >= CONE_POOL_CANDIDATES)
 
 
 def run_xmatch(

@@ -9,9 +9,10 @@ oracle used to verify them.
 * cone_search: the same search, expansion and exact filter, on needles
   built once per cone from scalars: the zone band zone(dec - r)..zone(dec +
   r), the half-width r / cos(|dec| + r) and the padded ra window, split at
-  0/360, computed with the arithmetic the join applies per row. The needles
-  are searched once, in the band's contiguous slice of the key, and only
-  what they find is expanded and filtered.
+  0/360, computed with the arithmetic the join applies per row. The needles'
+  bounds are one list of Python floats, searched by one ``searchsorted``
+  call over the whole key; only what they find is expanded and filtered,
+  and a cone whose needles count no row builds no other array.
 * brute_force_crossmatch: O(n*m) exhaustive comparison, the correctness
   oracle; zone_crossmatch must reproduce its output exactly.
 
@@ -213,52 +214,57 @@ def _by_id(ids: np.ndarray, values: np.ndarray) -> list[tuple[int, float]]:
     return list(zip(ids.tolist(), values.tolist()))
 
 
-def _cone_needles(
-    q: ConeQuery, cfg: ZoneConfig
-) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
-    """A cone's zone band (z_lo, z_hi) and the key ranges (lo, hi) of its
-    needles, those of a one-row :func:`_zone_join` in the same (zone, window
-    segment) order, computed from Python floats: the zone band with
-    ``zone_of_array``'s clamping, the half-width with :func:`ra_halfwidth`,
-    the segments of :func:`_window_segments` and the key bounds float(zone)
-    * KEY_BAND + segment bound, each with the same IEEE operations as the
-    join's array form, so the key ranges are equal to the last bit. Only the
-    finished bounds become arrays."""
+def _cone_needles(q: ConeQuery, cfg: ZoneConfig) -> tuple[tuple[int, int], list[float]]:
+    """A cone's zone band (z_lo, z_hi) and the key bounds of its needles,
+    those of a one-row :func:`_zone_join` in the same (zone, window segment)
+    order, as one list of Python floats: every needle's ``lo``, then every
+    needle's ``nextafter(hi, inf)``. The zone band takes ``zone_of_array``'s
+    clamping, the half-width :func:`ra_halfwidth`, the segments those of
+    :func:`_window_segments` and the key bounds float(zone) * KEY_BAND +
+    segment bound, each with the same IEEE operations as the join's array
+    form, so ``lo`` and ``hi`` are the join's to the last bit. A left search
+    of ``nextafter(hi)`` is a right search of ``hi``, since no double lies
+    between the two, so one left search of the list finds every needle's
+    first row and end."""
     ra, dec, radius = q.center.ra, q.center.dec, q.radius
-    band = zone_of(max(dec - radius, -90.0), cfg), zone_of(min(dec + radius, 90.0), cfg)
+    d_lo, d_hi = dec - radius, dec + radius
+    z_lo = zone_of(d_lo if d_lo > -90.0 else -90.0, cfg)
+    z_hi = zone_of(d_hi if d_hi < 90.0 else 90.0, cfg)
     alpha = ra_halfwidth(radius, dec)
     w_lo = ra - alpha - WINDOW_PAD_DEG
     w_hi = ra + alpha + WINDOW_PAD_DEG
     if w_hi - w_lo >= 360.0:
-        segments = [(0.0, 360.0)]
+        segments = ((0.0, 360.0),)
     else:
-        segments = [(max(w_lo, 0.0), min(w_hi, 360.0))]
+        segments = ((w_lo if w_lo > 0.0 else 0.0, w_hi if w_hi < 360.0 else 360.0),)
         if w_lo < 0.0:
-            segments.append((w_lo + 360.0, 360.0))
+            segments += ((w_lo + 360.0, 360.0),)
         if w_hi > 360.0:
-            segments.append((0.0, w_hi - 360.0))
-    bases = [float(z) * KEY_BAND for z in range(band[0], band[1] + 1)]
-    lo = np.array([base + s_lo for base in bases for s_lo, _ in segments])
-    hi = np.array([base + s_hi for base in bases for _, s_hi in segments])
-    return band, lo, hi
+            segments += ((0.0, w_hi - 360.0),)
+    bounds, ends = [], []
+    for z in range(z_lo, z_hi + 1):
+        base = float(z) * KEY_BAND
+        for s_lo, s_hi in segments:
+            bounds.append(base + s_lo)
+            ends.append(math.nextafter(base + s_hi, math.inf))
+    return (z_lo, z_hi), bounds + ends
 
 
-def _cone_search(
-    q: ConeQuery, index: ZoneIndex
-) -> tuple[tuple[int, int], int, np.ndarray, np.ndarray]:
-    """A cone's one search: ``(band, start, i0, counts)``, its zone band,
-    the band's first row, and per needle of :func:`_cone_needles` (zone
-    major, the same number of window segments in each zone) the first row
-    of its key range and the rows it counts, in the band's contiguous slice
-    of ``ra_key``; a row of the slice is row ``start + i`` of the index."""
-    band, lo, hi = _cone_needles(q, index.cfg)
-    start = index.zone_starts[band[0]]
-    i0, counts = _search(index.ra_key[start : index.zone_starts[band[1] + 1]], lo, hi)
-    return band, start, i0, counts
+def _cone_search(q: ConeQuery, index: ZoneIndex) -> tuple[tuple[int, int], list[int], list[int]]:
+    """A cone's one search: ``(band, firsts, ends)``, its zone band and, per
+    needle of :func:`_cone_needles` (zone major, the same number of window
+    segments in each zone), the first and the end row of its key range in
+    ``ra_key``, as lists; the needles count no row when ``firsts == ends``.
+    Every needle lies inside its zone's key band, so one search over the
+    whole key finds the rows that a search of the band's slice would."""
+    band, bounds = _cone_needles(q, index.cfg)
+    rows = index.ra_key.searchsorted(bounds).tolist()
+    n = len(rows) // 2
+    return band, rows[:n], rows[n:]
 
 
 def _cone_rows(
-    q: ConeQuery, index: ZoneIndex, start: int, i0: np.ndarray, counts: np.ndarray
+    q: ConeQuery, index: ZoneIndex, i0: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The objects within a cone among the candidates of needles that
     :func:`_cone_search` found at ``i0`` with ``counts``, at least one row in
@@ -267,7 +273,6 @@ def _cone_rows(
     gathered from the whole columns, and go through the join's exact
     filter with the cone's centre as its one leading row."""
     ci = _candidates(i0, counts)
-    ci += start
     center = np.array([q.center.ra]), np.array([q.center.dec])
     li = np.zeros(len(ci), dtype=np.intp)
     _, rows, sep = _exact_filter(li, ci, *center, index.ra, index.dec, q.radius)
@@ -276,10 +281,11 @@ def _cone_rows(
 
 def cone_search(index: ZoneIndex, q: ConeQuery) -> list[tuple[int, float]]:
     """All objects within q.radius of q.center as (id, separation), by id."""
-    _, start, i0, counts = _cone_search(q, index)
-    if not np.count_nonzero(counts):
+    _, firsts, ends = _cone_search(q, index)
+    if firsts == ends:
         return []
-    ids, sep, _ = _cone_rows(q, index, start, i0, counts)
+    i0 = np.array(firsts, dtype=np.intp)
+    ids, sep, _ = _cone_rows(q, index, i0, np.array(ends, dtype=np.intp) - i0)
     return _by_id(ids, sep)
 
 
@@ -308,21 +314,9 @@ def _window_segments(
     return obj, lo, hi
 
 
-def _search(key: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The search half of the candidate kernel: per needle, the first row of
-    ``key`` in its key range [lo, hi] and the number of rows there. Methods
-    stand in for the ``np.`` functions, whose dispatch (about 1 us a call
-    with numpy 2.4) a one-cone search feels."""
-    i0 = key.searchsorted(lo, side="left")
-    # closed upper bound: a stored key for ra just under 360 can round up to
-    # exactly zone*KEY_BAND + 360, and the gap to the next zone band makes
-    # including equality safe (never pulls in another zone)
-    return i0, key.searchsorted(hi, side="right") - i0
-
-
 def _candidates(i0: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The expansion half: the key rows ``counts[k]`` from ``i0[k]`` on, in
-    needle order, for at least one needle."""
+    """The expansion half of the kernel: the key rows ``counts[k]`` from
+    ``i0[k]`` on, in needle order, for at least one needle."""
     ends = counts.cumsum()
     return (i0 - (ends - counts)).repeat(counts) + np.arange(ends[-1])
 
@@ -333,7 +327,11 @@ def _expand(
     """The rows of ``key`` in each needle's key range [lo, hi], as (leading
     row, key row) pairs in needle order, key rows ascending per needle;
     when the searches find no row, nothing else runs."""
-    i0, counts = _search(key, lo, hi)
+    i0 = key.searchsorted(lo, side="left")
+    # closed upper bound: a stored key for ra just under 360 can round up to
+    # exactly zone*KEY_BAND + 360, and the gap to the next zone band makes
+    # including equality safe (never pulls in another zone)
+    counts = key.searchsorted(hi, side="right") - i0
     del lo, hi  # the caller passes temporaries: free them before expanding
     if not np.count_nonzero(counts):
         return _NO_ROWS, _NO_ROWS

@@ -109,15 +109,13 @@ def check_same_zones(a: ZoneConfig, b: ZoneConfig) -> None:
 def zone_of(dec: float, cfg: ZoneConfig) -> ZoneId:
     """Zone index containing declination ``dec``: floor((dec + 90) / h).
 
-    dec = +90 is clamped into the last zone; it is the only value where the
-    raw formula lands out of range.
+    A raw zone past the last one (at dec = +90, or within rounding of it) is
+    clamped into the last zone; no dec in range lands below zone 0.
     """
     if not (-90.0 <= dec <= 90.0):
         raise ValueError(f"dec {dec!r} outside [-90, +90]")
-    z = int(math.floor((dec + 90.0) / cfg.height_deg))
-    if z < 0:
-        return 0
-    return min(z, cfg.zone_count - 1)
+    z = math.floor((dec + 90.0) / cfg.height_deg)
+    return z if z < cfg.zone_count else cfg.zone_count - 1
 
 
 def zone_of_array(dec: np.ndarray, cfg: ZoneConfig) -> np.ndarray:

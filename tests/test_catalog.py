@@ -460,6 +460,38 @@ def _parse_block(buf: bytes, cols=(1, 2, 3), n_cols=4):
                                        cols, n_cols)
 
 
+class TestMul64:
+    """``digits._mul_64``, the one 128-bit product of the parse and of
+    ``%r``'s digits, against Python ints: the high and low 64 bits of a * b,
+    with ``b`` an array and a scalar."""
+
+    EDGES = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1]
+
+    @staticmethod
+    def _words(a, b):
+        return [((x * y) >> 64, (x * y) & (2**64 - 1)) for x, y in zip(a, b)]
+
+    def test_array_b(self):
+        rng = np.random.default_rng(12)
+        # every pair of edge values, then random ones of every bit length
+        a = [x for x in self.EDGES for _ in self.EDGES]
+        b = self.EDGES * len(self.EDGES)
+        a += rng.integers(0, 2**64, 8192, dtype=np.uint64).tolist()
+        b += (rng.integers(0, 2**64, 8192, dtype=np.uint64)
+              >> rng.integers(0, 64, 8192).astype(np.uint64)).tolist()
+        hi, lo = digits._mul_64(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64))
+        assert hi.dtype == lo.dtype == np.uint64
+        assert list(zip(hi.tolist(), lo.tolist())) == self._words(a, b)
+
+    @pytest.mark.parametrize("b", EDGES + [int(digits._T_HI), int(digits._T_LO)])
+    def test_scalar_b(self, b):
+        rng = np.random.default_rng(13)
+        a = self.EDGES + rng.integers(0, 2**64, 1024, dtype=np.uint64).tolist()
+        hi, lo = digits._mul_64(np.array(a, dtype=np.uint64), np.uint64(b))
+        assert hi.dtype == lo.dtype == np.uint64
+        assert list(zip(hi.tolist(), lo.tolist())) == self._words(a, [b] * len(a))
+
+
 class TestParsePlain:
     """The in-place parse of certified lines against int() and float(), bit
     for bit."""

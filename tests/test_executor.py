@@ -402,8 +402,9 @@ class TestConeEquivalence:
         rows, rep, shares = assert_cone_equals_reference(needle_sky, q, plan)
         assert rows and min(len(ranges) for ranges in shares) >= 8
         assert all(s.rows_scanned > 0 for s in rep.workers)
-        band, lo, _ = queries._cone_needles(q, CFG)
-        assert len(lo) == (band[1] - band[0] + 1) * (1 if ra == 200.0 else 2)
+        band, bounds = queries._cone_needles(q, CFG)
+        # each needle's lo, then each needle's end
+        assert len(bounds) == 2 * (band[1] - band[0] + 1) * (1 if ra == 200.0 else 2)
 
     @pytest.mark.parametrize("edge", [-1, 0, 1, 2, 4])
     def test_full_circle_window_at_a_run_edge(self, needle_sky, edge):
@@ -412,9 +413,11 @@ class TestConeEquivalence:
         or at the last zone of that band splits the needles between the
         workers, and so do round-robin plans, whose every zone is a run."""
         q = ConeQuery(SkyPoint(30.0, 89.9), 0.2)
-        (z_lo, z_hi), lo, hi = queries._cone_needles(q, CFG)
-        assert z_hi - z_lo + 1 == 5 and len(lo) == 5
-        assert np.array_equal(hi - lo, np.full(5, 360.0))
+        (z_lo, z_hi), bounds = queries._cone_needles(q, CFG)
+        assert z_hi - z_lo + 1 == 5 and len(bounds) == 10
+        lo, ends = np.array(bounds[:5]), np.array(bounds[5:])
+        # each end is nextafter(hi, inf), and hi - lo the full circle
+        assert np.array_equal(np.nextafter(ends, -np.inf) - lo, np.full(5, 360.0))
         plan = PartitionPlan("contiguous", 2, CFG.zone_count, (0, z_lo + edge), (0, 1))
         rows, rep, _ = assert_cone_equals_reference(needle_sky, q, plan)
         assert rows
@@ -558,8 +561,10 @@ class TestRunXmatch:
 
 class TestCallingThread:
     """The first busy worker runs in the calling thread and every other busy
-    worker in a pool thread; results and per-worker stats do not depend on
-    where a worker ran."""
+    worker in a pool thread, except in a cone with fewer candidates than
+    ``executor.CONE_POOL_CANDIDATES``, whose busy workers all run in the
+    calling thread; results and per-worker stats do not depend on where a
+    worker ran."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("workers", (1, 2, 3, 4))
@@ -603,7 +608,10 @@ class TestCallingThread:
         # dec 0 is zone 1350: a contiguous 4-worker plan has busy workers 1
         # and 2, and idle workers 0 and 3. A worker is busy when the cone's
         # search finds candidates in its zones, and only then runs
-        # _cone_rows, which expands and filters them
+        # _cone_rows, which expands and filters them. A cone with fewer
+        # candidates than CONE_POOL_CANDIDATES runs every busy worker in
+        # the calling thread; one with as many runs the first busy worker
+        # there and each other one in a pool thread
         from zonequery import executor
 
         q = ConeQuery(SkyPoint(100.0, 0.0), 2.0)
@@ -617,13 +625,21 @@ class TestCallingThread:
 
         monkeypatch.setattr(executor, "_cone_rows", recording)
         _, rep, _ = assert_cone_equals_reference(catalog, q, plan)
+        candidates = sum(s.rows_scanned for s in rep.workers)
+        assert 0 < candidates < executor.CONE_POOL_CANDIDATES
         busy = [s.worker for s in rep.workers if s.rows_scanned]
         assert len(threads) == len(busy) >= 1
-        # the calling thread runs first, so its call is recorded first unless
-        # a pool thread got there sooner; either way it runs exactly one
-        assert threads.count(threading.get_ident()) == 1
+        assert set(threads) == {threading.get_ident()}
         idle = [s for s in rep.workers if s.worker not in busy]
         assert all(s == WorkerStats(s.worker, 0.0, 0.0, 0, 0) for s in idle)
+        for limit, inline in ((candidates + 1, len(busy)), (candidates, 1)):
+            monkeypatch.setattr(executor, "CONE_POOL_CANDIDATES", limit)
+            threads.clear()
+            _, again, _ = assert_cone_equals_reference(catalog, q, plan)
+            assert [s.worker for s in again.workers if s.rows_scanned] == busy
+            assert len(threads) == len(busy)
+            # with a pool, the calling thread runs exactly one busy worker
+            assert threads.count(threading.get_ident()) == inline
 
 
 class TestChunkedJoin:

@@ -740,10 +740,11 @@ class TestConeGeometry:
     the scalar twin of the geometry ``_zone_join`` computes per row with
     array calls. For one row the two must be equal to the last bit: the zone
     band, the half-width and the needles, whose key ranges hold the window
-    segments. ``math.cos`` and ``np.cos`` agree bit for bit with numpy 2.x on
-    x86-64 (checked on 2*10^6 values), so equality is exact; on a platform
-    where they differ, a half-width within 4 ulp is enough, because the
-    1e-7 degree WINDOW_PAD_DEG absorbs it."""
+    segments; the cone's bounds are the join's ``lo``, then ``nextafter(hi,
+    inf)`` of the join's ``hi``. ``math.cos`` and ``np.cos`` agree bit for
+    bit with numpy 2.x on x86-64 (checked on 2*10^6 values), so equality is
+    exact; on a platform where they differ, a half-width within 4 ulp is
+    enough, because the 1e-7 degree WINDOW_PAD_DEG absorbs it."""
 
     @settings(max_examples=300, deadline=None)
     @given(cone=_cones(), height=st.sampled_from([ARCSEC, 4 * ARCMIN, 0.5, 7.0]))
@@ -765,32 +766,37 @@ class TestConeGeometry:
         """Cones at 4' zones whose needles take the less common shapes: a
         band of 31 zones, a full-circle window near either pole, and
         windows wrapping at 0 and at 360, each equal to the join's."""
-        band, lo, hi = _needles_equal_join(ra, dec, radius, CFG)
+        band, lo, ends = _needles_equal_join(ra, dec, radius, CFG)
         assert band[1] - band[0] + 1 == zones
         # each zone's key band: zone * KEY_BAND plus the segment bounds
         bases = np.arange(band[0], band[1] + 1, dtype=np.float64) * KEY_BAND
+        top = np.nextafter(bases + 360.0, np.inf)  # the end of a segment reaching 360
         segments = {None: 1, "full": 1, "at 0": 2, "at 360": 2}[wrap]
         assert len(lo) == zones * segments
         firsts, seconds = slice(0, None, segments), slice(1, None, segments)
         if wrap == "full":
-            assert np.array_equal(lo, bases) and np.array_equal(hi, bases + 360.0)
+            assert np.array_equal(lo, bases) and np.array_equal(ends, top)
         elif wrap == "at 0":  # [0, w_hi), then [w_lo + 360, 360)
             assert np.array_equal(lo[firsts], bases)
-            assert np.array_equal(hi[seconds], bases + 360.0)
+            assert np.array_equal(ends[seconds], top)
         elif wrap == "at 360":  # [w_lo, 360), then [0, w_hi - 360)
-            assert np.array_equal(hi[firsts], bases + 360.0)
+            assert np.array_equal(ends[firsts], top)
             assert np.array_equal(lo[seconds], bases)
         else:
-            assert np.all((lo > bases) & (hi < bases + 360.0))
+            assert np.all((lo > bases) & (ends < bases + 360.0))
 
 
 def _needles_equal_join(ra, dec, radius, cfg):
     """Assert that ``queries._cone_needles``, built from Python floats,
-    gives the zone band, the half-width and the needles' key ranges (dtypes
-    included) of a one-row ``_zone_join``, bit for bit, whose needles all
-    belong to its row 0; returns (band, lo, hi)."""
+    gives the zone band and the half-width of a one-row ``_zone_join``, and
+    its needles' key bounds: each ``lo`` the join's, bit for bit, and each
+    end ``nextafter`` of the join's ``hi``, whose needles all belong to its
+    row 0; returns (band, lo, ends) with the bounds as float64 arrays."""
     q = ConeQuery(SkyPoint(ra, dec), radius)
-    band, lo, hi = queries._cone_needles(q, cfg)
+    band, bounds = queries._cone_needles(q, cfg)
+    assert all(type(b) is float for b in bounds)
+    n = len(bounds) // 2
+    lo, ends = np.array(bounds[:n]), np.array(bounds[n:])
     reach = zone_of_array(np.array([dec - radius, dec + radius]), cfg)
     assert band == tuple(reach.tolist())
     assert ra_halfwidth(radius, dec) == ra_halfwidth_array(radius, np.array([dec]))[0]
@@ -807,16 +813,48 @@ def _needles_equal_join(ra, dec, radius, cfg):
         mp.setattr(queries, "_expand", spy)
         _zone_join(np.array([ra]), np.array([dec]), radius, index.ra_key,
                    index.ra, index.dec, cfg)
-    obj, *join_ranges = (np.concatenate(c) for c in zip(*seen))
+    obj, join_lo, join_hi = (np.concatenate(c) for c in zip(*seen))
     assert obj.dtype == np.intp and not obj.any()
-    for mine, join in zip((lo, hi), join_ranges):
-        assert mine.dtype == join.dtype
-        assert np.array_equal(mine, join)
+    assert lo.dtype == join_lo.dtype == join_hi.dtype == np.float64
+    assert lo.tobytes() == join_lo.tobytes()
+    assert ends.tobytes() == np.nextafter(join_hi, np.inf).tobytes()
     segments = len(queries._window_segments(
         np.array([ra]), ra_halfwidth_array(radius, np.array([dec]))
     )[0])
     assert len(lo) == (band[1] - band[0] + 1) * segments
-    return band, lo, hi
+    return band, lo, ends
+
+
+class TestNeedleEnds:
+    """A needle's key range is closed: the one left search of its end,
+    ``nextafter(hi)``, counts a stored key equal to ``hi`` and not one equal
+    to ``nextafter(hi)``."""
+
+    def test_key_equal_to_hi_is_counted(self):
+        # ra one ulp below 360 gets the key zone * 512 + 360, the hi of a
+        # window segment that reaches 360
+        index = index_from("edge", [_ULP_BELOW_360], [0.03])
+        q = ConeQuery(SkyPoint(359.99, 0.03), 0.02)
+        (z_lo, z_hi), bounds = queries._cone_needles(q, CFG)
+        assert z_lo == z_hi and len(bounds) == 4  # one zone, two segments
+        hi = float(np.nextafter(bounds[2], -np.inf))  # [w_lo, 360]'s
+        assert index.ra_key[0] == hi == zone_of(0.03, CFG) * KEY_BAND + 360.0
+        _, firsts, ends = queries._cone_search(q, index)
+        assert (firsts[0], ends[0]) == (0, 1)
+        assert [i for i, _ in cone_search(index, q)] == [0]
+
+    def test_key_one_ulp_above_hi_is_not_counted(self):
+        q = ConeQuery(SkyPoint(100.0, 0.03), 0.02)
+        (z_lo, z_hi), bounds = queries._cone_needles(q, CFG)
+        assert z_lo == z_hi and len(bounds) == 2  # one zone, one segment
+        base, end = z_lo * KEY_BAND, bounds[1]
+        hi = float(np.nextafter(end, -np.inf))
+        # rows whose keys are hi and nextafter(hi) = end, exactly
+        ra = [hi - base, end - base]
+        index = index_from("ends", ra, [0.03, 0.03])
+        assert index.ra_key.tolist() == [hi, end]
+        _, firsts, ends = queries._cone_search(q, index)
+        assert (firsts, ends) == ([0], [1])
 
 
 class TestEarlyExits:

@@ -139,6 +139,34 @@ class TestZoneOf:
         vec = zone_of_array(dec, CFG)
         assert all(zone_of(float(d), CFG) == z for d, z in zip(dec, vec))
 
+    @pytest.mark.parametrize(
+        "height",
+        # 7 deg leaves a narrow last zone, which +90 lies in; with the others
+        # the raw formula reaches zone_count at +90 and the clamp acts
+        [ARCSEC, 4.0 / 60.0, math.nextafter(4.0 / 60.0, 0.0), 0.5, 7.0],
+    )
+    def test_equals_array_at_poles_edges_and_clamp(self, height):
+        """``zone_of`` is ``zone_of_array`` per value, as a Python int: at
+        +-90, on every zone edge k * h - 90 near the poles, the equator and
+        zone 1000, and one ulp to either side of each."""
+        cfg = ZoneConfig(height)
+        ks = [k for k in (0, 1, 2, 1000, cfg.zone_count // 2) if k < cfg.zone_count]
+        ks += range(cfg.zone_count - 2, cfg.zone_count + 1)
+        edges = [k * height - 90.0 for k in ks]
+        dec = [-90.0, 90.0, 0.0] + [
+            d for e in edges for d in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))
+        ]
+        dec = [d for d in dec if -90.0 <= d <= 90.0]
+        got = [zone_of(d, cfg) for d in dec]
+        assert all(type(z) is int for z in got)
+        assert got == zone_of_array(np.array(dec), cfg).tolist()
+        assert got[:2] == [0, cfg.zone_count - 1]
+        clamped = [d for d in dec if math.floor((d + 90.0) / height) >= cfg.zone_count]
+        assert bool(clamped) == (height != 7.0)
+        for d in (math.nextafter(-90.0, -math.inf), math.nextafter(90.0, math.inf), math.nan):
+            with pytest.raises(ValueError, match="outside"):
+                zone_of(d, cfg)
+
 
 def _dec_range(zone, cfg):
     """Declination range [lo, hi) of ``zone`` by the module docstring's
