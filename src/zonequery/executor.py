@@ -1,14 +1,14 @@
 """Fan a query out over W workers and merge results deterministically.
 
-Workers are in-process threads over immutable shared indexes: the busy
-worker of lowest index runs in the calling thread, each other busy worker in
-a pool thread, and an idle one nowhere. The heavy lifting inside each worker
-is vectorized array work, most of which releases the GIL, which is what
-makes threads worth having here. Not all of it does: ``np.repeat``, which
-expands candidate ranges in ``queries._candidates``, holds the GIL and so
-caps how far the join scales with threads. All three queries run through
-one executor, ``_execute``, which runs the shares it is given; workers never
-talk to each other.
+Workers are in-process threads over immutable shared indexes: in a scan or
+cross-match the busy worker of lowest index runs in the calling thread, each
+other busy worker in a pool thread, and an idle one nowhere. The heavy
+lifting inside each worker is vectorized array work, most of which releases
+the GIL, which is what makes threads worth having here. Not all of it does:
+``np.repeat``, which expands candidate ranges in ``queries._candidates``,
+holds the GIL and so caps how far the join scales with threads. All three
+queries run through one executor, ``_execute``, which runs the shares it is
+given; workers never talk to each other.
 
 A scan or cross-match worker owns the row ranges of its plan's zone runs
 within the zones the query can touch (the other catalog, for cross-matches,
@@ -23,14 +23,11 @@ count rows, and it only expands and filters them, with the expansion and
 exact filter of the cross-match kernel: a cone's worker is busy when the
 search finds candidates in its zones, not merely when it holds rows there.
 
-A cone with fewer than CONE_POOL_CANDIDATES candidates, a count its search
-gives before dispatch, runs its busy workers one after another in the
-calling thread, each timed into its own stats row. The constant is the
-crossover measured on a 10^6-row full-sky index on 2 vCPUs under
-round-robin 2- and 4-worker plans: serial shares took 0.41-0.74x the pooled
-time up to 2,600 candidates, 0.83-0.95x to 51,000, 0.89-1.17x from 96,000
-to 430,000, and 1.37x at 790,000. No pool outlives a query (see
-``output._process_count``).
+A cone runs its busy workers one after another in the calling thread,
+each timed into its own stats row, and starts no thread: a cone of 10" to
+1 deg on 10^6 full-sky rows has at most a few hundred candidates, far fewer
+than a thread start costs. A cone of several hundred thousand candidates
+would gain from a pool (ROADMAP item 10).
 
 A cross-match worker sorts its own pairs, in its own thread, with one sort
 of (leading rank, other rank) uint64 keys (``MatchTable.from_unsorted``),
@@ -145,9 +142,6 @@ def _check_plan(index: ZoneIndex, plan: PartitionPlan) -> None:
             f"{index.name!r} has {index.cfg.zone_count}"
         )
 
-
-# a cone with fewer candidates starts no thread (see the module docstring)
-CONE_POOL_CANDIDATES = 100_000
 
 # work(a worker's share) -> (result columns, rows_scanned, rows_returned);
 # a share is a list of [start, stop) ranges, of rows or of a cone's needles
@@ -273,9 +267,9 @@ def run_cone(
     over the whole key; a cone whose needles count no row returns at once,
     with every worker's all-zero stats row. Otherwise each worker whose
     zones hold a needle that counts rows expands and filters its needles'
-    candidates (all in the calling thread below CONE_POOL_CANDIDATES), and
-    the others stay idle. Workers' rows are disjoint, so the merged union
-    needs no dedup."""
+    candidates, one after another in the calling thread, and the others
+    stay idle. Workers' rows are disjoint, so the merged union needs no
+    dedup."""
     t0 = time.perf_counter()
     _check_plan(index, plan)
     (z_lo, z_hi), firsts, ends = _cone_search(q, index)
@@ -291,7 +285,7 @@ def run_cone(
     per_zone = len(found) // (z_hi - z_lo + 1)
     totals = list(accumulate(found, initial=0))[::per_zone]
     shares = _shares(plan, z_lo, z_hi, range(0, len(found) + 1, per_zone), totals)
-    return _execute(plan, shares, work, _by_id, t0, totals[-1] >= CONE_POOL_CANDIDATES)
+    return _execute(plan, shares, work, _by_id, t0, pool=False)
 
 
 def run_xmatch(

@@ -560,11 +560,10 @@ class TestRunXmatch:
 
 
 class TestCallingThread:
-    """The first busy worker runs in the calling thread and every other busy
-    worker in a pool thread, except in a cone with fewer candidates than
-    ``executor.CONE_POOL_CANDIDATES``, whose busy workers all run in the
-    calling thread; results and per-worker stats do not depend on where a
-    worker ran."""
+    """In a scan or cross-match the first busy worker runs in the calling
+    thread and every other busy worker in a pool thread; a cone runs every
+    busy worker in the calling thread. Results and per-worker stats do not
+    depend on where a worker ran."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("workers", (1, 2, 3, 4))
@@ -608,10 +607,7 @@ class TestCallingThread:
         # dec 0 is zone 1350: a contiguous 4-worker plan has busy workers 1
         # and 2, and idle workers 0 and 3. A worker is busy when the cone's
         # search finds candidates in its zones, and only then runs
-        # _cone_rows, which expands and filters them. A cone with fewer
-        # candidates than CONE_POOL_CANDIDATES runs every busy worker in
-        # the calling thread; one with as many runs the first busy worker
-        # there and each other one in a pool thread
+        # _cone_rows, which expands and filters them, in the calling thread
         from zonequery import executor
 
         q = ConeQuery(SkyPoint(100.0, 0.0), 2.0)
@@ -625,21 +621,11 @@ class TestCallingThread:
 
         monkeypatch.setattr(executor, "_cone_rows", recording)
         _, rep, _ = assert_cone_equals_reference(catalog, q, plan)
-        candidates = sum(s.rows_scanned for s in rep.workers)
-        assert 0 < candidates < executor.CONE_POOL_CANDIDATES
         busy = [s.worker for s in rep.workers if s.rows_scanned]
         assert len(threads) == len(busy) >= 1
         assert set(threads) == {threading.get_ident()}
         idle = [s for s in rep.workers if s.worker not in busy]
         assert all(s == WorkerStats(s.worker, 0.0, 0.0, 0, 0) for s in idle)
-        for limit, inline in ((candidates + 1, len(busy)), (candidates, 1)):
-            monkeypatch.setattr(executor, "CONE_POOL_CANDIDATES", limit)
-            threads.clear()
-            _, again, _ = assert_cone_equals_reference(catalog, q, plan)
-            assert [s.worker for s in again.workers if s.rows_scanned] == busy
-            assert len(threads) == len(busy)
-            # with a pool, the calling thread runs exactly one busy worker
-            assert threads.count(threading.get_ident()) == inline
 
 
 class TestChunkedJoin:
